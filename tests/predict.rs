@@ -13,6 +13,11 @@
 //! `<entry>.shb.txt` / `<entry>.wcp.txt`, holding the exact
 //! `PredictReport::render()` text. The analysis is pure and
 //! deterministic, so the files are stable across platforms.
+//! The same traces also pin the post-mortem engine: `<entry>.postmortem.json`
+//! holds the pretty JSON of `PostMortem::analyze()` — every race, the
+//! partitions with their G′ component ids, order and first set, and the
+//! SCP — so a rewrite of the hb1 or G′ machinery must reproduce them
+//! byte for byte.
 //! Regenerate the *reports* after an intentional engine change with:
 //!
 //! ```text
@@ -32,7 +37,7 @@ use wmrd_core::{event_race_keys, PairingPolicy, PostMortem, RaceKey};
 use wmrd_explore::{run_campaign, CampaignSpec};
 use wmrd_predict::{predict, PredictGraph, PredictOrder};
 use wmrd_progs::catalog;
-use wmrd_trace::{Metrics, TraceSet};
+use wmrd_trace::{Metrics, ToJson, TraceSet};
 
 fn data_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/predict"))
@@ -53,39 +58,57 @@ fn committed_trace(name: &str) -> TraceSet {
     trace
 }
 
+/// Compares `rendered` with the golden file `name` (or rewrites it
+/// under `WMRD_REGOLD`), collecting a readable diff on mismatch.
+fn check_golden(name: &str, rendered: &str, mismatches: &mut Vec<String>) {
+    let path = data_dir().join(name);
+    if std::env::var("WMRD_REGOLD").is_ok() {
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with WMRD_REGOLD=1"));
+    if rendered != expected {
+        mismatches.push(format!("== {name}\n-- expected:\n{expected}\n-- got:\n{rendered}"));
+    }
+}
+
 /// Every catalog entry's rendered predictive report — under both
 /// orders — matches its checked-in golden file: stats, kept/dropped
 /// edge counts, the full key set with provenance marks, and the
 /// verdict are all pinned byte-for-byte.
 #[test]
 fn catalog_reports_match_goldens() {
-    let regold = std::env::var("WMRD_REGOLD").is_ok();
-    let dir = data_dir();
     let mut mismatches = Vec::new();
     for entry in catalog::all() {
         let trace = committed_trace(entry.name);
         for order in [PredictOrder::Shb, PredictOrder::Wcp] {
             let report = predict(&trace, entry.name, PairingPolicy::ByRole, order).unwrap();
-            let rendered = report.render();
-            let path = dir.join(format!("{}.{order}.txt", entry.name));
-            if regold {
-                std::fs::write(&path, &rendered).unwrap();
-                continue;
-            }
-            let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!("missing golden {}.{order} ({e}); run with WMRD_REGOLD=1", entry.name)
-            });
-            if rendered != expected {
-                mismatches.push(format!(
-                    "== {}.{order}\n-- expected:\n{expected}\n-- got:\n{rendered}",
-                    entry.name
-                ));
-            }
+            check_golden(&format!("{}.{order}.txt", entry.name), &report.render(), &mut mismatches);
         }
     }
     assert!(
         mismatches.is_empty(),
         "predict goldens diverged (WMRD_REGOLD=1 regenerates):\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Every catalog entry's post-mortem report matches its checked-in
+/// JSON: the races, each partition's G′ component id, the partition
+/// order `P` and its first partitions, and the SCP boundaries.
+#[test]
+fn postmortem_reports_match_goldens() {
+    let mut mismatches = Vec::new();
+    for entry in catalog::all() {
+        let trace = committed_trace(entry.name);
+        let report = PostMortem::new(&trace).analyze().unwrap();
+        let rendered = report.json().pretty();
+        check_golden(&format!("{}.postmortem.json", entry.name), &rendered, &mut mismatches);
+    }
+    assert!(
+        mismatches.is_empty(),
+        "post-mortem goldens diverged (WMRD_REGOLD=1 regenerates):\n{}",
         mismatches.join("\n")
     );
 }
