@@ -4,19 +4,20 @@
 //! edge between the two events involved. A path in G′ from one race's
 //! events to another's exists iff the first race *affects* the second
 //! (Definition 3.3) — so the strongly connected components of G′ group
-//! mutually-affecting races, and reachability between components orders
-//! the groups.
+//! mutually-affecting races, and paths between components order the
+//! groups.
 
 use wmrd_trace::EventId;
 
-use crate::{DataRace, DiGraph, HbGraph, Reachability};
+use crate::graph::ChainOrder;
+use crate::{DataRace, HbGraph};
 
 /// The augmented graph G′ of one execution.
 #[derive(Debug)]
 pub struct AugmentedGraph<'a> {
     hb: &'a HbGraph,
-    graph: DiGraph,
-    reach: Reachability,
+    /// The order of hb1's chains under the `so1` and race edges.
+    order: ChainOrder,
     /// Indices (into the race slice used at construction) of the *data*
     /// races whose edges were added.
     data_race_indices: Vec<usize>,
@@ -30,26 +31,21 @@ impl<'a> AugmentedGraph<'a> {
     /// remembered and exposed via
     /// [`data_race_indices`](Self::data_race_indices).
     pub fn build(hb: &'a HbGraph, races: &[DataRace]) -> Self {
-        let mut graph = DiGraph::new(hb.num_events());
-        for node in 0..hb.num_events() as u32 {
-            for &succ in hb.graph().successors(node) {
-                graph.add_edge(node, succ);
-            }
-        }
-        let mut data_race_indices = Vec::new();
-        for (i, race) in races.iter().enumerate() {
-            if !race.is_data_race() {
-                continue;
-            }
-            let (Some(na), Some(nb)) = (hb.node_of(race.a), hb.node_of(race.b)) else {
-                continue;
-            };
-            graph.add_edge(na, nb);
-            graph.add_edge(nb, na);
-            data_race_indices.push(i);
-        }
-        let reach = Reachability::compute(&graph);
-        AugmentedGraph { hb, graph, reach, data_race_indices }
+        let data_race_indices: Vec<usize> = (0..races.len())
+            .filter(|&i| {
+                let race = &races[i];
+                race.is_data_race() && hb.node_of(race.a).is_some() && hb.node_of(race.b).is_some()
+            })
+            .collect();
+        // so1 first, then each race's two directions: the edge order G′
+        // component ids (and so partition ids) follow.
+        let sync = hb.so1().iter().map(|edge| (edge.release, edge.acquire));
+        let race_edges = data_race_indices
+            .iter()
+            .flat_map(|&i| [(races[i].a, races[i].b), (races[i].b, races[i].a)]);
+        let order = ChainOrder::new(hb.order().chain_lens(), sync.chain(race_edges))
+            .expect("hb1 edges and race endpoints are events of the graph");
+        AugmentedGraph { hb, order, data_race_indices }
     }
 
     /// The underlying hb1 graph.
@@ -57,32 +53,24 @@ impl<'a> AugmentedGraph<'a> {
         self.hb
     }
 
-    /// The G′ edge structure.
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    /// Reachability over G′.
-    pub fn reach(&self) -> &Reachability {
-        &self.reach
-    }
-
     /// Indices of the data races that contributed edges.
     pub fn data_race_indices(&self) -> &[usize] {
         &self.data_race_indices
     }
 
+    /// Number of strongly connected components of G′.
+    pub fn num_components(&self) -> usize {
+        self.order.num_components()
+    }
+
     /// The G′ strongly-connected component of an event.
     pub fn component_of(&self, event: EventId) -> Option<u32> {
-        Some(self.reach.scc().component_of(self.hb.node_of(event)?))
+        self.order.component(event)
     }
 
     /// `true` iff a path of length ≥ 1 exists from `a` to `b` in G′.
     pub fn path(&self, a: EventId, b: EventId) -> bool {
-        match (self.hb.node_of(a), self.hb.node_of(b)) {
-            (Some(na), Some(nb)) => self.reach.query(na, nb),
-            _ => false,
-        }
+        self.order.ordered(a, b)
     }
 }
 
@@ -140,7 +128,7 @@ mod tests {
         let aug = AugmentedGraph::build(&hb, &races);
         assert!(aug.data_race_indices().is_empty());
         assert!(!aug.path(e(0, 0), e(1, 0)));
-        assert_eq!(aug.graph().num_edges(), hb.graph().num_edges());
+        assert_eq!(aug.num_components(), hb.num_events(), "no race edge, no cycle");
     }
 
     #[test]

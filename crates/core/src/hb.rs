@@ -2,26 +2,25 @@
 //!
 //! One node per event; edges for program order (`po`, consecutive events
 //! of the same processor) and synchronization order (`so1`, paired
-//! release → acquire). `hb1` is the transitive closure, answered through
-//! a [`Reachability`] index. For a weak execution the graph may contain
-//! cycles (the paper notes `so1` of a weak execution need not be a
-//! partial order); everything downstream handles that via strongly
-//! connected components.
+//! release → acquire). `hb1` is the transitive closure, answered by the
+//! crate's chain-clock order: `po` is one chain per processor, so only
+//! the `so1` edges are stored. For a weak execution the graph may
+//! contain cycles (the paper notes `so1` of a weak execution need not be
+//! a partial order); the order condenses them into strongly connected
+//! components first.
 
-use wmrd_trace::{Event, EventId, ProcId, TraceError, TraceSet};
+use wmrd_trace::{EventId, TraceError, TraceSet};
 
-use crate::{so1_edges, AnalysisError, DiGraph, PairingPolicy, Reachability, So1Edge};
+use crate::graph::ChainOrder;
+use crate::{so1_edges, AnalysisError, PairingPolicy, So1Edge};
 
 /// The happens-before-1 graph of one traced execution.
 #[derive(Debug)]
 pub struct HbGraph {
-    /// `offsets[p]` is the node of processor `p`'s first event;
-    /// `offsets[num_procs]` is the node count. Valid traces number
-    /// their events densely, so this is the whole event → node index.
-    offsets: Vec<u32>,
-    graph: DiGraph,
     so1: Vec<So1Edge>,
-    reach: Reachability,
+    /// `(po ∪ so1)+` over the processors' event chains; valid traces
+    /// number their events densely, so an event is its chain position.
+    order: ChainOrder,
 }
 
 impl HbGraph {
@@ -53,33 +52,26 @@ impl HbGraph {
 
     /// The shared constructor; `trace` is already validated.
     fn over(trace: &TraceSet, sync: Vec<So1Edge>) -> Result<Self, AnalysisError> {
-        let mut offsets = vec![0u32];
-        for proc_trace in trace.processors() {
-            offsets.push(offsets[offsets.len() - 1] + proc_trace.len() as u32);
-        }
-        let mut graph = DiGraph::new(offsets[offsets.len() - 1] as usize);
-        for window in offsets.windows(2) {
-            for node in window[0]..window[1].saturating_sub(1) {
-                graph.add_edge(node, node + 1);
-            }
-        }
-        for edge in &sync {
-            let node = |e: EventId| node_in(&offsets, e).ok_or(TraceError::UnknownEvent(e));
-            graph.add_edge(node(edge.release)?, node(edge.acquire)?);
-        }
-        let reach = Reachability::compute(&graph);
-        Ok(HbGraph { offsets, graph, so1: sync, reach })
+        let chains = trace.processors().iter().map(|proc_trace| proc_trace.len());
+        let edges = sync.iter().map(|edge| (edge.release, edge.acquire));
+        let order = ChainOrder::new(chains, edges).map_err(TraceError::UnknownEvent)?;
+        Ok(HbGraph { so1: sync, order })
+    }
+
+    /// The chain-clock order behind the graph.
+    pub(crate) fn order(&self) -> &ChainOrder {
+        &self.order
     }
 
     /// Number of events (nodes).
     pub fn num_events(&self) -> usize {
-        self.graph.num_nodes()
+        self.order.num_nodes()
     }
 
     /// Number of `po` edges: one per event that has a successor on its
     /// processor.
     pub fn num_po_edges(&self) -> usize {
-        self.offsets.windows(2).map(|w| w[1].saturating_sub(w[0] + 1) as usize).sum()
+        self.order.chain_lens().map(|len| len.saturating_sub(1)).sum()
     }
 
     /// The synchronization edges of the order (`so1` for
@@ -91,40 +83,14 @@ impl HbGraph {
     /// The dense node index of an event; `None` for an unknown processor
     /// or an index at or past its processor's last event.
     pub fn node_of(&self, event: EventId) -> Option<u32> {
-        node_in(&self.offsets, event)
-    }
-
-    /// The event at a dense node index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn event_of(&self, node: u32) -> EventId {
-        assert!((node as usize) < self.num_events(), "node {node} out of range");
-        // The last processor whose first node is at or before `node`
-        // (empty processors share their successor's offset).
-        let p = self.offsets.partition_point(|&start| start <= node) - 1;
-        EventId::new(ProcId::new(p as u16), node - self.offsets[p])
-    }
-
-    /// The underlying edge structure (po ∪ sync edges).
-    pub fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    /// The reachability index over the graph.
-    pub fn reach(&self) -> &Reachability {
-        &self.reach
+        self.order.node(event)
     }
 
     /// `true` iff `a` hb1-precedes `b` (a path of length ≥ 1 exists).
     ///
     /// Unknown events are unordered.
     pub fn ordered(&self, a: EventId, b: EventId) -> bool {
-        match (self.node_of(a), self.node_of(b)) {
-            (Some(na), Some(nb)) => self.reach.query(na, nb),
-            _ => false,
-        }
+        self.order.ordered(a, b)
     }
 
     /// `true` iff neither `a` hb1 `b` nor `b` hb1 `a` — the "not ordered"
@@ -132,34 +98,14 @@ impl HbGraph {
     pub fn concurrent(&self, a: EventId, b: EventId) -> bool {
         !self.ordered(a, b) && !self.ordered(b, a)
     }
-
-    /// `true` iff the hb1 relation contains a cycle (possible only for
-    /// non-SC executions).
-    pub fn has_cycle(&self) -> bool {
-        (0..self.num_events() as u32).any(|n| {
-            let c = self.reach.scc().component_of(n);
-            self.reach.scc().is_nontrivial(c)
-        })
-    }
-
-    /// Convenience lookup of the event payload in the originating trace.
-    pub fn payload<'t>(&self, trace: &'t TraceSet, event: EventId) -> Option<&'t Event> {
-        trace.event(event)
-    }
-}
-
-/// [`HbGraph::node_of`] over a processor-offset table.
-fn node_in(offsets: &[u32], event: EventId) -> Option<u32> {
-    let p = event.proc.index();
-    let (&start, &end) = (offsets.get(p)?, offsets.get(p + 1)?);
-    let node = start.checked_add(event.index)?;
-    (node < end).then_some(node)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmrd_trace::{AccessKind, Location, ProcId, SyncRole, TraceBuilder, TraceSink, Value};
+    use wmrd_trace::{
+        AccessKind, Location, OpId, ProcId, SyncRole, TraceBuilder, TraceSink, Value,
+    };
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -209,7 +155,7 @@ mod tests {
         assert!(hb.ordered(e(0, 0), e(1, 2)));
         assert!(!hb.ordered(e(1, 2), e(0, 0)));
         let _ = hb.concurrent(e(0, 0), e(0, 0)); // self comparisons unspecified
-        assert!(!hb.has_cycle());
+        assert!(!hb.ordered(e(0, 0), e(0, 0)), "acyclic hb1 orders no event before itself");
     }
 
     #[test]
@@ -256,18 +202,64 @@ mod tests {
     fn event_node_roundtrip() {
         let t = fig1b_trace();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
-        for ev in t.events() {
-            let n = hb.node_of(ev.id).unwrap();
-            assert_eq!(hb.event_of(n), ev.id);
-        }
+        let nodes: Vec<u32> = t.events().map(|ev| hb.node_of(ev.id).unwrap()).collect();
+        assert_eq!(nodes, (0..hb.num_events() as u32).collect::<Vec<_>>(), "dense, in event order");
+    }
+
+    /// Each acquire observes the other processor's po-later release:
+    /// P0 = [acquire a ← P1's release, write x, release b] and
+    /// P1 = [acquire b ← P0's release, write x, release a]. Only a
+    /// non-SC execution can record this, and its hb1 is one cycle
+    /// through all six events.
+    fn cyclic_trace() -> TraceSet {
+        let mut b = TraceBuilder::new(2);
+        let (x, la, lb) = (l(0), l(8), l(9));
+        // Op ids are per-processor sequence numbers, so each acquire
+        // can name the other processor's release before it is recorded.
+        let release = |proc: u16| Some(OpId::new(p(proc), 2));
+        b.sync_access(p(0), la, AccessKind::Read, SyncRole::Acquire, Value::new(1), release(1));
+        b.data_access(p(0), x, AccessKind::Write, Value::new(1), None);
+        b.sync_access(p(0), lb, AccessKind::Write, SyncRole::Release, Value::new(1), None);
+        b.sync_access(p(1), lb, AccessKind::Read, SyncRole::Acquire, Value::new(1), release(0));
+        b.data_access(p(1), x, AccessKind::Write, Value::new(2), None);
+        b.sync_access(p(1), la, AccessKind::Write, SyncRole::Release, Value::new(1), None);
+        b.finish()
     }
 
     #[test]
-    fn payload_lookup() {
-        let t = fig1b_trace();
+    fn cyclic_hb1_orders_the_cycle_both_ways() {
+        let t = cyclic_trace();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
-        let ev = hb.payload(&t, e(0, 1)).unwrap();
-        assert!(ev.is_sync());
-        assert!(hb.payload(&t, e(9, 9)).is_none());
+        assert_eq!(hb.so1().len(), 2);
+        let cycle: Vec<EventId> = t.events().map(|ev| ev.id).collect();
+        assert_eq!(cycle.len(), 6);
+        for &a in &cycle {
+            for &b in &cycle {
+                assert!(hb.ordered(a, b), "{a} and {b} lie on one hb1 cycle");
+            }
+        }
+        let report = crate::PostMortem::new(&t).analyze().unwrap();
+        assert_eq!(report.num_so1_edges, 2);
+        assert!(report.is_race_free(), "the writes of x are hb1-ordered through the cycle");
+        assert!(report.scp.covers_everything());
+    }
+
+    #[test]
+    fn sync_edges_must_name_events_of_the_trace() {
+        let t = fig1b_trace();
+        let past_end = e(0, t.processors()[0].len() as u32);
+        for (release, acquire, unknown) in [
+            (past_end, e(1, 0), past_end),
+            (e(0, 1), e(1, 99), e(1, 99)),
+            (e(5, 0), e(1, 0), e(5, 0)),
+        ] {
+            let edge = So1Edge { release, acquire, loc: l(9) };
+            match HbGraph::with_sync_edges(&t, vec![edge]) {
+                Err(AnalysisError::Trace(TraceError::UnknownEvent(bad))) => {
+                    assert_eq!(bad, unknown)
+                }
+                other => panic!("{release} -> {acquire}: expected UnknownEvent, got {other:?}"),
+            }
+        }
     }
 }

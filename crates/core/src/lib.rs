@@ -84,7 +84,6 @@ mod vc;
 pub use affects::AffectsOracle;
 pub use augmented::AugmentedGraph;
 pub use error::AnalysisError;
-pub use graph::{Condensation, DiGraph, Reachability, SccInfo};
 pub use hb::HbGraph;
 pub use identity::{event_race_keys, one_event_race_keys, op_race_keys, RaceKey, SideKey};
 pub use onthefly::{OnTheFly, OnTheFlyConfig, OnTheFlyRace};

@@ -18,9 +18,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use wmrd_trace::{AccessKind, Location, MemOp, OpId, OpTrace};
+use wmrd_trace::{AccessKind, EventId, Location, MemOp, OpId, OpTrace, ProcId};
 
-use crate::{AnalysisError, DiGraph, PairingPolicy, RaceKind, Reachability};
+use crate::graph::ChainOrder;
+use crate::{AnalysisError, PairingPolicy, RaceKind};
 
 /// A race between two individual memory operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,14 +50,22 @@ impl fmt::Display for OpRace {
 }
 
 /// The operation-level hb1 analysis of one execution.
+///
+/// Both orders run over the processors' operation chains: operation
+/// `seq` of processor `p` is the chain position `(p, seq)`.
 #[derive(Debug)]
 pub struct OpAnalysis {
-    nodes: Vec<OpId>,
-    index: HashMap<OpId, u32>,
-    reach: Reachability,
-    aug_reach: Reachability,
+    /// `(po ∪ so1)+` over operations.
+    hb: ChainOrder,
+    /// G′ over operations: hb1 plus both directions of each data race.
+    aug: ChainOrder,
     races: Vec<OpRace>,
     so1_edge_count: usize,
+}
+
+/// The chain position of an operation.
+fn pos(id: OpId) -> EventId {
+    EventId::new(id.proc, id.seq)
 }
 
 impl OpAnalysis {
@@ -68,33 +77,18 @@ impl OpAnalysis {
     /// Returns [`AnalysisError::DanglingRelease`] if a sync read's
     /// `observed_write` cannot be resolved to a recorded sync write.
     pub fn analyze(trace: &OpTrace, policy: PairingPolicy) -> Result<Self, AnalysisError> {
-        let mut nodes = Vec::with_capacity(trace.num_ops());
-        let mut index = HashMap::with_capacity(trace.num_ops());
-        for op in trace.iter() {
-            index.insert(op.id, nodes.len() as u32);
-            nodes.push(op.id);
-        }
-        let mut graph = DiGraph::new(nodes.len());
-        // Program order.
-        for pi in 0..trace.num_procs() {
-            let proc = wmrd_trace::ProcId::new(pi as u16);
-            if let Some(ops) = trace.proc_ops(proc) {
-                for pair in ops.windows(2) {
-                    graph.add_edge(index[&pair[0].id], index[&pair[1].id]);
-                }
-            }
-        }
+        let chain_lens = (0..trace.num_procs())
+            .map(|pi| trace.proc_ops(ProcId::new(pi as u16)).map_or(0, <[MemOp]>::len));
         // so1: release -> acquire via observed_write.
-        let mut so1_edge_count = 0;
+        let mut so1 = Vec::new();
         for op in trace.iter() {
             if !op.is_sync() || op.kind != AccessKind::Read {
                 continue;
             }
             let Some(writer_id) = op.observed_write else { continue };
-            let writer = trace.op(writer_id).ok_or(AnalysisError::DanglingRelease {
-                reader: wmrd_trace::EventId::new(op.id.proc, op.id.seq),
-                release: writer_id,
-            })?;
+            let writer = trace
+                .op(writer_id)
+                .ok_or(AnalysisError::DanglingRelease { reader: pos(op.id), release: writer_id })?;
             if !writer.is_sync() {
                 continue; // a data write's value reached a sync read: no pairing
             }
@@ -106,11 +100,11 @@ impl OpAnalysis {
                 PairingPolicy::AllSync => true,
             };
             if pairs {
-                graph.add_edge(index[&writer.id], index[&op.id]);
-                so1_edge_count += 1;
+                so1.push((pos(writer.id), pos(op.id)));
             }
         }
-        let reach = Reachability::compute(&graph);
+        let hb = ChainOrder::new(chain_lens, so1.iter().copied())
+            .expect("so1 endpoints are recorded operations");
 
         // Races: per-location writer × accessor, concurrent pairs.
         let mut writers: HashMap<Location, Vec<&MemOp>> = HashMap::new();
@@ -137,8 +131,7 @@ impl OpAnalysis {
                     if !seen.insert((a.id, b.id)) {
                         continue;
                     }
-                    let (na, nb) = (index[&a.id], index[&b.id]);
-                    if reach.query(na, nb) || reach.query(nb, na) {
+                    if hb.ordered(pos(a.id), pos(b.id)) || hb.ordered(pos(b.id), pos(a.id)) {
                         continue;
                     }
                     let kind = match (a.is_sync(), b.is_sync()) {
@@ -153,19 +146,14 @@ impl OpAnalysis {
         races.sort_by_key(|r| (r.a, r.b));
 
         // Augmented graph: hb edges + double edges per data race.
-        let mut aug = DiGraph::new(nodes.len());
-        for v in 0..nodes.len() as u32 {
-            for &w in graph.successors(v) {
-                aug.add_edge(v, w);
-            }
-        }
-        for race in races.iter().filter(|r| r.is_data_race()) {
-            aug.add_edge(index[&race.a], index[&race.b]);
-            aug.add_edge(index[&race.b], index[&race.a]);
-        }
-        let aug_reach = Reachability::compute(&aug);
+        let race_edges = races
+            .iter()
+            .filter(|r| r.is_data_race())
+            .flat_map(|r| [(pos(r.a), pos(r.b)), (pos(r.b), pos(r.a))]);
+        let aug = ChainOrder::new(hb.chain_lens(), so1.iter().copied().chain(race_edges))
+            .expect("race endpoints are recorded operations");
 
-        Ok(OpAnalysis { nodes, index, reach, aug_reach, races, so1_edge_count })
+        Ok(OpAnalysis { hb, aug, races, so1_edge_count: so1.len() })
     }
 
     /// Every race of the execution, sorted.
@@ -185,15 +173,12 @@ impl OpAnalysis {
 
     /// Number of operations analyzed.
     pub fn num_ops(&self) -> usize {
-        self.nodes.len()
+        self.hb.num_nodes()
     }
 
     /// `true` iff `a` hb1-precedes `b`.
     pub fn ordered(&self, a: OpId, b: OpId) -> bool {
-        match (self.index.get(&a), self.index.get(&b)) {
-            (Some(&na), Some(&nb)) => self.reach.query(na, nb),
-            _ => false,
-        }
+        self.hb.ordered(pos(a), pos(b))
     }
 
     /// `true` iff race `i` affects operation `z` (Definition 3.3, via G′
@@ -207,9 +192,7 @@ impl OpAnalysis {
         if race.a == z || race.b == z {
             return true;
         }
-        let Some(&nz) = self.index.get(&z) else { return false };
-        let (na, nb) = (self.index[&race.a], self.index[&race.b]);
-        self.aug_reach.query(na, nz) || self.aug_reach.query(nb, nz)
+        self.aug.ordered(pos(race.a), pos(z)) || self.aug.ordered(pos(race.b), pos(z))
     }
 
     /// `true` iff race `i` affects race `j`.
@@ -230,21 +213,20 @@ impl OpAnalysis {
     /// contains the first races themselves, whose membership is verified
     /// separately through Theorem 4.2's cross-execution check).
     pub fn race_free_boundaries(&self) -> Vec<u32> {
-        let num_procs = self.nodes.iter().map(|id| id.proc.index() + 1).max().unwrap_or(0);
-        let mut boundaries: Vec<u32> = (0..num_procs)
-            .map(|pi| self.nodes.iter().filter(|id| id.proc.index() == pi).count() as u32)
-            .collect();
         let data_races: Vec<usize> =
             (0..self.races.len()).filter(|&i| self.races[i].is_data_race()).collect();
-        for &ri in &data_races {
-            for id in &self.nodes {
-                if self.affects_op(ri, *id) {
-                    let b = &mut boundaries[id.proc.index()];
-                    *b = (*b).min(id.seq);
-                }
-            }
-        }
-        boundaries
+        self.hb
+            .chain_lens()
+            .enumerate()
+            .map(|(pi, len)| {
+                let proc = ProcId::new(pi as u16);
+                (0..len as u32)
+                    .find(|&seq| {
+                        data_races.iter().any(|&ri| self.affects_op(ri, OpId::new(proc, seq)))
+                    })
+                    .unwrap_or(len as u32)
+            })
+            .collect()
     }
 
     /// Indices of data races not affected by any *other* data race — the

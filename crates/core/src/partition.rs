@@ -124,13 +124,13 @@ pub fn partition_races(aug: &AugmentedGraph<'_>, races: &[DataRace]) -> Partitio
     }
 
     // Order partitions: i precedes j iff a G′ path runs between their
-    // components (Definition 4.1). Components are distinct, so component
-    // reachability is exactly path existence between some events.
+    // components (Definition 4.1). A component's events are mutually
+    // reachable, so any one event of each partition answers for all.
     let n = partitions.len();
     let mut order = vec![Vec::new(); n];
     for i in 0..n {
         for j in 0..n {
-            if i != j && aug.reach().comp_query(partitions[i].component, partitions[j].component) {
+            if i != j && aug.path(partitions[i].events[0], partitions[j].events[0]) {
                 order[i].push(j);
             }
         }

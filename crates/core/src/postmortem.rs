@@ -113,7 +113,7 @@ impl<'t> PostMortem<'t> {
                 "analysis.data_races",
                 races.iter().filter(|r| r.is_data_race()).count() as u64,
             );
-            m.set_gauge("analysis.scc_count", aug.reach().scc().num_components() as u64);
+            m.set_gauge("analysis.scc_count", aug.num_components() as u64);
             m.set_gauge("analysis.partitions", partitions.len() as u64);
             m.set_gauge("analysis.first_partitions", partitions.first_indices().len() as u64);
         }

@@ -85,12 +85,16 @@ impl fmt::Display for ScpEstimate {
 /// precedes theirs). Taint is suffix-closed per processor (po edges are
 /// in G′), so the estimate is prefix-closed as Definition 3.1 requires.
 pub fn estimate_scp(trace: &TraceSet, aug: &AugmentedGraph<'_>, races: &[DataRace]) -> ScpEstimate {
-    let scc = aug.reach().scc();
-    // Components containing at least one data-race endpoint.
-    let mut race_comps: Vec<u32> =
-        aug.data_race_indices().iter().filter_map(|&i| aug.component_of(races[i].a)).collect();
-    race_comps.sort_unstable();
-    race_comps.dedup();
+    // The components holding a data-race endpoint, each with one such
+    // endpoint: a component's events are mutually reachable, so one
+    // answers for all.
+    let mut race_comps: Vec<(u32, EventId)> = aug
+        .data_race_indices()
+        .iter()
+        .filter_map(|&i| Some((aug.component_of(races[i].a)?, races[i].a)))
+        .collect();
+    race_comps.sort_unstable_by_key(|&(comp, _)| comp);
+    race_comps.dedup_by_key(|&mut (comp, _)| comp);
 
     let mut boundaries = Vec::with_capacity(trace.num_procs());
     let mut event_counts = Vec::with_capacity(trace.num_procs());
@@ -98,10 +102,8 @@ pub fn estimate_scp(trace: &TraceSet, aug: &AugmentedGraph<'_>, races: &[DataRac
         let events = proc_trace.events();
         let mut boundary = events.len() as u32;
         for (idx, event) in events.iter().enumerate() {
-            let node = aug.hb().node_of(event.id).expect("trace events are graph nodes");
-            let comp = scc.component_of(node);
-            let tainted =
-                race_comps.iter().any(|&rc| rc != comp && aug.reach().comp_query(rc, comp));
+            let comp = aug.component_of(event.id).expect("trace events are graph nodes");
+            let tainted = race_comps.iter().any(|&(rc, rep)| rc != comp && aug.path(rep, event.id));
             if tainted {
                 boundary = idx as u32;
                 break;

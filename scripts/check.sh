@@ -129,8 +129,15 @@ if [ -z "$keys" ]; then
     echo "check.sh: could not extract metric keys from crates/trace/src/metrics.rs" >&2
     exit 1
 fi
-for key in $keys serve.predictions; do
-    if ! grep -q "$key" OBSERVABILITY.md; then
+# The post-mortem pipeline's phases and gauges, which the benchmark
+# reads, are gated the same way.
+analysis_keys=$(grep -o '"analysis\.[a-z_0-9]*"' crates/core/src/postmortem.rs | tr -d '"' | sort -u)
+if [ -z "$analysis_keys" ]; then
+    echo "check.sh: could not extract analysis.* keys from crates/core/src/postmortem.rs" >&2
+    exit 1
+fi
+for key in $keys $analysis_keys serve.predictions; do
+    if ! grep -qF "$key" OBSERVABILITY.md; then
         echo "check.sh: metric key $key is not documented in OBSERVABILITY.md" >&2
         exit 1
     fi
