@@ -725,16 +725,7 @@ fn deliver_wmrs(
             let _ = write!(summary, "; {}", ack.trim_end());
         }
     }
-    let mut attempts = 0;
-    let closed = loop {
-        match client.stream_close()? {
-            Reply::Busy(_) if attempts < CLOSE_RETRIES => {
-                attempts += 1;
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            reply => break reply.into_text()?,
-        }
-    };
+    let closed = close_with_retries(client, |_| {})?.into_text()?;
     let _ = write!(summary, "; {}", closed.trim_end());
     Ok(summary)
 }
@@ -1123,6 +1114,28 @@ fn cmd_verify_repair(
 const SINK_CHUNK_BYTES: usize = 4096;
 /// `CLOSE` retries under a `BUSY` analysis queue before giving up.
 const CLOSE_RETRIES: usize = 5;
+/// Pause before each `CLOSE` retry.
+const CLOSE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Sends `CLOSE`, retrying while the daemon answers `BUSY`: its
+/// analysis queue is full, and the sealed session survives the refusal.
+/// `on_busy` sees each refusal that is retried; once the retries run
+/// out, the last `BUSY` is returned like any other reply.
+fn close_with_retries(
+    client: &mut Client,
+    mut on_busy: impl FnMut(&str),
+) -> Result<Reply, wmrd_serve::ServeError> {
+    for _ in 0..CLOSE_RETRIES {
+        match client.stream_close()? {
+            Reply::Busy(message) => {
+                on_busy(&message);
+                std::thread::sleep(CLOSE_BACKOFF);
+            }
+            reply => return Ok(reply),
+        }
+    }
+    client.stream_close()
+}
 
 /// Makes a `STREAM` session token request-line-safe: the protocol
 /// carries the name as one whitespace-delimited token with `key=value`
@@ -1212,15 +1225,7 @@ impl SinkObserver {
                 other => return Some(other),
             }
         }
-        // CLOSE is refused BUSY when the analysis queue is full; the
-        // session survives the refusal, so retry briefly.
-        for _ in 0..CLOSE_RETRIES {
-            match client.stream_close().ok()? {
-                Reply::Busy(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
-                reply => return Some(reply),
-            }
-        }
-        client.stream_close().ok()
+        close_with_retries(&mut client, |_| {}).ok()
     }
 
     fn summary(&self) -> String {
@@ -1353,17 +1358,10 @@ fn cmd_stream(opts: &StreamOpts) -> Result<String, CliError> {
             let _ = write!(out, "{ack}");
         }
     }
-    let mut attempts = 0;
-    let closed = loop {
-        match client.stream_close()? {
-            Reply::Busy(message) if attempts < CLOSE_RETRIES => {
-                attempts += 1;
-                let _ = writeln!(out, "close refused busy ({message}); retrying");
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            reply => break reply.into_text()?,
-        }
-    };
+    let closed = close_with_retries(&mut client, |message| {
+        let _ = writeln!(out, "close refused busy ({message}); retrying");
+    })?
+    .into_text()?;
     let _ = write!(out, "{closed}");
     let _ = writeln!(
         out,

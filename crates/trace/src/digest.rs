@@ -2,13 +2,14 @@
 //!
 //! A [`TraceDigest`] names a trace by *what it records*, not by the
 //! bytes that happened to carry it. The digest is computed over the
-//! canonical v2 binary encoding ([`TraceSet::to_binary`]) of the
-//! decoded trace, so the same `TraceSet` digests identically whether it
-//! arrived as JSON, v1 binary, or v2 binary — the encoding is a pure
-//! function of the trace, and the digest is a pure function of the
-//! encoding. This is what lets the catalog content-address analysis
-//! results: two submissions of the same execution deduplicate even if
-//! one client re-encoded the file.
+//! canonical binary encoding ([`TraceSet::to_binary`]) of the decoded
+//! trace, so the same `TraceSet` digests identically however it was
+//! produced — built in memory, decoded from a file, or reassembled from
+//! a `WMRS` stream — because the encoding is a pure function of the
+//! trace, and the digest is a pure function of the encoding. This is
+//! what lets the catalog content-address analysis results: two
+//! submissions of the same execution deduplicate even if one client
+//! re-encoded the file.
 //!
 //! The digest is CRC-32 (the same [`crc32`] the framed formats use for
 //! integrity) plus the canonical encoding's length. CRC-32 is not
@@ -46,7 +47,8 @@ impl TraceDigest {
     /// Callers that just produced `trace.to_binary()` can digest the
     /// buffer they hold instead of paying for a second encoding. The
     /// bytes must be the *canonical* encoding: digesting arbitrary
-    /// bytes (a v1 file, a JSON file) names those bytes, not the trace.
+    /// bytes (a damaged file, a `WMRS` stream) names those bytes, not
+    /// the trace.
     pub fn of_canonical_bytes(encoded: &[u8]) -> Self {
         TraceDigest { crc: crc32(encoded), len: encoded.len() as u32 }
     }
@@ -125,13 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_decodes_digest_identically() {
+    fn binary_round_trip_keeps_the_digest() {
         let trace = sample_trace();
-        let want = trace.digest();
-        let v1 = TraceSet::from_binary(&trace.to_binary_v1()).unwrap();
-        let v2 = TraceSet::from_binary(&trace.to_binary()).unwrap();
-        assert_eq!(v1.digest(), want, "v1 round-trip must not move the identity");
-        assert_eq!(v2.digest(), want, "v2 round-trip must not move the identity");
+        let back = TraceSet::from_binary(&trace.to_binary()).unwrap();
+        assert_eq!(back.digest(), trace.digest(), "a round-trip must not move the identity");
     }
 
     #[test]

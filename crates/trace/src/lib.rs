@@ -89,8 +89,7 @@ pub use oplog::OpTrace;
 pub use rng::{splitmix64, RangeInt, SplitMix64};
 pub use sink::{MultiSink, NullSink, OpRecorder, TraceBuilder, TraceSink};
 pub use stream::{
-    read_stream, salvage_stream, stream_locations, StreamDecoder, StreamRecord, StreamSalvage,
-    StreamWriter,
+    read_stream, salvage_stream, StreamDecoder, StreamRecord, StreamSalvage, StreamWriter,
 };
 pub use traceset::{
     ProcessorTrace, Salvage, SyncOrderEntry, TraceMeta, TraceSet, BINARY_FORMAT_VERSION,

@@ -11,15 +11,16 @@
 //! into a [`TraceSet`] (computation-event folding happens at read time,
 //! so the stream format is operation-granular and lossless).
 //!
-//! # Stream format versions
+//! # Stream format
 //!
 //! The writer opens the stream with a `"WMRS"` magic and a `u16`
 //! version (currently 2) and appends a CRC-32 to every record, so a
 //! torn tail or a flipped bit is caught at the damaged record — and
-//! [`salvage_stream`] can recover everything before it. Headerless
-//! version-1 streams (from earlier releases) are still read: the first
-//! byte of a v1 record (`0xA5`) can never match the `'W'` that opens
-//! the v2 header.
+//! [`salvage_stream`] can recover everything before it. Version 2 is
+//! the only version read: a stream without the header (such as a
+//! headerless version-1 stream, whose first byte is the `0xA5` record
+//! magic) is refused at offset 0. [`StreamDecoder`] is the one parser;
+//! [`read_stream`] and [`salvage_stream`] feed it from a reader.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -29,8 +30,7 @@ use std::io::{Read, Write};
 use crate::crc32::crc32;
 use crate::error::DecodeError;
 use crate::{
-    AccessKind, LocSet, OpId, ProcId, SyncRole, TraceBuilder, TraceError, TraceSet, TraceSink,
-    Value,
+    AccessKind, OpId, ProcId, SyncRole, TraceBuilder, TraceError, TraceSet, TraceSink, Value,
 };
 
 const RECORD_MAGIC: u8 = 0xA5;
@@ -184,7 +184,7 @@ impl<W: Write> Drop for StreamWriter<W> {
     }
 }
 
-/// Encodes the v1 record body (everything a v2 record checksums).
+/// Encodes a record body (everything the record's CRC-32 covers).
 #[allow(clippy::too_many_arguments)]
 fn encode_record_body(
     tag: u8,
@@ -291,104 +291,6 @@ impl StreamRecord {
     }
 }
 
-/// A position-tracking record reader over an [`std::io::Read`].
-struct RecordReader<R> {
-    reader: R,
-    pos: usize,
-}
-
-impl<R: Read> RecordReader<R> {
-    fn new(reader: R, pos: usize) -> Self {
-        RecordReader { reader, pos }
-    }
-
-    /// Fills `buf` exactly; `Ok(false)` on clean EOF before the first
-    /// byte, an offset-carrying error on EOF partway through.
-    fn read_exact_opt(&mut self, buf: &mut [u8], what: &str) -> Result<bool, TraceError> {
-        let mut read = 0;
-        while read < buf.len() {
-            let n = self.reader.read(&mut buf[read..])?;
-            if n == 0 {
-                if read == 0 {
-                    return Ok(false);
-                }
-                self.pos += read;
-                return Err(DecodeError::new(
-                    self.pos,
-                    format!("stream ends inside {what} (need {} more bytes)", buf.len() - read),
-                )
-                .into());
-            }
-            read += n;
-        }
-        self.pos += read;
-        Ok(true)
-    }
-
-    /// Reads one record; `checksummed` additionally consumes and
-    /// verifies the trailing CRC-32. `Ok(None)` on clean EOF at a
-    /// record boundary.
-    fn read_record(&mut self, checksummed: bool) -> Result<Option<StreamRecord>, TraceError> {
-        let start = self.pos;
-        let mut raw: Vec<u8> = Vec::with_capacity(32);
-        let mut head = [0u8; 18];
-        if !self.read_exact_opt(&mut head, "a record head")? {
-            return Ok(None);
-        }
-        raw.extend_from_slice(&head);
-        if head[0] != RECORD_MAGIC {
-            return Err(DecodeError::new(start, format!("bad record magic {:#x}", head[0])).into());
-        }
-        let tag = head[1];
-        if tag != TAG_DATA && tag != TAG_SYNC {
-            return Err(DecodeError::new(start, format!("bad record tag {tag}")).into());
-        }
-        let proc = ProcId::new(u16::from_be_bytes([head[2], head[3]]));
-        let loc = crate::Location::new(u32::from_be_bytes([head[4], head[5], head[6], head[7]]));
-        let kind = if head[8] == 1 { AccessKind::Write } else { AccessKind::Read };
-        let role = match head[9] {
-            0 => SyncRole::Release,
-            1 => SyncRole::Acquire,
-            2 => SyncRole::None,
-            r => return Err(DecodeError::new(start, format!("bad sync role {r}")).into()),
-        };
-        let value = Value::new(i64::from_be_bytes([
-            head[10], head[11], head[12], head[13], head[14], head[15], head[16], head[17],
-        ]));
-        let mut flag = [0u8; 1];
-        if !self.read_exact_opt(&mut flag, "the observed flag")? {
-            return Err(DecodeError::new(self.pos, "stream ends inside a record").into());
-        }
-        raw.extend_from_slice(&flag);
-        let observed = if flag[0] == 1 {
-            let mut rest = [0u8; 6];
-            if !self.read_exact_opt(&mut rest, "the observed op id")? {
-                return Err(DecodeError::new(self.pos, "stream ends inside a record").into());
-            }
-            raw.extend_from_slice(&rest);
-            Some(OpId::new(
-                ProcId::new(u16::from_be_bytes([rest[0], rest[1]])),
-                u32::from_be_bytes([rest[2], rest[3], rest[4], rest[5]]),
-            ))
-        } else if flag[0] == 0 {
-            None
-        } else {
-            return Err(DecodeError::new(start, format!("bad observed flag {}", flag[0])).into());
-        };
-        if checksummed {
-            let mut crc_bytes = [0u8; 4];
-            if !self.read_exact_opt(&mut crc_bytes, "the record checksum")? {
-                return Err(DecodeError::new(self.pos, "stream ends inside a record").into());
-            }
-            let stored = u32::from_be_bytes(crc_bytes);
-            if crc32(&raw) != stored {
-                return Err(DecodeError::new(start, "record checksum mismatch").into());
-            }
-        }
-        Ok(Some(StreamRecord { sync: tag == TAG_SYNC, proc, loc, kind, role, value, observed }))
-    }
-}
-
 /// What [`salvage_stream`] recovered from a (possibly damaged) record
 /// stream.
 #[derive(Debug, Clone)]
@@ -419,128 +321,82 @@ impl fmt::Display for StreamSalvage {
     }
 }
 
+/// Bytes [`salvage_stream`] reads from its reader per
+/// [`StreamDecoder::push`].
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Reads a stream produced by [`StreamWriter`] and folds it into a
 /// [`TraceSet`] (consecutive data operations per processor become
 /// computation events, exactly as live [`TraceBuilder`] instrumentation
-/// would have produced). Reads both checksummed (v2) and legacy
-/// headerless (v1) streams.
+/// would have produced).
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] on read failures and
-/// [`TraceError::Decode`] on framing or checksum errors.
+/// [`TraceError::Decode`] on a missing header, framing or checksum
+/// errors.
 pub fn read_stream<R: Read>(reader: R) -> Result<TraceSet, TraceError> {
-    let (trace, ..) = read_stream_impl(reader, false)?;
-    Ok(trace)
+    let salvage = salvage_stream(reader)?;
+    match salvage.failure {
+        Some(e) => Err(e.into()),
+        None => Ok(salvage.trace),
+    }
 }
 
 /// Best-effort read of a (possibly damaged) record stream: recovers
-/// every record before the first framing/checksum failure and folds the
-/// prefix into a trace.
+/// every record before the first header, framing or checksum failure
+/// and folds the prefix into a trace.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] on read failures (damage boundaries are
 /// reported in the result, not as errors).
-pub fn salvage_stream<R: Read>(reader: R) -> Result<StreamSalvage, TraceError> {
-    let (trace, records, bytes_used, failure) = read_stream_impl(reader, true)?;
-    Ok(StreamSalvage { trace, records, bytes_used, complete: failure.is_none(), failure })
-}
-
-type StreamParts = (TraceSet, u64, usize, Option<DecodeError>);
-
-fn read_stream_impl<R: Read>(mut reader: R, salvage: bool) -> Result<StreamParts, TraceError> {
-    // Sniff the (optional) stream header. v1 streams have no header and
-    // open straight with a record whose first byte is RECORD_MAGIC.
-    let mut sniff = [0u8; 6];
-    let mut got = 0;
-    while got < sniff.len() {
-        let n = reader.read(&mut sniff[got..])?;
-        if n == 0 {
-            break;
+pub fn salvage_stream<R: Read>(mut reader: R) -> Result<StreamSalvage, TraceError> {
+    let mut decoder = StreamDecoder::new();
+    let mut builder = TraceBuilder::new(0);
+    let mut chunk = vec![0u8; READ_CHUNK_BYTES];
+    let mut records = Vec::new();
+    let failure = loop {
+        let n = match reader.read(&mut chunk) {
+            Ok(0) => break decoder.finish_inner().err(),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let pushed = decoder.push_inner(&chunk[..n], &mut records);
+        for rec in records.drain(..) {
+            rec.apply(&mut builder);
         }
-        got += n;
-    }
-    let checksummed = got == sniff.len() && &sniff[..4] == STREAM_MAGIC;
-    if checksummed {
-        let version = u16::from_be_bytes([sniff[4], sniff[5]]);
-        if version != STREAM_FORMAT_VERSION {
-            return Err(DecodeError::new(4, format!("unsupported stream version {version}")).into());
+        if let Err(e) = pushed {
+            break Some(e);
         }
-        read_records(RecordReader::new(reader, sniff.len()), true, salvage)
-    } else {
-        let pre = &sniff[..got];
-        read_records(RecordReader::new(pre.chain(reader), 0), checksummed, salvage)
-    }
-}
-
-fn read_records<R: Read>(
-    mut rr: RecordReader<R>,
-    checksummed: bool,
-    salvage: bool,
-) -> Result<StreamParts, TraceError> {
-    let mut max_proc: usize = 0;
-    let mut records: Vec<StreamRecord> = Vec::new();
-    let mut failure: Option<DecodeError> = None;
-    let mut good_end = rr.pos;
-    loop {
-        match rr.read_record(checksummed) {
-            Ok(None) => break,
-            Ok(Some(rec)) => {
-                max_proc = max_proc.max(rec.proc.index() + 1);
-                records.push(rec);
-                good_end = rr.pos;
-            }
-            Err(TraceError::Io(e)) => return Err(TraceError::Io(e)),
-            Err(e) => {
-                if !salvage {
-                    return Err(e);
-                }
-                failure = Some(match e {
-                    TraceError::Decode(d) => d,
-                    other => DecodeError::new(rr.pos, other.to_string()),
-                });
-                break;
-            }
-        }
-    }
-
-    let count = records.len() as u64;
-    let mut builder = TraceBuilder::new(max_proc);
-    for rec in &records {
-        rec.apply(&mut builder);
-    }
-    Ok((builder.finish(), count, good_end, failure))
-}
-
-/// Where an incremental decode currently is in the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum DecoderMode {
-    /// Waiting for enough bytes to decide v1 vs v2.
-    #[default]
-    Sniffing,
-    /// A v2 stream: `"WMRS"` header seen, records carry CRC-32s.
-    Checksummed,
-    /// A legacy v1 stream: headerless, no per-record CRCs.
-    Legacy,
+    };
+    Ok(StreamSalvage {
+        trace: builder.finish(),
+        records: decoder.records(),
+        bytes_used: decoder.bytes_decoded(),
+        complete: failure.is_none(),
+        failure,
+    })
 }
 
 /// An incremental, push-based decoder for the record stream format —
-/// the chunked counterpart of [`read_stream`].
+/// the one `WMRS` parser: [`read_stream`], [`salvage_stream`] and the
+/// daemon's `FEED` all run through it.
 ///
-/// [`read_stream`] needs the whole stream at once; `StreamDecoder`
-/// accepts bytes as they arrive (a network chunk, a partial file) and
-/// yields every record that is complete so far, buffering the rest. A
-/// chunk boundary may fall anywhere — mid-header, mid-record, even
-/// mid-CRC — without changing the decoded record sequence: pushing the
-/// same bytes in any chunking yields the same records (property-tested
-/// in `tests/props.rs`).
+/// `StreamDecoder` accepts bytes as they arrive (a network chunk, a
+/// partial file) and yields every record that is complete so far,
+/// buffering the rest. A chunk boundary may fall anywhere — mid-header,
+/// mid-record, even mid-CRC — without changing the decoded record
+/// sequence: pushing the same bytes in any chunking yields the same
+/// records (property-tested in `tests/props.rs`). One push costs time
+/// linear in its length, however many records it holds.
 ///
-/// Errors (bad magic, failed checksum, unsupported version) are
-/// **terminal**: once `push` has returned an error the decoder refuses
-/// further input, because the record boundary is lost. Call
-/// [`finish`](StreamDecoder::finish) after the last chunk to verify
-/// the stream ended at a record boundary.
+/// Errors (a missing `"WMRS"` header, unsupported version, bad magic,
+/// failed checksum) are **terminal**: once `push` has returned an error
+/// the decoder refuses further input, because the record boundary is
+/// lost. Call [`finish`](StreamDecoder::finish) after the last chunk to
+/// verify the stream ended at a record boundary.
 ///
 /// # Example
 ///
@@ -565,11 +421,13 @@ enum DecoderMode {
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    /// Bytes of the (possibly partial) record currently being decoded.
+    /// Bytes of the (possibly partial) header or record currently being
+    /// decoded.
     buf: Vec<u8>,
     /// Absolute stream offset of `buf[0]`.
     offset: usize,
-    mode: DecoderMode,
+    /// `true` once the `"WMRS"` header has been read.
+    header_seen: bool,
     records: u64,
     poisoned: bool,
 }
@@ -601,82 +459,65 @@ impl StreamDecoder {
     /// # Errors
     ///
     /// Returns [`TraceError::Decode`] (with the absolute stream offset)
-    /// on framing or checksum damage; the decoder is then poisoned and
-    /// rejects further pushes.
+    /// on a missing or unsupported header, framing or checksum damage;
+    /// the decoder is then poisoned and rejects further pushes.
     pub fn push(&mut self, bytes: &[u8], out: &mut Vec<StreamRecord>) -> Result<(), TraceError> {
+        Ok(self.push_inner(bytes, out)?)
+    }
+
+    fn push_inner(&mut self, bytes: &[u8], out: &mut Vec<StreamRecord>) -> Result<(), DecodeError> {
         if self.poisoned {
-            return Err(DecodeError::new(self.offset, "decoder already failed").into());
+            return Err(DecodeError::new(self.offset, "decoder already failed"));
         }
         self.buf.extend_from_slice(bytes);
-        loop {
-            if self.mode == DecoderMode::Sniffing {
-                if self.buf.is_empty() {
-                    return Ok(());
-                }
-                if self.buf[0] == RECORD_MAGIC {
-                    // v1 streams have no header; the first byte of a v1
-                    // record can never match the 'W' opening "WMRS".
-                    self.mode = DecoderMode::Legacy;
-                } else if self.buf.len() < 6 {
-                    return Ok(()); // not enough to judge the header yet
-                } else if &self.buf[..4] == STREAM_MAGIC {
-                    let version = u16::from_be_bytes([self.buf[4], self.buf[5]]);
-                    if version != STREAM_FORMAT_VERSION {
-                        self.poisoned = true;
-                        return Err(DecodeError::new(
-                            4,
-                            format!("unsupported stream version {version}"),
-                        )
-                        .into());
-                    }
-                    self.buf.drain(..6);
-                    self.offset += 6;
-                    self.mode = DecoderMode::Checksummed;
-                } else {
-                    // Not a header, not a record: same verdict the
-                    // one-shot reader reaches via its v1 fallback.
-                    self.poisoned = true;
-                    return Err(DecodeError::new(
-                        self.offset,
-                        format!("bad record magic {:#x}", self.buf[0]),
-                    )
-                    .into());
-                }
-            }
-            let checksummed = self.mode == DecoderMode::Checksummed;
-            match parse_record_slice(&self.buf, checksummed, self.offset) {
-                Ok(None) => return Ok(()), // incomplete; wait for more bytes
-                Ok(Some((rec, used))) => {
-                    self.buf.drain(..used);
-                    self.offset += used;
-                    self.records += 1;
-                    out.push(rec);
-                }
-                Err(e) => {
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            }
+        // Parse from a cursor and drain once, so a push is linear in
+        // its length however many records it holds.
+        let mut used = 0;
+        let result = self.decode(&mut used, out);
+        self.buf.drain(..used);
+        self.offset += used;
+        self.poisoned = result.is_err();
+        result
+    }
+
+    /// Decodes the header (if still due) and every complete record in
+    /// `buf`, advancing `used` past each one.
+    fn decode(&mut self, used: &mut usize, out: &mut Vec<StreamRecord>) -> Result<(), DecodeError> {
+        if !self.header_seen {
+            let Some(n) = parse_header(&self.buf)? else { return Ok(()) };
+            *used = n;
+            self.header_seen = true;
         }
+        while let Some((rec, n)) = parse_record(&self.buf[*used..], self.offset + *used)? {
+            *used += n;
+            self.records += 1;
+            out.push(rec);
+        }
+        Ok(())
     }
 
     /// Declares end-of-stream: succeeds iff the stream ended exactly at
-    /// a record boundary (a partially buffered record is truncation).
+    /// a record boundary (a partially buffered header or record is
+    /// truncation). An empty stream is a valid, empty one.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Decode`] for a truncated final record or a
     /// previously poisoned decoder.
     pub fn finish(&self) -> Result<(), TraceError> {
+        Ok(self.finish_inner()?)
+    }
+
+    fn finish_inner(&self) -> Result<(), DecodeError> {
         if self.poisoned {
-            return Err(DecodeError::new(self.offset, "decoder already failed").into());
+            return Err(DecodeError::new(self.offset, "decoder already failed"));
         }
         if !self.buf.is_empty() {
+            let what = if self.header_seen { "a record" } else { "the stream header" };
             return Err(DecodeError::new(
                 self.offset + self.buf.len(),
-                format!("stream ends inside a record ({} buffered bytes)", self.buf.len()),
-            )
-            .into());
+                format!("stream ends inside {what} ({} buffered bytes)", self.buf.len()),
+            ));
         }
         Ok(())
     }
@@ -687,25 +528,40 @@ impl StreamDecoder {
     }
 }
 
-/// Parses one record from the front of `buf`. `Ok(None)` means the
-/// record is not complete yet; `Ok(Some((rec, used)))` consumed `used`
-/// bytes. `base` is the absolute stream offset of `buf[0]`, used for
-/// error positions (matching [`read_stream`]'s offsets).
-fn parse_record_slice(
-    buf: &[u8],
-    checksummed: bool,
-    base: usize,
-) -> Result<Option<(StreamRecord, usize)>, TraceError> {
+/// Checks the stream header at the front of `buf` (always stream offset
+/// 0). `Ok(None)` means the header is not complete yet; a prefix that
+/// already differs from `"WMRS"` — a headerless stream, or not a stream
+/// at all — is refused at once.
+fn parse_header(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
+    let n = buf.len().min(STREAM_MAGIC.len());
+    if buf[..n] != STREAM_MAGIC[..n] {
+        return Err(DecodeError::new(0, "bad stream magic (not a WMRS stream)"));
+    }
+    if buf.len() < 6 {
+        return Ok(None);
+    }
+    let version = u16::from_be_bytes([buf[4], buf[5]]);
+    if version != STREAM_FORMAT_VERSION {
+        return Err(DecodeError::new(4, format!("unsupported stream version {version}")));
+    }
+    Ok(Some(6))
+}
+
+/// Parses one checksummed record from the front of `buf`. `Ok(None)`
+/// means the record is not complete yet; `Ok(Some((rec, used)))`
+/// consumed `used` bytes. `base` is the absolute stream offset of
+/// `buf[0]`, used for error positions.
+fn parse_record(buf: &[u8], base: usize) -> Result<Option<(StreamRecord, usize)>, DecodeError> {
     const HEAD: usize = 18;
     if buf.len() < HEAD + 1 {
         return Ok(None);
     }
     if buf[0] != RECORD_MAGIC {
-        return Err(DecodeError::new(base, format!("bad record magic {:#x}", buf[0])).into());
+        return Err(DecodeError::new(base, format!("bad record magic {:#x}", buf[0])));
     }
     let tag = buf[1];
     if tag != TAG_DATA && tag != TAG_SYNC {
-        return Err(DecodeError::new(base, format!("bad record tag {tag}")).into());
+        return Err(DecodeError::new(base, format!("bad record tag {tag}")));
     }
     let proc = ProcId::new(u16::from_be_bytes([buf[2], buf[3]]));
     let loc = crate::Location::new(u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]));
@@ -714,7 +570,7 @@ fn parse_record_slice(
         0 => SyncRole::Release,
         1 => SyncRole::Acquire,
         2 => SyncRole::None,
-        r => return Err(DecodeError::new(base, format!("bad sync role {r}")).into()),
+        r => return Err(DecodeError::new(base, format!("bad sync role {r}"))),
     };
     let value = Value::new(i64::from_be_bytes([
         buf[10], buf[11], buf[12], buf[13], buf[14], buf[15], buf[16], buf[17],
@@ -723,10 +579,10 @@ fn parse_record_slice(
     let observed_len = match flag {
         0 => 0,
         1 => 6,
-        f => return Err(DecodeError::new(base, format!("bad observed flag {f}")).into()),
+        f => return Err(DecodeError::new(base, format!("bad observed flag {f}"))),
     };
     let body_len = HEAD + 1 + observed_len;
-    let total = body_len + if checksummed { 4 } else { 0 };
+    let total = body_len + 4;
     if buf.len() < total {
         return Ok(None);
     }
@@ -736,31 +592,17 @@ fn parse_record_slice(
             u32::from_be_bytes([buf[21], buf[22], buf[23], buf[24]]),
         )
     });
-    if checksummed {
-        let stored = u32::from_be_bytes([
-            buf[body_len],
-            buf[body_len + 1],
-            buf[body_len + 2],
-            buf[body_len + 3],
-        ]);
-        if crc32(&buf[..body_len]) != stored {
-            return Err(DecodeError::new(base, "record checksum mismatch").into());
-        }
+    let stored = u32::from_be_bytes([
+        buf[body_len],
+        buf[body_len + 1],
+        buf[body_len + 2],
+        buf[body_len + 3],
+    ]);
+    if crc32(&buf[..body_len]) != stored {
+        return Err(DecodeError::new(base, "record checksum mismatch"));
     }
     let rec = StreamRecord { sync: tag == TAG_SYNC, proc, loc, kind, role, value, observed };
     Ok(Some((rec, total)))
-}
-
-/// A [`LocSet`]-returning helper used by tests: the set of locations
-/// appearing in a stream (sanity checking a file without full decoding).
-pub fn stream_locations<R: Read>(reader: R) -> Result<LocSet, TraceError> {
-    let trace = read_stream(reader)?;
-    let mut out = LocSet::new();
-    for event in trace.events() {
-        out.union_with(&event.read_set());
-        out.union_with(&event.write_set());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -796,40 +638,6 @@ mod tests {
         stream.finish().unwrap();
         let from_stream = read_stream(&buf[..]).unwrap();
         assert_eq!(from_stream, direct.finish());
-    }
-
-    #[test]
-    fn legacy_headerless_streams_still_read() {
-        // A v1 stream is the bare record bodies, no header, no CRCs.
-        let mut buf = Vec::new();
-        buf.extend(encode_record_body(
-            TAG_DATA,
-            p(0),
-            l(0),
-            AccessKind::Write,
-            SyncRole::None,
-            Value::new(7),
-            None,
-        ));
-        buf.extend(encode_record_body(
-            TAG_SYNC,
-            p(0),
-            l(9),
-            AccessKind::Write,
-            SyncRole::Release,
-            Value::ZERO,
-            None,
-        ));
-        let trace = read_stream(&buf[..]).unwrap();
-        assert_eq!(trace.num_events(), 2);
-        // Legacy salvage: clean truncation at a record boundary keeps
-        // the prefix; mid-record cuts stop at the damage.
-        let s = salvage_stream(&buf[..19]).unwrap();
-        assert!(s.complete);
-        assert_eq!(s.records, 1);
-        let s = salvage_stream(&buf[..25]).unwrap();
-        assert!(!s.complete);
-        assert_eq!(s.records, 1, "partial second record dropped");
     }
 
     #[test]
@@ -962,18 +770,6 @@ mod tests {
         assert!(matches!(w.finish(), Err(TraceError::Io(_))));
     }
 
-    #[test]
-    fn stream_locations_helper() {
-        let mut buf = Vec::new();
-        let mut w = StreamWriter::new(&mut buf, 1);
-        w.data_access(p(0), l(5), AccessKind::Write, Value::ZERO, None);
-        w.data_access(p(0), l(9), AccessKind::Read, Value::ZERO, None);
-        w.finish().unwrap();
-        let locs = stream_locations(&buf[..]).unwrap();
-        assert!(locs.contains(l(5)) && locs.contains(l(9)));
-        assert_eq!(locs.len(), 2);
-    }
-
     /// A small v2 stream exercising both record kinds and the observed
     /// field, for decoder tests.
     fn sample_stream() -> (Vec<u8>, usize) {
@@ -1013,26 +809,6 @@ mod tests {
             }
             assert_eq!(b.finish(), direct);
         }
-    }
-
-    #[test]
-    fn decoder_reads_legacy_streams() {
-        let body = encode_record_body(
-            TAG_DATA,
-            p(0),
-            l(3),
-            AccessKind::Write,
-            SyncRole::None,
-            Value::new(1),
-            None,
-        );
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        dec.push(&body, &mut out).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(!out[0].sync);
-        assert_eq!(out[0].loc, l(3));
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! computation event. Its file format is the compact checksummed binary
 //! encoding below; it is the only trace file format.
 //!
-//! # Binary format versions
+//! # Binary format
 //!
 //! The writer emits **version 2**: every section (header, each event
 //! record, the sync-order section) carries a CRC-32 checksum, so
 //! corruption is detected before the decoder acts on the bytes and the
 //! [salvage decoder](TraceSet::salvage_binary) can recover the longest
-//! intact event prefix from a damaged file. The decoder still reads
-//! **version 1** files (unchecksummed, produced by earlier releases).
-//! Decoding never panics and never allocates proportionally to
-//! attacker-controlled length fields; failures are [`DecodeError`]s
-//! carrying the byte offset where the problem was detected.
+//! intact event prefix from a damaged file. Version 2 is the only
+//! version read: any other version, including the unchecksummed
+//! version 1 of earlier releases, is refused as "unsupported version"
+//! at offset 4. Decoding never panics and never allocates
+//! proportionally to attacker-controlled length fields; failures are
+//! [`DecodeError`]s carrying the byte offset where the problem was
+//! detected.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -427,38 +429,7 @@ impl TraceSet {
         buf
     }
 
-    /// Encodes to the legacy version-1 binary format (no checksums).
-    ///
-    /// Kept so compatibility with v1 readers can be tested; new traces
-    /// should use [`to_binary`](Self::to_binary).
-    pub fn to_binary_v1(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"WMRD");
-        buf.extend_from_slice(&1u16.to_be_bytes());
-        put_opt_str(&mut buf, self.meta.program.as_deref());
-        put_opt_str(&mut buf, self.meta.model.as_deref());
-        match self.meta.seed {
-            Some(s) => {
-                buf.push(1);
-                buf.extend_from_slice(&s.to_be_bytes());
-            }
-            None => buf.push(0),
-        }
-        buf.extend_from_slice(&(self.procs.len() as u16).to_be_bytes());
-        for p in &self.procs {
-            buf.extend_from_slice(&(p.events.len() as u32).to_be_bytes());
-            for e in &p.events {
-                put_event_kind(&mut buf, &e.kind);
-            }
-        }
-        buf.extend_from_slice(&(self.sync_order.len() as u32).to_be_bytes());
-        for s in &self.sync_order {
-            put_sync_entry(&mut buf, s);
-        }
-        buf
-    }
-
-    /// Decodes the compact binary format (either version) and validates.
+    /// Decodes the compact binary format and validates.
     ///
     /// # Errors
     ///
@@ -466,91 +437,42 @@ impl TraceSet {
     /// any framing, bound, or checksum problem, or a validation error.
     /// Never panics on corrupt input.
     pub fn from_binary(data: &[u8]) -> Result<Self, TraceError> {
-        match read_magic_and_version(data)? {
-            1 => decode_v1(ByteReader::with_base(&data[6..], 6)),
-            _ => decode_v2(data, DecodeMode::Strict).map(|s| s.trace),
-        }
+        decode_v2(data, DecodeMode::Strict).map(|s| s.trace)
     }
 
     /// Best-effort decode of a (possibly damaged) binary trace: recovers
     /// the longest checksummed event prefix and reports how far it
     /// reaches per processor.
     ///
-    /// A version-2 file decodes as far as its checksums allow; the
-    /// sync-order stream is rebuilt from the recovered sync events when
-    /// the sync section itself was lost. A version-1 file has no
-    /// checksums to salvage by, so it either decodes fully or fails.
+    /// The file decodes as far as its checksums allow; the sync-order
+    /// stream is rebuilt from the recovered sync events when the sync
+    /// section itself was lost.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Decode`] when nothing recoverable precedes
-    /// the damage (bad magic, unreadable v1 file), or a validation
+    /// the damage (bad magic, unsupported version), or a validation
     /// error if the recovered prefix is structurally inconsistent.
     /// Never panics on corrupt input.
     pub fn salvage_binary(data: &[u8]) -> Result<Salvage, TraceError> {
-        match read_magic_and_version(data)? {
-            1 => {
-                let trace = decode_v1(ByteReader::with_base(&data[6..], 6))?;
-                let counts: Vec<u32> = trace.processors().iter().map(|p| p.len() as u32).collect();
-                Ok(Salvage {
-                    recovered: counts.clone(),
-                    expected: Some(counts),
-                    bytes_used: data.len(),
-                    bytes_total: data.len(),
-                    complete: true,
-                    failure: None,
-                    trace,
-                })
-            }
-            _ => decode_v2(data, DecodeMode::Salvage),
-        }
+        decode_v2(data, DecodeMode::Salvage)
     }
 }
 
-/// Checks the magic, returns the format version.
-fn read_magic_and_version(data: &[u8]) -> Result<u16, TraceError> {
+/// Checks the magic and that the format version is the one this
+/// decoder reads: version 1 files (no checksums) are refused like any
+/// other unknown version.
+fn check_magic_and_version(data: &[u8]) -> Result<(), TraceError> {
     let mut r = ByteReader::new(data);
     let magic = r.take(4, "magic")?;
     if magic != b"WMRD" {
         return Err(DecodeError::new(0, "bad magic (not a wmrd trace)").into());
     }
     let version = r.u16("format version")?;
-    if version != 1 && version != BINARY_FORMAT_VERSION {
+    if version != BINARY_FORMAT_VERSION {
         return Err(DecodeError::new(4, format!("unsupported version {version}")).into());
     }
-    Ok(version)
-}
-
-/// Decodes the legacy (unchecksummed) version-1 layout.
-fn decode_v1(mut r: ByteReader<'_>) -> Result<TraceSet, TraceError> {
-    let program = r.opt_str("program")?;
-    let model = r.opt_str("model")?;
-    let seed = if r.u8("seed flag")? == 1 { Some(r.u64("seed")?) } else { None };
-    let num_procs = r.u16("processor count")? as usize;
-    let mut procs = Vec::with_capacity(num_procs);
-    for pi in 0..num_procs {
-        let n = r.u32("event count")? as usize;
-        let mut pt = ProcessorTrace::new(ProcId::new(pi as u16));
-        for _ in 0..n {
-            pt.push(get_event_kind(&mut r)?);
-        }
-        procs.push(pt);
-    }
-    let n = r.u32("sync-order count")? as usize;
-    // Each sync-order entry occupies 19 bytes; a larger count than the
-    // remaining input can hold is corruption (and guarding here keeps
-    // hostile inputs from forcing huge allocations).
-    if n > r.remaining() / 19 {
-        return Err(r.err(format!("sync order count {n} exceeds remaining input")).into());
-    }
-    let mut sync_order = Vec::with_capacity(n);
-    for _ in 0..n {
-        sync_order.push(get_sync_entry(&mut r)?);
-    }
-    if !r.is_empty() {
-        return Err(r.err(format!("{} trailing bytes", r.remaining())).into());
-    }
-    TraceSet::from_parts(TraceMeta { program, model, seed }, procs, sync_order)
+    Ok(())
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -563,6 +485,7 @@ enum DecodeMode {
 
 /// Decodes the checksummed version-2 layout, strictly or best-effort.
 fn decode_v2(data: &[u8], mode: DecodeMode) -> Result<Salvage, TraceError> {
+    check_magic_and_version(data)?;
     let bytes_total = data.len();
     let mut r = ByteReader::with_base(&data[6..], 6);
 
@@ -983,18 +906,6 @@ mod tests {
         let b = t.to_binary();
         assert_eq!(u16::from_be_bytes([b[4], b[5]]), BINARY_FORMAT_VERSION);
         assert_eq!(TraceSet::from_binary(&b).unwrap(), t);
-    }
-
-    #[test]
-    fn v1_files_still_decode() {
-        let t = sample();
-        let b = t.to_binary_v1();
-        assert_eq!(u16::from_be_bytes([b[4], b[5]]), 1);
-        assert_eq!(TraceSet::from_binary(&b).unwrap(), t);
-        // And v1 "salvage" is simply a full strict decode.
-        let s = TraceSet::salvage_binary(&b).unwrap();
-        assert!(s.complete);
-        assert_eq!(s.trace, t);
     }
 
     #[test]

@@ -22,6 +22,22 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --offline --release
 
+echo "== benchmark build (benchmark/ still compiles against the workspace)"
+# benchmark/ is its own cargo workspace that calls into the crates
+# here, so an API change can break it without failing any step above.
+# Building it rewrites benchmark/Cargo.lock (cargo records the unused
+# [patch.crates-io] table), so the committed lock file is put back.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+bench_status=0
+cargo check --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp "$lock" benchmark/Cargo.lock
+rm -f "$lock"
+if [ "$bench_status" -ne 0 ]; then
+    echo "check.sh: benchmark/ no longer builds against the workspace" >&2
+    exit "$bench_status"
+fi
+
 echo "== cargo test"
 # Every suite: unit tests, the workspace-spanning xtests under tests/
 # (properties, corrupt-trace corpus, fault injection, daemon e2e,

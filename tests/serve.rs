@@ -449,6 +449,47 @@ fn streams_and_submissions_interleave_into_one_catalog() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Retired format versions are refused over the wire exactly as on
+/// disk: a version-1 `WMRD` body gets a typed `ERR` to `SUBMIT`, a
+/// headerless `WMRS` stream a typed `ERR` to its first `FEED`, and the
+/// daemon keeps serving the same connection.
+#[test]
+fn retired_format_versions_get_err_replies() {
+    let dir = scratch("retired");
+    let (endpoint, join) = start(&dir, ServeConfig::default());
+    let fig = catalog::fig1a();
+    let mut client = Client::connect(&endpoint).unwrap();
+
+    let mut v1 = weak_trace(&fig.program, fig.name, 0).to_binary();
+    v1[4..6].copy_from_slice(&1u16.to_be_bytes());
+    match client.submit(&v1).unwrap() {
+        Reply::Err { code, message } => {
+            assert_eq!(code, wmrd_serve::ErrorCode::Decode, "{message}");
+            assert!(message.contains("at byte 4: unsupported version 1"), "{message}");
+        }
+        other => panic!("expected a decode error for a v1 trace, got {other:?}"),
+    }
+
+    let stream = weak_stream_bytes(&fig.program, 0);
+    assert!(matches!(
+        client.stream_open("headerless", &StreamMeta::default()).unwrap(),
+        Reply::Ok(_)
+    ));
+    match client.stream_feed(&stream[6..]).unwrap() {
+        Reply::Err { code, message } => {
+            assert_eq!(code, wmrd_serve::ErrorCode::Decode, "{message}");
+            assert!(message.contains("at byte 0: bad stream magic"), "{message}");
+        }
+        other => panic!("expected a decode error for a headerless stream, got {other:?}"),
+    }
+    assert_eq!(client.ping().unwrap().into_text().unwrap(), "pong\n");
+
+    let summary = drain(&endpoint, join);
+    assert_eq!(summary.rejected, 1);
+    assert_eq!(summary.ingested, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `PREDICT` re-analyzes a retained submission predictively and amends
 /// the cataloged entry with the predicted identities: provenance shows
 /// up in both text and JSON query renderings, re-prediction is an

@@ -127,3 +127,64 @@ fn races_surface_the_moment_the_second_access_arrives() {
         "the prefix that triggered the race must already contain it"
     );
 }
+
+/// One `push` is linear in its length: a whole multi-megabyte stream
+/// in one chunk (as one large `FEED` delivers it) decodes to the same
+/// records as a 1-byte-chunk decode, well within a time bound that a
+/// per-record buffer shift (quadratic in the chunk) would blow by
+/// an order of magnitude at this size.
+#[test]
+fn one_large_push_decodes_in_linear_time() {
+    use wmrd_trace::{AccessKind, Location, ProcId, SyncRole, TraceSink, Value};
+    const RECORDS: u32 = 400_000;
+    let mut writer = StreamWriter::new(Vec::new(), 4);
+    let mut last_release = None;
+    for i in 0..RECORDS {
+        let proc = ProcId::new((i % 4) as u16);
+        let loc = Location::new(i % 64);
+        if i % 97 == 0 {
+            last_release = Some(writer.sync_access(
+                proc,
+                loc,
+                AccessKind::Write,
+                SyncRole::Release,
+                Value::ZERO,
+                None,
+            ));
+        } else if i % 89 == 0 {
+            writer.sync_access(
+                proc,
+                loc,
+                AccessKind::Read,
+                SyncRole::Acquire,
+                Value::ZERO,
+                last_release,
+            );
+        } else {
+            writer.data_access(proc, loc, AccessKind::Write, Value::new(i64::from(i)), None);
+        }
+    }
+    let bytes = writer.finish().unwrap();
+    assert!(bytes.len() > 9_000_000, "{} bytes", bytes.len());
+
+    let mut bytewise = StreamDecoder::new();
+    let mut expected = Vec::new();
+    for byte in bytes.chunks(1) {
+        bytewise.push(byte, &mut expected).unwrap();
+    }
+    bytewise.finish().unwrap();
+    assert_eq!(expected.len(), RECORDS as usize);
+
+    let mut decoder = StreamDecoder::new();
+    let mut records = Vec::new();
+    let started = std::time::Instant::now();
+    decoder.push(&bytes, &mut records).unwrap();
+    let took = started.elapsed();
+    decoder.finish().unwrap();
+    assert_eq!(records, expected);
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "one push of {} bytes took {took:?}",
+        bytes.len()
+    );
+}

@@ -5,7 +5,7 @@
 use wmrd_core::PostMortem;
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RandomWeakSched, RunConfig};
-use wmrd_trace::{TraceBuilder, TraceError, TraceSet};
+use wmrd_trace::{StreamDecoder, StreamWriter, TraceBuilder, TraceError, TraceSet};
 
 fn tmp_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wmrd-xtest-{}", std::process::id()));
@@ -271,4 +271,57 @@ fn analysis_of_empty_and_single_processor_traces() {
     let report = PostMortem::new(&single).analyze().unwrap();
     assert!(report.is_race_free(), "one processor cannot race with itself");
     assert!(report.scp.covers_everything());
+}
+
+/// Each trace format has exactly one version: input in a retired
+/// version gets a typed decode error pinned at the version's offset,
+/// never a decode. A version-1 `WMRD` header is refused at offset 4;
+/// a headerless `WMRS` stream (it opens straight with the `0xA5`
+/// record magic) is refused at offset 0 by every stream entry point.
+#[test]
+fn retired_format_versions_are_refused_typed() {
+    let mut v1 = corpus_base().to_binary();
+    v1[4..6].copy_from_slice(&1u16.to_be_bytes());
+    for err in [TraceSet::from_binary(&v1).unwrap_err(), TraceSet::salvage_binary(&v1).unwrap_err()]
+    {
+        match err {
+            TraceError::Decode(d) => {
+                assert_eq!(d.offset, 4, "{d}");
+                assert_eq!(d.reason, "unsupported version 1");
+            }
+            other => panic!("expected a typed decode error, got {other}"),
+        }
+    }
+
+    let entry = catalog::fig1a();
+    let mut writer = StreamWriter::new(Vec::new(), entry.program.num_procs());
+    let mut sched = RandomWeakSched::new(2, 0.3);
+    run_weak(
+        &entry.program,
+        MemoryModel::Wo,
+        Fidelity::Conditioned,
+        &mut sched,
+        &mut writer,
+        RunConfig::uniform(),
+    )
+    .unwrap();
+    let stream = writer.finish().unwrap();
+    let headerless = &stream[6..];
+    assert_eq!(headerless[0], 0xA5, "a headerless stream opens with a record");
+
+    match wmrd_trace::read_stream(headerless).unwrap_err() {
+        TraceError::Decode(d) => assert_eq!(d.offset, 0, "{d}"),
+        other => panic!("expected a typed decode error, got {other}"),
+    }
+    let mut records = Vec::new();
+    match StreamDecoder::new().push(headerless, &mut records).unwrap_err() {
+        TraceError::Decode(d) => assert_eq!(d.offset, 0, "{d}"),
+        other => panic!("expected a typed decode error, got {other}"),
+    }
+    assert!(records.is_empty());
+    let s = wmrd_trace::salvage_stream(headerless).unwrap();
+    assert!(!s.complete);
+    assert_eq!(s.records, 0);
+    assert_eq!(s.bytes_used, 0);
+    assert_eq!(s.failure.map(|d| d.offset), Some(0));
 }
