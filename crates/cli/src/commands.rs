@@ -1569,6 +1569,7 @@ mod tests {
         assert_eq!(json_value(&text, "command"), "\"analyze\"");
         assert_eq!(json_value(&text, "program"), "\"fig1a\"");
         json_value(&text, "analysis.candidate_pairs");
+        assert_eq!(json_value(&text, "analysis.sync_races"), "0", "fig1a has no sync events");
         json_value(&text, "analysis.hb_build");
         std::fs::remove_file(&trace_path).ok();
         std::fs::remove_file(&m_path).ok();

@@ -26,16 +26,12 @@ pub struct AugmentedGraph<'a> {
 impl<'a> AugmentedGraph<'a> {
     /// Builds G′ from the hb1 graph and the detected races.
     ///
-    /// Only data races add edges (`SyncSync` races are not part of the
-    /// paper's construction); the indices of the races used are
-    /// remembered and exposed via
+    /// Each race whose events are both in the graph adds its two edges;
+    /// the indices of the races used are remembered and exposed via
     /// [`data_race_indices`](Self::data_race_indices).
     pub fn build(hb: &'a HbGraph, races: &[DataRace]) -> Self {
         let data_race_indices: Vec<usize> = (0..races.len())
-            .filter(|&i| {
-                let race = &races[i];
-                race.is_data_race() && hb.node_of(race.a).is_some() && hb.node_of(race.b).is_some()
-            })
+            .filter(|&i| hb.node_of(races[i].a).is_some() && hb.node_of(races[i].b).is_some())
             .collect();
         // so1 first, then each race's two directions: the edge order G′
         // component ids (and so partition ids) follow.
@@ -123,8 +119,9 @@ mod tests {
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
         let t = b.finish();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
-        let races = detect_races(&t, &hb);
-        assert_eq!(races.len(), 1);
+        let (races, stats) = crate::detect_races_with_stats(&t, &hb);
+        assert!(races.is_empty(), "an unordered sync-sync pair is no data race");
+        assert_eq!(stats.sync_races, 1);
         let aug = AugmentedGraph::build(&hb, &races);
         assert!(aug.data_race_indices().is_empty());
         assert!(!aug.path(e(0, 0), e(1, 0)));

@@ -62,7 +62,7 @@ impl RaceKey {
 /// Keys of the *data* races of an operation-level race list.
 pub fn op_race_keys(races: &[OpRace], trace: &OpTrace) -> BTreeSet<RaceKey> {
     let mut out = BTreeSet::new();
-    for race in races.iter().filter(|r| r.is_data_race()) {
+    for race in races {
         let (Some(a), Some(b)) = (trace.op(race.a), trace.op(race.b)) else { continue };
         out.insert(RaceKey::new(
             race.loc,
@@ -77,7 +77,7 @@ pub fn op_race_keys(races: &[OpRace], trace: &OpTrace) -> BTreeSet<RaceKey> {
 /// on several locations yields one key per conflict location.
 pub fn event_race_keys(races: &[DataRace], trace: &TraceSet) -> BTreeSet<RaceKey> {
     let mut out = BTreeSet::new();
-    for race in races.iter().filter(|r| r.is_data_race()) {
+    for race in races {
         let (Some(ea), Some(eb)) = (trace.event(race.a), trace.event(race.b)) else {
             continue;
         };
@@ -215,15 +215,20 @@ mod tests {
 
     #[test]
     fn sync_sync_races_are_skipped() {
+        // Two unpaired sync writes and a data read of one location: the
+        // sync-sync pair is no race, so every key has a data side.
         use wmrd_trace::SyncRole;
-        let mut b = TraceBuilder::new(2);
+        let mut b = TraceBuilder::new(3);
         b.sync_access(p(0), l(9), AccessKind::Write, SyncRole::Release, Value::ZERO, None);
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
+        b.data_access(p(2), l(9), AccessKind::Read, Value::ZERO, None);
         let t = b.finish();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
         let races = detect_races(&t, &hb);
-        assert_eq!(races.len(), 1);
-        assert!(event_race_keys(&races, &t).is_empty());
+        assert_eq!(races.len(), 2, "{races:?}");
+        let keys = event_race_keys(&races, &t);
+        assert_eq!(keys.len(), 2);
+        assert!(keys.iter().all(|k| !(k.a.sync && k.b.sync)), "{keys:?}");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use wmrd_trace::{AccessKind, EventId, Location, MemOp, OpId, OpTrace, ProcId};
 use crate::graph::ChainOrder;
 use crate::{AnalysisError, PairingPolicy, RaceKind};
 
-/// A race between two individual memory operations.
+/// A data race between two individual memory operations: at least one
+/// of them is a data operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpRace {
     /// First operation (smaller id).
@@ -34,13 +35,6 @@ pub struct OpRace {
     pub loc: Location,
     /// Data/sync classification.
     pub kind: RaceKind,
-}
-
-impl OpRace {
-    /// `true` iff at least one participant is a data operation.
-    pub fn is_data_race(self) -> bool {
-        self.kind.is_data_race()
-    }
 }
 
 impl fmt::Display for OpRace {
@@ -106,7 +100,8 @@ impl OpAnalysis {
         let hb = ChainOrder::new(chain_lens, so1.iter().copied())
             .expect("so1 endpoints are recorded operations");
 
-        // Races: per-location writer × accessor, concurrent pairs.
+        // Races: per-location writer × accessor, concurrent pairs with
+        // a data participant.
         let mut writers: HashMap<Location, Vec<&MemOp>> = HashMap::new();
         let mut accessors: HashMap<Location, Vec<&MemOp>> = HashMap::new();
         for op in trace.iter() {
@@ -127,6 +122,9 @@ impl OpAnalysis {
                     if w.kind == AccessKind::Read && x.kind == AccessKind::Read {
                         continue;
                     }
+                    if w.is_sync() && x.is_sync() {
+                        continue; // not a data race
+                    }
                     let (a, b) = if w.id < x.id { (*w, *x) } else { (*x, *w) };
                     if !seen.insert((a.id, b.id)) {
                         continue;
@@ -136,7 +134,6 @@ impl OpAnalysis {
                     }
                     let kind = match (a.is_sync(), b.is_sync()) {
                         (false, false) => RaceKind::DataData,
-                        (true, true) => RaceKind::SyncSync,
                         _ => RaceKind::DataSync,
                     };
                     races.push(OpRace { a: a.id, b: b.id, loc: *loc, kind });
@@ -145,25 +142,22 @@ impl OpAnalysis {
         }
         races.sort_by_key(|r| (r.a, r.b));
 
-        // Augmented graph: hb edges + double edges per data race.
-        let race_edges = races
-            .iter()
-            .filter(|r| r.is_data_race())
-            .flat_map(|r| [(pos(r.a), pos(r.b)), (pos(r.b), pos(r.a))]);
+        // Augmented graph: hb edges + double edges per race.
+        let race_edges = races.iter().flat_map(|r| [(pos(r.a), pos(r.b)), (pos(r.b), pos(r.a))]);
         let aug = ChainOrder::new(hb.chain_lens(), so1.iter().copied().chain(race_edges))
             .expect("race endpoints are recorded operations");
 
         Ok(OpAnalysis { hb, aug, races, so1_edge_count: so1.len() })
     }
 
-    /// Every race of the execution, sorted.
+    /// Every data race of the execution, sorted.
     pub fn races(&self) -> &[OpRace] {
         &self.races
     }
 
-    /// The data races only.
+    /// The data races: every race, since only data races are kept.
     pub fn data_races(&self) -> impl Iterator<Item = &OpRace> {
-        self.races.iter().filter(|r| r.is_data_race())
+        self.races.iter()
     }
 
     /// Number of `so1` edges found.
@@ -213,8 +207,6 @@ impl OpAnalysis {
     /// contains the first races themselves, whose membership is verified
     /// separately through Theorem 4.2's cross-execution check).
     pub fn race_free_boundaries(&self) -> Vec<u32> {
-        let data_races: Vec<usize> =
-            (0..self.races.len()).filter(|&i| self.races[i].is_data_race()).collect();
         self.hb
             .chain_lens()
             .enumerate()
@@ -222,7 +214,7 @@ impl OpAnalysis {
                 let proc = ProcId::new(pi as u16);
                 (0..len as u32)
                     .find(|&seq| {
-                        data_races.iter().any(|&ri| self.affects_op(ri, OpId::new(proc, seq)))
+                        (0..self.races.len()).any(|ri| self.affects_op(ri, OpId::new(proc, seq)))
                     })
                     .unwrap_or(len as u32)
             })
@@ -233,12 +225,8 @@ impl OpAnalysis {
     /// "first data races" Condition 3.4(2) guarantees occur in a
     /// sequentially consistent prefix.
     pub fn unaffected_data_races(&self) -> Vec<usize> {
-        let data: Vec<usize> =
-            (0..self.races.len()).filter(|&i| self.races[i].is_data_race()).collect();
-        data.iter()
-            .copied()
-            .filter(|&j| data.iter().all(|&i| i == j || !self.affects_race(i, j)))
-            .collect()
+        let n = self.races.len();
+        (0..n).filter(|&j| (0..n).all(|i| i == j || !self.affects_race(i, j))).collect()
     }
 }
 

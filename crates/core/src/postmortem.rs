@@ -109,10 +109,8 @@ impl<'t> PostMortem<'t> {
             m.set_gauge("analysis.hb1_edges", (hb.num_po_edges() + hb.so1().len()) as u64);
             m.set_gauge("analysis.candidate_pairs", detect.candidate_pairs);
             m.set_gauge("analysis.races", detect.races);
-            m.set_gauge(
-                "analysis.data_races",
-                races.iter().filter(|r| r.is_data_race()).count() as u64,
-            );
+            m.set_gauge("analysis.data_races", detect.races);
+            m.set_gauge("analysis.sync_races", detect.sync_races);
             m.set_gauge("analysis.scc_count", aug.num_components() as u64);
             m.set_gauge("analysis.partitions", partitions.len() as u64);
             m.set_gauge("analysis.first_partitions", partitions.first_indices().len() as u64);
@@ -207,6 +205,7 @@ mod tests {
         assert_eq!(snap.gauge("analysis.races"), Some(1));
         assert_eq!(snap.gauge("analysis.data_races"), Some(1));
         assert_eq!(snap.gauge("analysis.candidate_pairs"), Some(1));
+        assert_eq!(snap.gauge("analysis.sync_races"), Some(0));
         assert_eq!(snap.gauge("analysis.partitions"), Some(1));
         assert_eq!(snap.gauge("analysis.first_partitions"), Some(1));
         assert!(snap.gauge("analysis.scc_count").unwrap() >= 1);

@@ -8,12 +8,13 @@ use wmrd_trace::{EventId, LocSet, Location, TraceSet};
 
 use crate::HbGraph;
 
-/// Classification of a race by the kinds of operations involved.
+/// Classification of a data race by the kinds of operations involved.
 ///
 /// The paper (Definition 2.4): a race is a **data race** iff at least one
-/// participant is a data operation. Races between two synchronization
-/// events are detected too (they indicate unordered synchronization) but
-/// are not data races and do not enter the augmented graph.
+/// participant is a data operation, and only data races enter the
+/// augmented graph (Section 4.2). Unordered conflicting pairs of two
+/// synchronization events are not races here; the detector only counts
+/// them ([`DetectStats::sync_races`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RaceKind {
     /// Both participants are computation (data) events.
@@ -21,16 +22,6 @@ pub enum RaceKind {
     /// One participant is a computation event, the other a
     /// synchronization event.
     DataSync,
-    /// Both participants are synchronization events.
-    SyncSync,
-}
-
-impl RaceKind {
-    /// `true` iff at least one participant is a data operation — the
-    /// paper's definition of a *data* race.
-    pub fn is_data_race(self) -> bool {
-        !matches!(self, RaceKind::SyncSync)
-    }
 }
 
 wmrd_trace::impl_to_json!(enum RaceKind);
@@ -40,12 +31,12 @@ impl fmt::Display for RaceKind {
         f.write_str(match self {
             RaceKind::DataData => "data-data",
             RaceKind::DataSync => "data-sync",
-            RaceKind::SyncSync => "sync-sync",
         })
     }
 }
 
-/// A detected race `⟨a, b⟩`: two conflicting events not ordered by hb1.
+/// A detected data race `⟨a, b⟩`: two conflicting events, at least one
+/// of them a computation event, not ordered by hb1.
 ///
 /// Pairs are normalized so `a < b` (by processor, then index).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +56,6 @@ impl DataRace {
     pub fn involves(&self, event: EventId) -> bool {
         self.a == event || self.b == event
     }
-
-    /// `true` iff this is a data race (at least one data participant).
-    pub fn is_data_race(&self) -> bool {
-        self.kind.is_data_race()
-    }
 }
 
 wmrd_trace::impl_to_json!(DataRace { a, b, locations, kind });
@@ -84,19 +70,24 @@ impl fmt::Display for DataRace {
 /// candidate-generation work was performed versus how many races
 /// survived the happens-before check.
 ///
-/// Deterministic for a fixed trace: candidates are counted after
-/// deduplication, and the candidate set depends only on the trace, not
-/// on the order that tests concurrency.
+/// Deterministic for a fixed trace: `candidate_pairs` depends only on
+/// the trace's accesses, not on the order that tests concurrency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectStats {
-    /// Distinct conflicting cross-processor event pairs examined.
+    /// Σ |`conflict_locations(a, b)`| over the cross-processor event
+    /// pairs with at least one data participant: every pair that could
+    /// be a data race, weighted by its conflict locations. Bounds
+    /// `races` from above.
     pub candidate_pairs: u64,
-    /// Candidates confirmed hb1-concurrent — the reported races.
+    /// Candidates confirmed unordered — the reported data races.
     pub races: u64,
+    /// Unordered conflicting pairs of two synchronization events. They
+    /// are not data races and are counted, not reported.
+    pub sync_races: u64,
 }
 
-/// Finds every race of the execution: conflicting event pairs not
-/// ordered by hb1.
+/// Finds every data race of the execution: conflicting event pairs,
+/// at least one of them a computation event, not ordered by hb1.
 ///
 /// Candidate generation is per-location (writer × accessor), so cost
 /// scales with actual sharing rather than all event pairs.
@@ -105,17 +96,17 @@ pub fn detect_races(trace: &TraceSet, hb: &HbGraph) -> Vec<DataRace> {
 }
 
 /// Like [`detect_races`], additionally returning [`DetectStats`] —
-/// the candidate-versus-confirmed counts the observability layer
-/// records as `analysis.candidate_pairs` / `analysis.races`.
+/// the counts the observability layer records as
+/// `analysis.candidate_pairs` / `analysis.races` / `analysis.sync_races`.
 pub fn detect_races_with_stats(trace: &TraceSet, hb: &HbGraph) -> (Vec<DataRace>, DetectStats) {
     detect_races_by(trace, |a, b| hb.concurrent(a, b))
 }
 
 /// The conflict sweep behind every event-level detector: each distinct
-/// conflicting cross-processor pair `(a, b)`, `a < b`, is one candidate,
-/// and it races iff `concurrent(a, b)`. With hb1's test this is the
-/// paper's detector; a weaker order's test yields predicted races over
-/// the same candidates.
+/// conflicting cross-processor pair `(a, b)`, `a < b`, with a data
+/// participant is one candidate, and it races iff `concurrent(a, b)`.
+/// With hb1's test this is the paper's detector; a weaker order's test
+/// yields predicted races over the same candidates.
 pub fn detect_races_by(
     trace: &TraceSet,
     concurrent: impl Fn(EventId, EventId) -> bool,
@@ -151,22 +142,24 @@ pub fn detect_races_by(
                 if !seen.insert((a, b)) {
                     continue;
                 }
-                stats.candidate_pairs += 1;
-                if !concurrent(a, b) {
-                    continue;
-                }
                 let (ea, eb) = match (trace.event(a), trace.event(b)) {
                     (Some(ea), Some(eb)) => (ea, eb),
                     _ => continue,
                 };
-                let locations = ea.conflict_locations(eb);
-                debug_assert!(!locations.is_empty());
                 let kind = match (ea.is_sync(), eb.is_sync()) {
                     (false, false) => RaceKind::DataData,
-                    (true, true) => RaceKind::SyncSync,
+                    (true, true) => {
+                        stats.sync_races += concurrent(a, b) as u64;
+                        continue;
+                    }
                     _ => RaceKind::DataSync,
                 };
-                races.push(DataRace { a, b, locations, kind });
+                let locations = ea.conflict_locations(eb);
+                debug_assert!(!locations.is_empty());
+                stats.candidate_pairs += locations.len() as u64;
+                if concurrent(a, b) {
+                    races.push(DataRace { a, b, locations, kind });
+                }
             }
         }
     }
@@ -213,7 +206,6 @@ mod tests {
         let races = analyze(&t);
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].kind, RaceKind::DataData);
-        assert!(races[0].is_data_race());
         assert_eq!(races[0].locations.len(), 2, "conflicts on both x and y");
     }
 
@@ -271,20 +263,20 @@ mod tests {
         let races = analyze(&b.finish());
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].kind, RaceKind::DataSync);
-        assert!(races[0].is_data_race());
     }
 
     #[test]
-    fn sync_sync_race_is_not_a_data_race() {
-        // Two unpaired sync writes to the same location: a race, but not
-        // a data race.
+    fn sync_sync_pair_is_counted_not_reported() {
+        // Two unpaired sync writes to the same location: unordered, but
+        // not a data race — absent from the races, present in the count.
         let mut b = TraceBuilder::new(2);
         b.sync_access(p(0), l(9), AccessKind::Write, SyncRole::Release, Value::ZERO, None);
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
-        let races = analyze(&b.finish());
-        assert_eq!(races.len(), 1);
-        assert_eq!(races[0].kind, RaceKind::SyncSync);
-        assert!(!races[0].is_data_race());
+        let t = b.finish();
+        let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
+        let (races, stats) = detect_races_with_stats(&t, &hb);
+        assert!(races.is_empty());
+        assert_eq!(stats, DetectStats { candidate_pairs: 0, races: 0, sync_races: 1 });
     }
 
     #[test]
@@ -335,7 +327,7 @@ mod tests {
         b.data_access(p(1), l(3), AccessKind::Read, Value::ZERO, None);
         let races = analyze(&b.finish());
         assert_eq!(races[0].to_string(), "<P0.e0, P1.e0> on {3} (data-data)");
-        assert_eq!(RaceKind::SyncSync.to_string(), "sync-sync");
+        assert_eq!(RaceKind::DataSync.to_string(), "data-sync");
     }
 
     #[test]

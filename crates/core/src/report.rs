@@ -25,7 +25,7 @@ pub struct RaceReport {
     pub num_events: usize,
     /// Number of `so1` edges found.
     pub num_so1_edges: usize,
-    /// Every race detected (data and sync-sync), sorted.
+    /// Every data race detected, sorted.
     pub races: Vec<DataRace>,
     /// The race partitions with their ordering.
     pub partitions: PartitionSet,
@@ -37,12 +37,12 @@ impl RaceReport {
     /// `true` iff the execution exhibited no data races — in which case
     /// Condition 3.4(1) certifies it was sequentially consistent.
     pub fn is_race_free(&self) -> bool {
-        self.races.iter().all(|r| !r.is_data_race())
+        self.races.is_empty()
     }
 
-    /// All data races (excludes sync-sync races).
+    /// All data races: every race, since only data races are reported.
     pub fn data_races(&self) -> impl Iterator<Item = &DataRace> {
-        self.races.iter().filter(|r| r.is_data_race())
+        self.races.iter()
     }
 
     /// The first partitions — what should be reported to the programmer.
@@ -190,8 +190,10 @@ mod tests {
         let mut b = TraceBuilder::new(2);
         b.sync_access(p(0), l(9), AccessKind::Write, SyncRole::Release, Value::ZERO, None);
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
-        let report = PostMortem::new(&b.finish()).analyze().unwrap();
-        assert_eq!(report.races.len(), 1, "the sync-sync race is detected");
-        assert!(report.is_race_free(), "but it is not a *data* race");
+        let metrics = wmrd_trace::Metrics::enabled();
+        let report = PostMortem::new(&b.finish()).metrics(&metrics).analyze().unwrap();
+        assert!(report.races.is_empty(), "the sync-sync pair is not a *data* race");
+        assert!(report.is_race_free());
+        assert_eq!(metrics.report().gauge("analysis.sync_races"), Some(1), "but it is counted");
     }
 }

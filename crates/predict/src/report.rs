@@ -18,10 +18,11 @@ pub struct PredictStats {
     pub kept_edges: usize,
     /// `so1` edges the weakening removed.
     pub dropped_edges: usize,
-    /// Distinct conflicting cross-processor event pairs examined.
+    /// Σ |conflict locations| over the cross-processor event pairs with
+    /// a data participant — the post-mortem's `candidate_pairs`.
     pub candidate_pairs: u64,
-    /// Candidates unordered by the predictive order (predicted races,
-    /// at event granularity).
+    /// Candidates unordered by the predictive order (predicted data
+    /// races, at event granularity).
     pub predicted_pairs: u64,
 }
 
@@ -293,7 +294,7 @@ mod tests {
         let r = predict(&t, "t", PairingPolicy::ByRole, PredictOrder::Wcp).unwrap();
         assert_eq!(
             r.json().render(),
-            r#"{"program":"t","order":"wcp","pairing":"ByRole","stats":{"events":6,"sections":2,"kept_edges":0,"dropped_edges":1,"candidate_pairs":3,"predicted_pairs":3},"keys":[],"observed":[]}"#
+            r#"{"program":"t","order":"wcp","pairing":"ByRole","stats":{"events":6,"sections":2,"kept_edges":0,"dropped_edges":1,"candidate_pairs":0,"predicted_pairs":0},"keys":[],"observed":[]}"#
         );
     }
 

@@ -104,15 +104,19 @@ mod tests {
 
     #[test]
     fn sync_sync_races_are_skipped() {
+        // The sync-sync pair is no race; the data read races both writes.
         use wmrd_trace::SyncRole;
-        let mut b = TraceBuilder::new(2);
+        let mut b = TraceBuilder::new(3);
         b.sync_access(p(0), l(9), AccessKind::Write, SyncRole::Release, Value::ZERO, None);
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
+        b.data_access(p(2), l(9), AccessKind::Read, Value::ZERO, None);
         let t = b.finish();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
         let races = detect_races(&t, &hb);
-        assert_eq!(races.len(), 1);
-        assert!(event_race_signatures(&races, &t).is_empty());
+        assert_eq!(races.len(), 2);
+        let sigs = event_race_signatures(&races, &t);
+        assert_eq!(sigs.len(), 2);
+        assert!(sigs.iter().all(|s| !(s.a.sync && s.b.sync)), "{sigs:?}");
     }
 
     #[test]

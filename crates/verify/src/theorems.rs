@@ -29,9 +29,11 @@ use crate::{
 /// data races exist iff data races exist.
 pub fn check_theorem_4_1(report: &RaceReport) -> bool {
     let has_data_races = !report.is_race_free();
-    let has_first_partitions = report.partitions.first_indices().iter().any(|&i| {
-        report.partitions.partitions()[i].races.iter().any(|&r| report.races[r].is_data_race())
-    });
+    let has_first_partitions = report
+        .partitions
+        .first_indices()
+        .iter()
+        .any(|&i| !report.partitions.partitions()[i].races.is_empty());
     has_data_races == has_first_partitions
 }
 
@@ -75,8 +77,7 @@ pub fn check_theorem_4_2(
     let mut checked = 0;
     let mut confirmed = 0;
     for part in report.first_partitions() {
-        let has_data_race = part.races.iter().any(|&r| report.races[r].is_data_race());
-        if !has_data_race {
+        if part.races.is_empty() {
             continue;
         }
         checked += 1;
