@@ -119,7 +119,7 @@ mod tests {
         b.sync_access(p(1), l(9), AccessKind::Write, SyncRole::Release, Value::new(1), None);
         let t = b.finish();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
-        let (races, stats) = crate::detect_races_with_stats(&t, &hb);
+        let (races, stats) = crate::detect_races_in(&t, &hb);
         assert!(races.is_empty(), "an unordered sync-sync pair is no data race");
         assert_eq!(stats.sync_races, 1);
         let aug = AugmentedGraph::build(&hb, &races);

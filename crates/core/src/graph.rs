@@ -102,7 +102,32 @@ impl ChainOrder {
         }
     }
 
-    fn num_chains(&self) -> usize {
+    /// The events of chain `q` unordered with `a` in both directions:
+    /// indices `[lo, hi)`, empty when `lo ≥ hi`.
+    ///
+    /// `a`'s predecessors on `q` are the prefix below
+    /// `lo = clock(comp(a))[q]`. Its successors are a suffix, since the
+    /// clock row `clock(comp(b))[proc(a)]` only grows along a chain:
+    /// `hi` is the first `b` on `q` where it passes `index(a)`. On an
+    /// hb1 cycle the prefix and suffix overlap and the window is empty.
+    /// An unknown `a` is unordered with all of `q`; an unknown `q` has
+    /// no events.
+    pub(crate) fn window(&self, a: EventId, q: usize) -> (u32, u32) {
+        let (Some(&start), Some(&end)) = (self.offsets.get(q), self.offsets.get(q + 1)) else {
+            return (0, 0);
+        };
+        let len = end - start;
+        let Some(node) = self.node(a) else { return (0, len) };
+        let procs = self.num_chains();
+        let lo = self.clocks[self.comp_of[node as usize] as usize * procs + q];
+        let chain = &self.comp_of[start as usize..(start + len) as usize];
+        let hi =
+            chain.partition_point(|&c| self.clocks[c as usize * procs + a.proc.index()] <= a.index);
+        (lo, hi as u32)
+    }
+
+    /// Number of chains.
+    pub(crate) fn num_chains(&self) -> usize {
         self.offsets.len() - 1
     }
 }

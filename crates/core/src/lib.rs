@@ -18,9 +18,11 @@
 //! * [`HbGraph`] — the happens-before-1 relation `(po ∪ so1)+` over
 //!   events, with release/acquire pairing derived from the trace
 //!   ([`PairingPolicy`]).
-//! * [`detect_races`] — conflicting, hb1-unordered event pairs
-//!   (Definition 2.4 lifted to events); [`detect_races_by`] is the same
-//!   sweep under any concurrency test.
+//! * [`detect_races`] — data races: conflicting, hb1-unordered event
+//!   pairs with a data participant (Definition 2.4 lifted to events),
+//!   found per event in the window of each other processor's chain
+//!   that hb1 leaves unordered with it; [`detect_races_in`] is the
+//!   same sweep under any order over the events, with its counts.
 //! * [`AugmentedGraph`] — the graph G′: hb1 edges plus a doubly-directed
 //!   edge per data race, capturing the *affects* relation
 //!   (Definition 3.3).
@@ -90,9 +92,7 @@ pub use onthefly::{OnTheFly, OnTheFlyConfig, OnTheFlyRace};
 pub use pairing::{so1_edges, PairingPolicy, So1Edge};
 pub use partition::{partition_races, PartitionSet, RacePartition};
 pub use postmortem::{AnalysisOptions, PostMortem};
-pub use race::{
-    detect_races, detect_races_by, detect_races_with_stats, DataRace, DetectStats, RaceKind,
-};
+pub use race::{detect_races, detect_races_in, DataRace, DetectStats, RaceKind};
 pub use report::RaceReport;
 pub use salvage::SalvageAnalysis;
 pub use scp::{estimate_scp, ScpEstimate};

@@ -15,12 +15,12 @@
 //!    calls impractical; the trace-size ablation (E8) quantifies that
 //!    against event-level bit-vector tracing.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use wmrd_trace::{AccessKind, EventId, Location, MemOp, OpId, OpTrace, ProcId};
 
 use crate::graph::ChainOrder;
+use crate::race::{Access, AccessLists};
 use crate::{AnalysisError, PairingPolicy, RaceKind};
 
 /// A data race between two individual memory operations: at least one
@@ -100,47 +100,24 @@ impl OpAnalysis {
         let hb = ChainOrder::new(chain_lens, so1.iter().copied())
             .expect("so1 endpoints are recorded operations");
 
-        // Races: per-location writer × accessor, concurrent pairs with
-        // a data participant.
-        let mut writers: HashMap<Location, Vec<&MemOp>> = HashMap::new();
-        let mut accessors: HashMap<Location, Vec<&MemOp>> = HashMap::new();
-        for op in trace.iter() {
-            accessors.entry(op.loc).or_default().push(op);
-            if op.kind == AccessKind::Write {
-                writers.entry(op.loc).or_default().push(op);
-            }
-        }
-        let mut seen: HashSet<(OpId, OpId)> = HashSet::new();
+        // Races: the event-level window sweep, one access per operation.
+        let accesses = trace
+            .iter()
+            .map(|op| Access {
+                event: pos(op.id),
+                loc: op.loc,
+                write: op.kind == AccessKind::Write,
+                sync: op.is_sync(),
+            })
+            .collect();
         let mut races = Vec::new();
-        for (loc, ws) in &writers {
-            let Some(accs) = accessors.get(loc) else { continue };
-            for w in ws {
-                for x in accs {
-                    if w.id == x.id || w.id.proc == x.id.proc {
-                        continue;
-                    }
-                    if w.kind == AccessKind::Read && x.kind == AccessKind::Read {
-                        continue;
-                    }
-                    if w.is_sync() && x.is_sync() {
-                        continue; // not a data race
-                    }
-                    let (a, b) = if w.id < x.id { (*w, *x) } else { (*x, *w) };
-                    if !seen.insert((a.id, b.id)) {
-                        continue;
-                    }
-                    if hb.ordered(pos(a.id), pos(b.id)) || hb.ordered(pos(b.id), pos(a.id)) {
-                        continue;
-                    }
-                    let kind = match (a.is_sync(), b.is_sync()) {
-                        (false, false) => RaceKind::DataData,
-                        _ => RaceKind::DataSync,
-                    };
-                    races.push(OpRace { a: a.id, b: b.id, loc: *loc, kind });
-                }
-            }
-        }
-        races.sort_by_key(|r| (r.a, r.b));
+        AccessLists::new(accesses).sweep(&hb, |a, b| {
+            let op = |e: EventId| trace.op(OpId::new(e.proc, e.index));
+            let (Some(a), Some(b)) = (op(a), op(b)) else { return };
+            let kind =
+                if a.is_sync() || b.is_sync() { RaceKind::DataSync } else { RaceKind::DataData };
+            races.push(OpRace { a: a.id, b: b.id, loc: a.loc, kind });
+        });
 
         // Augmented graph: hb edges + double edges per race.
         let race_edges = races.iter().flat_map(|r| [(pos(r.a), pos(r.b)), (pos(r.b), pos(r.a))]);

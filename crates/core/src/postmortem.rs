@@ -3,7 +3,7 @@
 use wmrd_trace::{Metrics, TraceSet};
 
 use crate::{
-    detect_races_with_stats, estimate_scp, partition_races, AnalysisError, AugmentedGraph, HbGraph,
+    detect_races_in, estimate_scp, partition_races, AnalysisError, AugmentedGraph, HbGraph,
     PairingPolicy, RaceReport,
 };
 
@@ -97,8 +97,7 @@ impl<'t> PostMortem<'t> {
         let m = &self.metrics;
         let hb =
             m.time("analysis.hb_build", || HbGraph::build(self.trace, self.options.pairing))?;
-        let (races, detect) =
-            m.time("analysis.detect", || detect_races_with_stats(self.trace, &hb));
+        let (races, detect) = m.time("analysis.detect", || detect_races_in(self.trace, &hb));
         let aug = m.time("analysis.augment", || AugmentedGraph::build(&hb, &races));
         let partitions = m.time("analysis.partition", || partition_races(&aug, &races));
         let scp = m.time("analysis.scp", || estimate_scp(self.trace, &aug, &races));

@@ -35,9 +35,10 @@
 //! same report, byte for byte. Both orders are `wmrd_core`'s
 //! [`HbGraph`](wmrd_core::HbGraph): the hb1 graph, plus under WCP one
 //! more over the kept edges when the weakening dropped any. One
-//! conflict sweep ([`detect_races_by`](wmrd_core::detect_races_by))
-//! under the predictive order finds the predicted races, and hb1
-//! filters them down to the observed ones — no second sweep.
+//! race sweep ([`detect_races_in`](wmrd_core::detect_races_in)) over
+//! the predictive order ([`PredictGraph::predictive`]) finds the
+//! predicted races, and hb1 filters them down to the observed ones —
+//! no second sweep.
 //!
 //! # Example
 //!

@@ -190,9 +190,15 @@ impl PredictGraph {
         &self.dropped
     }
 
+    /// The predictive order itself: the weakened order, or hb1 when the
+    /// weakening dropped no edge.
+    pub fn predictive(&self) -> &HbGraph {
+        self.weak.as_ref().unwrap_or(&self.hb1)
+    }
+
     /// `true` iff `a` precedes `b` in the predictive order.
     pub fn ordered(&self, a: EventId, b: EventId) -> bool {
-        self.weak.as_ref().unwrap_or(&self.hb1).ordered(a, b)
+        self.predictive().ordered(a, b)
     }
 
     /// `true` iff neither event precedes the other — the "unordered"

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use wmrd_core::{detect_races_by, event_race_keys, PairingPolicy, RaceKey, SideKey};
+use wmrd_core::{detect_races_in, event_race_keys, PairingPolicy, RaceKey, SideKey};
 use wmrd_trace::{metric_keys, Metrics, TraceSet};
 
 use crate::order::{PredictGraph, PredictOrder};
@@ -150,7 +150,7 @@ pub fn predict(
     order: PredictOrder,
 ) -> Result<PredictReport, wmrd_core::AnalysisError> {
     let graph = PredictGraph::build(trace, policy, order)?;
-    let (mut races, detect) = detect_races_by(trace, |a, b| graph.concurrent(a, b));
+    let (mut races, detect) = detect_races_in(trace, graph.predictive());
     let keys = event_race_keys(&races, trace);
     let stats = PredictStats {
         events: graph.num_events(),

@@ -251,3 +251,52 @@ fn cli_predicts_from_committed_trace_files() {
     .unwrap();
     assert!(clean.contains("verdict: predictively race-free"), "{clean}");
 }
+
+/// Post-mortem analysis and WCP prediction stay output-sensitive at
+/// scale: a ≈10⁵-event racy spin-lock trace (the generator and machine
+/// of the benchmark's `analyze-large`, with 1,600 sections per
+/// processor) goes through both within a bound generous for an
+/// unoptimized build. A race sweep that enumerated every conflicting
+/// pair, ordered or not, took 51 s for this size in an optimized build.
+#[test]
+fn postmortem_and_prediction_scale_past_1e5_events() {
+    use std::time::{Duration, Instant};
+    use wmrd_progs::generate::{racy, GenConfig};
+    use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig};
+    use wmrd_trace::TraceBuilder;
+
+    let config = GenConfig {
+        procs: 4,
+        shared_locations: 16,
+        sections_per_proc: 1_600,
+        ops_per_section: 6,
+        rogue_fraction: 0.3,
+        seed: 1,
+    };
+    let program = racy(&config);
+    let mut builder = TraceBuilder::new(program.num_procs());
+    let mut sched = RandomWeakSched::new(1, 0.3);
+    let (model, fidelity) = (MemoryModel::Wo, Fidelity::Conditioned);
+    run_weak_hw(
+        HwImpl::StoreBuffer,
+        &program,
+        model,
+        fidelity,
+        &mut sched,
+        &mut builder,
+        RunConfig::default(),
+    )
+    .unwrap();
+    let trace = builder.finish();
+    assert!(trace.num_events() >= 90_000, "{} events", trace.num_events());
+
+    let start = Instant::now();
+    let report = PostMortem::new(&trace).analyze().unwrap();
+    let analyzed = start.elapsed();
+    let predicted = predict(&trace, "scale", PairingPolicy::ByRole, PredictOrder::Wcp).unwrap();
+    let took = start.elapsed();
+    eprintln!("{} events: analyze {analyzed:?}, analyze + predict {took:?}", trace.num_events());
+    assert!(!report.is_race_free(), "rogue sections race");
+    assert!(event_race_keys(&report.races, &trace).is_subset(&predicted.keys));
+    assert!(took < Duration::from_secs(120), "analyze + predict took {took:?}");
+}
