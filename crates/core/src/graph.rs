@@ -10,7 +10,9 @@
 //! then one topological sweep gives every component a clock of one word
 //! per processor — the vector-clock idea, applied to the condensation.
 //! That is `O(V + C·P)` words for `V` events, `C` components and `P`
-//! processors, and `O((V + E)·P)` time.
+//! processors, and `O((V + E)·P)` time. The same clocks give race
+//! detection its unit of work: the window of one chain's events left
+//! unordered with a given event, found by one binary search.
 
 use std::fmt;
 
@@ -116,11 +118,10 @@ impl ChainOrder {
         let (Some(&start), Some(&end)) = (self.offsets.get(q), self.offsets.get(q + 1)) else {
             return (0, 0);
         };
-        let len = end - start;
-        let Some(node) = self.node(a) else { return (0, len) };
+        let Some(node) = self.node(a) else { return (0, end - start) };
         let procs = self.num_chains();
         let lo = self.clocks[self.comp_of[node as usize] as usize * procs + q];
-        let chain = &self.comp_of[start as usize..(start + len) as usize];
+        let chain = &self.comp_of[start as usize..end as usize];
         let hi =
             chain.partition_point(|&c| self.clocks[c as usize * procs + a.proc.index()] <= a.index);
         (lo, hi as u32)

@@ -29,11 +29,7 @@ use crate::{
 /// data races exist iff data races exist.
 pub fn check_theorem_4_1(report: &RaceReport) -> bool {
     let has_data_races = !report.is_race_free();
-    let has_first_partitions = report
-        .partitions
-        .first_indices()
-        .iter()
-        .any(|&i| !report.partitions.partitions()[i].races.is_empty());
+    let has_first_partitions = report.first_partitions().any(|part| !part.is_empty());
     has_data_races == has_first_partitions
 }
 
@@ -77,9 +73,6 @@ pub fn check_theorem_4_2(
     let mut checked = 0;
     let mut confirmed = 0;
     for part in report.first_partitions() {
-        if part.races.is_empty() {
-            continue;
-        }
         checked += 1;
         let part_races: Vec<_> = part.races.iter().map(|&r| report.races[r].clone()).collect();
         let sigs = event_race_signatures(&part_races, trace);

@@ -32,10 +32,24 @@ cp benchmark/Cargo.lock "$lock"
 bench_status=0
 cargo check --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
 cp "$lock" benchmark/Cargo.lock
-rm -f "$lock"
 if [ "$bench_status" -ne 0 ]; then
+    rm -f "$lock"
     echo "check.sh: benchmark/ no longer builds against the workspace" >&2
     exit "$bench_status"
+fi
+
+echo "== benchmark smoke (every workload's per-operation checks)"
+# One short pass per workload. Each operation checks its outputs:
+# streamed race keys equal the post-mortem keys, and observed keys lie
+# within the WCP-predicted keys, which lie within the lint keys. The
+# run builds the benchmark, so the lock file is put back here too.
+smoke_status=0
+sh benchmark/run.sh --smoke || smoke_status=$?
+cp "$lock" benchmark/Cargo.lock
+rm -f "$lock"
+if [ "$smoke_status" -ne 0 ]; then
+    echo "check.sh: sh benchmark/run.sh --smoke failed" >&2
+    exit "$smoke_status"
 fi
 
 echo "== cargo test"
