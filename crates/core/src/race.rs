@@ -371,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_sync_pair_is_counted_not_reported() {
+    fn sync_sync_race_is_not_a_data_race() {
         // Two unpaired sync writes to the same location: unordered, but
         // not a data race — absent from the races, present in the count.
         let mut b = TraceBuilder::new(2);
