@@ -1,5 +1,6 @@
-//! Race detection: conflicting, hb1-unordered event pairs
-//! (Definition 2.4 lifted to events, Section 4.1).
+//! Data-race detection: conflicting, hb1-unordered event pairs with a
+//! data participant (Definition 2.4 lifted to events, Section 4.1),
+//! found by one window sweep over the chain-clock order.
 
 use std::fmt;
 
@@ -66,9 +67,9 @@ impl fmt::Display for DataRace {
     }
 }
 
-/// Counters from one invocation of the race detector: how much
-/// candidate-generation work was performed versus how many races
-/// survived the happens-before check.
+/// Counters from one invocation of the race detector: how many pairs
+/// could be data races versus how many are, plus the unordered
+/// sync-sync pairs.
 ///
 /// Deterministic for a fixed trace: `candidate_pairs` depends only on
 /// the trace's accesses, not on the order that tests concurrency.
