@@ -49,20 +49,23 @@
 //! processor (minimal critical cycles need no more), only accesses with
 //! statically resolved addresses participate, and at most
 //! [`MAX_CYCLES`] distinct cycles are collected (`capped` reports
-//! truncation). Pairs with an unresolved side are address-approximation
-//! artifacts; they are classified but excluded from the delay set and
-//! from repair (see DESIGN.md §11).
+//! truncation). Truncation leaves every key's class alone — classes
+//! come from witnesses, not cycles — but the per-key cycle counts and
+//! the delay set, and so the fences repair derives from it, then rest
+//! on the truncated sample. Pairs with an unresolved side are
+//! address-approximation artifacts; they are classified but excluded
+//! from the delay set and from repair (see DESIGN.md §11).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
-use wmrd_core::RaceKey;
+use wmrd_core::{RaceKey, SideKey};
 use wmrd_sim::{Addr, Instr, Program};
-use wmrd_trace::{Json, Location, ProcId, ToJson};
+use wmrd_trace::{AccessKind, Json, Location, ProcId, ToJson};
 
 use crate::absint::Access;
 use crate::cfg::Cfg;
-use crate::report::LintReport;
+use crate::report::{kinds, LintReport};
 
 /// Cap on distinct enumerated cycles; `CycleReport::capped` records a
 /// hit. Generous: the whole catalog stays far below it.
@@ -284,6 +287,9 @@ pub(crate) struct Skeleton {
     pub(crate) code: Vec<Vec<Instr>>,
     /// Accesses grouped by processor, each in pc order.
     pub(crate) accesses: Vec<Vec<Access>>,
+    /// `at_pc[p][pc]`: index into `accesses[p]` of the (first) access
+    /// at `pc`.
+    at_pc: Vec<Vec<Option<usize>>>,
     /// `reach[p][i][j]`: a CFG path leads from pc `i` to pc `j` (i ≠ j
     /// allowed to both hold on loops; `i == j` only via a cycle).
     reach: Vec<Vec<Vec<bool>>>,
@@ -314,6 +320,7 @@ impl Skeleton {
         let mut cfgs = Vec::new();
         let mut codes = Vec::new();
         let mut accesses = Vec::new();
+        let mut at_pc = Vec::new();
         let mut reach = Vec::new();
         let mut rel_after = Vec::new();
         let mut acq_before = Vec::new();
@@ -363,9 +370,14 @@ impl Skeleton {
                 .filter(|a| a.sync && a.writes && a.resolved)
                 .map(|a| Location::new(a.lo))
                 .collect();
+            let mut idx = vec![None; n];
+            for (k, a) in accs.iter().enumerate() {
+                idx[a.pc].get_or_insert(k);
+            }
             cfgs.push(cfg);
             codes.push(code.clone());
             accesses.push(accs);
+            at_pc.push(idx);
             reach.push(rch);
             rel_after.push(rel);
             acq_before.push(acq);
@@ -376,6 +388,7 @@ impl Skeleton {
             cfgs,
             code: codes,
             accesses,
+            at_pc,
             reach,
             rel_after,
             acq_before,
@@ -387,7 +400,12 @@ impl Skeleton {
     }
 
     pub(crate) fn access(&self, proc: ProcId, pc: usize) -> Option<&Access> {
-        self.accesses.get(proc.index())?.iter().find(|a| a.pc == pc)
+        self.access_at(proc.index(), pc)
+    }
+
+    fn access_at(&self, proc: usize, pc: usize) -> Option<&Access> {
+        let k = (*self.at_pc.get(proc)?.get(pc)?)?;
+        Some(&self.accesses[proc][k])
     }
 
     fn reaches(&self, proc: usize, i: usize, j: usize) -> bool {
@@ -469,9 +487,8 @@ impl Skeleton {
     /// `true` iff conforming hardware already globally performs the po
     /// pair `(i, j)` in order (see [`DelayPair::enforced`]).
     pub(crate) fn delay_enforced(&self, proc: usize, i: usize, j: usize) -> bool {
-        let code_sync = |pc: usize| self.accesses[proc].iter().any(|a| a.pc == pc && a.sync);
-        let sync_write =
-            |pc: usize| self.accesses[proc].iter().any(|a| a.pc == pc && a.sync && a.writes);
+        let code_sync = |pc: usize| self.access_at(proc, pc).is_some_and(|a| a.sync);
+        let sync_write = |pc: usize| self.access_at(proc, pc).is_some_and(|a| a.sync && a.writes);
         if code_sync(i) || sync_write(j) {
             return true;
         }
@@ -645,23 +662,32 @@ type CycleSig = Vec<(usize, usize, usize)>;
 /// Classifies the report's keys and computes the delay set.
 pub fn analyze_cycles(program: &Program, report: &LintReport) -> CycleReport {
     let sk = Skeleton::build(program);
-    build_cycle_report(program, report, &sk)
+    build_cycle_report(report, &sk)
 }
 
-pub(crate) fn build_cycle_report(
-    _program: &Program,
-    report: &LintReport,
-    sk: &Skeleton,
-) -> CycleReport {
+/// One report pair, resolved to its skeleton accesses and classified.
+struct PairClass<'a> {
+    x: &'a Access,
+    y: &'a Access,
+    class: RaceClass,
+    witness: Option<Witness>,
+    /// The pair's conflict edge `(min, max)` by flat index, when both
+    /// sides are resolved.
+    edge: Option<(usize, usize)>,
+}
+
+pub(crate) fn build_cycle_report(report: &LintReport, sk: &Skeleton) -> CycleReport {
+    // The conflict graph's nodes: resolved accesses in (proc, pc) order,
+    // indexed by (proc, pc) with the first position winning.
+    let flat: Vec<&Access> = sk.accesses.iter().flatten().filter(|a| a.resolved).collect();
+    let mut flat_at: Vec<Vec<Option<usize>>> =
+        sk.code.iter().map(|code| vec![None; code.len()]).collect();
+    for (i, a) in flat.iter().enumerate() {
+        flat_at[a.proc.index()][a.pc].get_or_insert(i);
+    }
+
     // Classify every report pair through its (proc, pc) accesses;
     // indices stay aligned with `report.pairs`.
-    struct PairClass {
-        a: (usize, usize),
-        b: (usize, usize),
-        class: RaceClass,
-        witness: Option<Witness>,
-        resolved: bool,
-    }
     let pair_class: Vec<Option<PairClass>> = report
         .pairs
         .iter()
@@ -669,20 +695,17 @@ pub(crate) fn build_cycle_report(
             let (x, y) = (sk.access(p.a.proc, p.a.pc)?, sk.access(p.b.proc, p.b.pc)?);
             let witness = sk.witness(x, y);
             let class = if witness.is_some() { RaceClass::WeakOnly } else { RaceClass::ScAlso };
-            Some(PairClass {
-                a: (x.proc.index(), x.pc),
-                b: (y.proc.index(), y.pc),
-                class,
-                witness,
-                resolved: x.resolved && y.resolved,
-            })
+            let edge = match (flat_at[x.proc.index()][x.pc], flat_at[y.proc.index()][y.pc]) {
+                (Some(i), Some(j)) => Some((i.min(j), i.max(j))),
+                _ => None,
+            };
+            Some(PairClass { x, y, class, witness, edge })
         })
         .collect();
 
     // The conflict graph over resolved accesses (sync-sync edges
     // included — they carry ordering through cycles; lock-mediated
     // edges excluded — mutual exclusion collapses those cycles).
-    let flat: Vec<&Access> = sk.accesses.iter().flatten().filter(|a| a.resolved).collect();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); flat.len()];
     for (i, x) in flat.iter().enumerate() {
         for (j, y) in flat.iter().enumerate().skip(i + 1) {
@@ -699,17 +722,11 @@ pub(crate) fn build_cycle_report(
     }
 
     // sc-also conflict edges, by flat index, for criticality.
-    let flat_pos =
-        |(proc, pc): (usize, usize)| flat.iter().position(|a| a.proc.index() == proc && a.pc == pc);
     let sc_edge: BTreeSet<(usize, usize)> = pair_class
         .iter()
         .flatten()
-        .filter(|pc| pc.resolved && pc.class == RaceClass::ScAlso)
-        .filter_map(|pc| {
-            let fi = flat_pos(pc.a)?;
-            let fj = flat_pos(pc.b)?;
-            Some((fi.min(fj), fi.max(fj)))
-        })
+        .filter(|pc| pc.class == RaceClass::ScAlso)
+        .filter_map(|pc| pc.edge)
         .collect();
 
     let (cycles, capped) = enumerate_cycles(&flat, &adj, sk);
@@ -751,37 +768,58 @@ pub(crate) fn build_cycle_report(
         .collect();
 
     // Key classification: a key is weak-only iff every contributing
-    // pair is; cycle count sums over contributing resolved edges.
-    let mut classes = Vec::new();
-    for key in &report.keys {
-        let mut class = RaceClass::WeakOnly;
-        let mut witness = None;
-        let mut cycles_through = 0usize;
-        for (idx, p) in report.pairs.iter().enumerate() {
-            let Some(pc) = &pair_class[idx] else { continue };
-            let (Some(x), Some(y)) = (sk.access(p.a.proc, p.a.pc), sk.access(p.b.proc, p.b.pc))
-            else {
-                continue;
-            };
-            if !pair_contributes(x, y, key) {
-                continue;
+    // pair is, its witness is the first weak-only pair's, and its cycle
+    // count sums over contributing resolved edges. One pass over the
+    // pairs in report order; each pair range-queries, per side pair it
+    // expands to, the keys within its overlap `[first, last]`.
+    let mut by_sides: HashMap<(SideKey, SideKey), Vec<(u32, usize)>> = HashMap::new();
+    for (k, key) in report.keys.iter().enumerate() {
+        // `keys` is location-major, so every list is sorted by location.
+        by_sides.entry((key.a, key.b)).or_default().push((key.loc.addr(), k));
+    }
+    let mut classes: Vec<KeyClass> = report
+        .keys
+        .iter()
+        .map(|&key| KeyClass { key, class: RaceClass::WeakOnly, witness: None, cycles: 0 })
+        .collect();
+    let mut hits: Vec<usize> = Vec::new();
+    for pc in pair_class.iter().flatten() {
+        let (x, y) = (pc.x, pc.y);
+        let (first, last) = (x.lo.max(y.lo), x.hi.min(y.hi));
+        hits.clear();
+        for ka in kinds(x) {
+            for kb in kinds(y) {
+                if ka == AccessKind::Read && kb == AccessKind::Read {
+                    continue;
+                }
+                let sides = RaceKey::new(
+                    Location::new(first),
+                    SideKey { proc: x.proc, kind: ka, sync: x.sync },
+                    SideKey { proc: y.proc, kind: kb, sync: y.sync },
+                );
+                let Some(locs) = by_sides.get(&(sides.a, sides.b)) else { continue };
+                let from = locs.partition_point(|&(loc, _)| loc < first);
+                hits.extend(locs[from..].iter().take_while(|e| e.0 <= last).map(|e| e.1));
             }
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        let through = pc.edge.and_then(|e| edge_cycles.get(&e)).copied().unwrap_or(0);
+        for &k in &hits {
+            let c = &mut classes[k];
             match pc.class {
                 RaceClass::ScAlso => {
-                    class = RaceClass::ScAlso;
-                    witness = None;
+                    c.class = RaceClass::ScAlso;
+                    c.witness = None;
                 }
                 RaceClass::WeakOnly => {
-                    if class == RaceClass::WeakOnly && witness.is_none() {
-                        witness = pc.witness;
+                    if c.class == RaceClass::WeakOnly && c.witness.is_none() {
+                        c.witness = pc.witness;
                     }
                 }
             }
-            if let (Some(fi), Some(fj)) = (flat_pos(pc.a), flat_pos(pc.b)) {
-                cycles_through += edge_cycles.get(&(fi.min(fj), fi.max(fj))).copied().unwrap_or(0);
-            }
+            c.cycles += through;
         }
-        classes.push(KeyClass { key: *key, class, witness, cycles: cycles_through });
     }
 
     let sc_also = classes.iter().filter(|c| c.class == RaceClass::ScAlso).count();
@@ -797,40 +835,6 @@ pub(crate) fn build_cycle_report(
     }
 }
 
-/// `true` iff the pair `(x, y)` expands to `key` under the report's own
-/// key construction.
-fn pair_contributes(x: &Access, y: &Access, key: &RaceKey) -> bool {
-    use wmrd_trace::AccessKind;
-    let first = x.lo.max(y.lo);
-    let last = x.hi.min(y.hi);
-    if key.loc.addr() < first || key.loc.addr() > last {
-        return false;
-    }
-    let kinds = |a: &Access| {
-        [(a.reads, AccessKind::Read), (a.writes, AccessKind::Write)]
-            .into_iter()
-            .filter(|(p, _)| *p)
-            .map(|(_, k)| k)
-            .collect::<Vec<_>>()
-    };
-    for ka in kinds(x) {
-        for kb in kinds(y) {
-            if ka == AccessKind::Read && kb == AccessKind::Read {
-                continue;
-            }
-            let cand = RaceKey::new(
-                key.loc,
-                wmrd_core::SideKey { proc: x.proc, kind: ka, sync: x.sync },
-                wmrd_core::SideKey { proc: y.proc, kind: kb, sync: y.sync },
-            );
-            if &cand == key {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// Enumerates distinct cycles over the conflict graph: each processor
 /// visited at most once, contributing one access or a program-ordered
 /// pair. Returns canonical signatures and whether the cap was hit.
@@ -839,94 +843,455 @@ fn enumerate_cycles(
     adj: &[Vec<usize>],
     sk: &Skeleton,
 ) -> (BTreeSet<CycleSig>, bool) {
-    let mut found: BTreeSet<CycleSig> = BTreeSet::new();
-    let mut capped = false;
-    let po = |i: usize, j: usize| -> bool {
-        let (a, b) = (flat[i], flat[j]);
-        a.proc == b.proc && a.pc != b.pc && sk.reaches(a.proc.index(), a.pc, b.pc)
+    // po_succ[i]: the flat accesses program-ordered after `i`,
+    // ascending. `flat` is grouped by processor, so only `i`'s own
+    // block can hold them.
+    let mut po_succ: Vec<Vec<usize>> = Vec::with_capacity(flat.len());
+    let mut base = 0;
+    for block in flat.chunk_by(|a, b| a.proc == b.proc) {
+        for a in block {
+            po_succ.push(
+                (0..block.len())
+                    .filter(|&k| {
+                        block[k].pc != a.pc && sk.reaches(a.proc.index(), a.pc, block[k].pc)
+                    })
+                    .map(|k| base + k)
+                    .collect(),
+            );
+        }
+        base += block.len();
+    }
+    let mut search = Search {
+        flat,
+        adj,
+        po_succ: &po_succ,
+        on_path: vec![false; sk.accesses.len()],
+        path: Vec::new(),
+        found: BTreeSet::new(),
+        capped: false,
     };
-    for start in 0..flat.len() {
-        if capped {
+    for (start, a) in flat.iter().enumerate() {
+        if search.capped {
             break;
         }
         // Segments: (entry, exit); `start` is the cycle's minimum flat
         // index and the entry of its segment.
-        let exits: Vec<usize> = std::iter::once(start)
-            .chain((0..flat.len()).filter(|&t| t > start && po(start, t)))
-            .collect();
-        for &exit0 in &exits {
-            let mut path: Vec<(usize, usize)> = vec![(start, exit0)];
-            let mut procs: BTreeSet<usize> = BTreeSet::from([flat[start].proc.index()]);
-            dfs(start, exit0, &mut path, &mut procs, flat, adj, sk, &mut found, &mut capped);
-            debug_assert_eq!(path.len(), 1);
+        let proc = a.proc.index();
+        search.on_path[proc] = true;
+        for exit0 in search.exits(start, start) {
+            search.path.push((start, exit0));
+            search.dfs(start, exit0);
+            search.path.pop();
         }
+        search.on_path[proc] = false;
     }
-    (found, capped)
+    (search.found, search.capped)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    start: usize,
-    cur_exit: usize,
-    path: &mut Vec<(usize, usize)>,
-    procs: &mut BTreeSet<usize>,
-    flat: &[&Access],
-    adj: &[Vec<usize>],
-    sk: &Skeleton,
-    found: &mut BTreeSet<CycleSig>,
-    capped: &mut bool,
-) {
-    if *capped {
-        return;
+/// The state of the cycle DFS: the path so far as `(entry, exit)`
+/// segments and a visited flag per processor.
+struct Search<'a> {
+    flat: &'a [&'a Access],
+    adj: &'a [Vec<usize>],
+    po_succ: &'a [Vec<usize>],
+    on_path: Vec<bool>,
+    path: Vec<(usize, usize)>,
+    found: BTreeSet<CycleSig>,
+    capped: bool,
+}
+
+impl<'a> Search<'a> {
+    /// A segment entered at `entry` exits at `entry` itself or at a
+    /// po-successor above `start`, ascending.
+    fn exits(&self, entry: usize, start: usize) -> impl Iterator<Item = usize> + 'a {
+        let succ = &self.po_succ[entry];
+        let from = succ.partition_point(|&t| t <= start);
+        std::iter::once(entry).chain(succ[from..].iter().copied())
     }
-    for &next in &adj[cur_exit] {
-        if next == start && path.len() >= 2 {
-            // A two-segment cycle of two lone accesses would reuse its
-            // single conflict edge in both directions — not a cycle.
-            if path.len() == 2 && path[0].0 == path[0].1 && path[1].0 == path[1].1 {
+
+    fn dfs(&mut self, start: usize, cur_exit: usize) {
+        if self.capped {
+            return;
+        }
+        for &next in &self.adj[cur_exit] {
+            let path = &self.path;
+            if next == start && path.len() >= 2 {
+                // A two-segment cycle of two lone accesses would reuse its
+                // single conflict edge in both directions — not a cycle.
+                if path.len() == 2 && path[0].0 == path[0].1 && path[1].0 == path[1].1 {
+                    continue;
+                }
+                let sig: CycleSig =
+                    path.iter().map(|&(e, x)| (self.flat[e].proc.index(), e, x)).collect();
+                self.found.insert(canonical(sig));
+                if self.found.len() >= MAX_CYCLES {
+                    self.capped = true;
+                    return;
+                }
                 continue;
             }
-            let sig: CycleSig = path.iter().map(|&(e, x)| (flat[e].proc.index(), e, x)).collect();
-            found.insert(canonical(sig));
-            if found.len() >= MAX_CYCLES {
-                *capped = true;
-                return;
+            let proc = self.flat[next].proc.index();
+            if next <= start || self.on_path[proc] {
+                continue;
             }
-            continue;
+            self.on_path[proc] = true;
+            for exit in self.exits(next, start) {
+                self.path.push((next, exit));
+                self.dfs(start, exit);
+                self.path.pop();
+            }
+            self.on_path[proc] = false;
         }
-        if next <= start || procs.contains(&flat[next].proc.index()) {
-            continue;
-        }
-        let po = |i: usize, j: usize| -> bool {
-            let (a, b) = (flat[i], flat[j]);
-            a.proc == b.proc && a.pc != b.pc && sk.reaches(a.proc.index(), a.pc, b.pc)
-        };
-        let exits: Vec<usize> = std::iter::once(next)
-            .chain((0..flat.len()).filter(|&t| t > start && t != next && po(next, t)))
-            .collect();
-        procs.insert(flat[next].proc.index());
-        for &exit in &exits {
-            path.push((next, exit));
-            dfs(start, exit, path, procs, flat, adj, sk, found, capped);
-            path.pop();
-        }
-        procs.remove(&flat[next].proc.index());
     }
 }
 
-/// Canonical form: rotate so the minimum segment comes first, then pick
-/// the lexicographically smaller of the two traversal directions.
-fn canonical(sig: CycleSig) -> CycleSig {
+/// Canonical form: the lexicographically least rotation over both
+/// traversal directions. The DFS starts every cycle at its minimum flat
+/// index, whose processor is the cycle's smallest (`flat` is ordered by
+/// processor and each processor appears once), so the first segment
+/// already leads; only the direction of the rest is open.
+fn canonical(mut sig: CycleSig) -> CycleSig {
     let n = sig.len();
-    let mut best: Option<CycleSig> = None;
-    for rot in 0..n {
-        let fwd: CycleSig = (0..n).map(|k| sig[(rot + k) % n]).collect();
-        let rev: CycleSig = (0..n).map(|k| sig[(rot + n - k) % n]).collect();
-        for cand in [fwd, rev] {
-            if best.as_ref().is_none_or(|b| &cand < b) {
-                best = Some(cand);
+    if sig[n - 1] < sig[1] {
+        sig[1..].reverse();
+    }
+    sig
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::repair::repair_from;
+    use wmrd_progs::catalog;
+    use wmrd_progs::generate::{racy, GenConfig};
+    use wmrd_sim::write_asm;
+
+    /// The straightforward forms the report must reproduce exactly: every
+    /// key scans every pair through linear access and flat-position
+    /// searches, and the DFS rescans all accesses for each segment's
+    /// exits and canonicalizes over all 2n rotations.
+    mod reference {
+        use super::*;
+
+        fn access(sk: &Skeleton, proc: ProcId, pc: usize) -> Option<&Access> {
+            sk.accesses.get(proc.index())?.iter().find(|a| a.pc == pc)
+        }
+
+        pub(super) fn build_cycle_report(report: &LintReport, sk: &Skeleton) -> CycleReport {
+            struct PairClass {
+                a: (usize, usize),
+                b: (usize, usize),
+                class: RaceClass,
+                witness: Option<Witness>,
+                resolved: bool,
+            }
+            let pair_class: Vec<Option<PairClass>> = report
+                .pairs
+                .iter()
+                .map(|p| {
+                    let (x, y) = (access(sk, p.a.proc, p.a.pc)?, access(sk, p.b.proc, p.b.pc)?);
+                    let witness = sk.witness(x, y);
+                    let class =
+                        if witness.is_some() { RaceClass::WeakOnly } else { RaceClass::ScAlso };
+                    Some(PairClass {
+                        a: (x.proc.index(), x.pc),
+                        b: (y.proc.index(), y.pc),
+                        class,
+                        witness,
+                        resolved: x.resolved && y.resolved,
+                    })
+                })
+                .collect();
+            let flat: Vec<&Access> = sk.accesses.iter().flatten().filter(|a| a.resolved).collect();
+            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); flat.len()];
+            for (i, x) in flat.iter().enumerate() {
+                for (j, y) in flat.iter().enumerate().skip(i + 1) {
+                    if x.proc == y.proc
+                        || x.lo.max(y.lo) > x.hi.min(y.hi)
+                        || !(x.writes || y.writes)
+                        || x.held.intersection(&y.held).next().is_some()
+                    {
+                        continue;
+                    }
+                    adj[i].push(j);
+                    adj[j].push(i);
+                }
+            }
+            let flat_pos = |(proc, pc): (usize, usize)| {
+                flat.iter().position(|a| a.proc.index() == proc && a.pc == pc)
+            };
+            let sc_edge: BTreeSet<(usize, usize)> = pair_class
+                .iter()
+                .flatten()
+                .filter(|pc| pc.resolved && pc.class == RaceClass::ScAlso)
+                .filter_map(|pc| {
+                    let fi = flat_pos(pc.a)?;
+                    let fj = flat_pos(pc.b)?;
+                    Some((fi.min(fj), fi.max(fj)))
+                })
+                .collect();
+            let (cycles, capped) = enumerate_cycles(&flat, &adj, sk);
+            let mut delay_map: BTreeMap<(usize, usize, usize), bool> = BTreeMap::new();
+            let mut edge_cycles: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+            for sig in &cycles {
+                let mut edges = Vec::new();
+                for k in 0..sig.len() {
+                    let (_, _, exit) = sig[k];
+                    let (entry, _, _) = sig[(k + 1) % sig.len()];
+                    edges.push((exit.min(entry), exit.max(entry)));
+                }
+                let critical = edges.iter().any(|e| sc_edge.contains(e));
+                for e in &edges {
+                    *edge_cycles.entry(*e).or_insert(0) += 1;
+                }
+                for &(_, entry, exit) in sig {
+                    if entry != exit {
+                        let (pa, pb) = (flat[entry], flat[exit]);
+                        let e = delay_map.entry((pa.proc.index(), pa.pc, pb.pc)).or_insert(false);
+                        *e |= critical;
+                    }
+                }
+            }
+            let delays: Vec<DelayPair> = delay_map
+                .into_iter()
+                .map(|((proc, from, to), critical)| DelayPair {
+                    proc: ProcId::new(proc as u16),
+                    from,
+                    to,
+                    enforced: sk.delay_enforced(proc, from, to),
+                    critical,
+                })
+                .collect();
+            let mut classes = Vec::new();
+            for key in &report.keys {
+                let mut class = RaceClass::WeakOnly;
+                let mut witness = None;
+                let mut cycles_through = 0usize;
+                for (idx, p) in report.pairs.iter().enumerate() {
+                    let Some(pc) = &pair_class[idx] else { continue };
+                    let (Some(x), Some(y)) =
+                        (access(sk, p.a.proc, p.a.pc), access(sk, p.b.proc, p.b.pc))
+                    else {
+                        continue;
+                    };
+                    if !pair_contributes(x, y, key) {
+                        continue;
+                    }
+                    match pc.class {
+                        RaceClass::ScAlso => {
+                            class = RaceClass::ScAlso;
+                            witness = None;
+                        }
+                        RaceClass::WeakOnly => {
+                            if class == RaceClass::WeakOnly && witness.is_none() {
+                                witness = pc.witness;
+                            }
+                        }
+                    }
+                    if let (Some(fi), Some(fj)) = (flat_pos(pc.a), flat_pos(pc.b)) {
+                        cycles_through +=
+                            edge_cycles.get(&(fi.min(fj), fi.max(fj))).copied().unwrap_or(0);
+                    }
+                }
+                classes.push(KeyClass { key: *key, class, witness, cycles: cycles_through });
+            }
+            let sc_also = classes.iter().filter(|c| c.class == RaceClass::ScAlso).count();
+            let weak_only = classes.len() - sc_also;
+            CycleReport {
+                program: report.program.clone(),
+                cycles: cycles.len(),
+                capped,
+                classes,
+                delays,
+                sc_also,
+                weak_only,
             }
         }
+
+        fn pair_contributes(x: &Access, y: &Access, key: &RaceKey) -> bool {
+            let first = x.lo.max(y.lo);
+            let last = x.hi.min(y.hi);
+            if key.loc.addr() < first || key.loc.addr() > last {
+                return false;
+            }
+            let kinds = |a: &Access| {
+                [(a.reads, AccessKind::Read), (a.writes, AccessKind::Write)]
+                    .into_iter()
+                    .filter(|(p, _)| *p)
+                    .map(|(_, k)| k)
+                    .collect::<Vec<_>>()
+            };
+            for ka in kinds(x) {
+                for kb in kinds(y) {
+                    if ka == AccessKind::Read && kb == AccessKind::Read {
+                        continue;
+                    }
+                    let cand = RaceKey::new(
+                        key.loc,
+                        SideKey { proc: x.proc, kind: ka, sync: x.sync },
+                        SideKey { proc: y.proc, kind: kb, sync: y.sync },
+                    );
+                    if &cand == key {
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+
+        fn enumerate_cycles(
+            flat: &[&Access],
+            adj: &[Vec<usize>],
+            sk: &Skeleton,
+        ) -> (BTreeSet<CycleSig>, bool) {
+            let mut found: BTreeSet<CycleSig> = BTreeSet::new();
+            let mut capped = false;
+            let po = |i: usize, j: usize| -> bool {
+                let (a, b) = (flat[i], flat[j]);
+                a.proc == b.proc && a.pc != b.pc && sk.reaches(a.proc.index(), a.pc, b.pc)
+            };
+            for start in 0..flat.len() {
+                if capped {
+                    break;
+                }
+                let exits: Vec<usize> = std::iter::once(start)
+                    .chain((0..flat.len()).filter(|&t| t > start && po(start, t)))
+                    .collect();
+                for &exit0 in &exits {
+                    let mut path: Vec<(usize, usize)> = vec![(start, exit0)];
+                    let mut procs: BTreeSet<usize> = BTreeSet::from([flat[start].proc.index()]);
+                    let mut ctx = (&mut found, &mut capped);
+                    dfs(start, exit0, &mut path, &mut procs, flat, adj, sk, &mut ctx);
+                }
+            }
+            (found, capped)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn dfs(
+            start: usize,
+            cur_exit: usize,
+            path: &mut Vec<(usize, usize)>,
+            procs: &mut BTreeSet<usize>,
+            flat: &[&Access],
+            adj: &[Vec<usize>],
+            sk: &Skeleton,
+            ctx: &mut (&mut BTreeSet<CycleSig>, &mut bool),
+        ) {
+            if *ctx.1 {
+                return;
+            }
+            for &next in &adj[cur_exit] {
+                if next == start && path.len() >= 2 {
+                    if path.len() == 2 && path[0].0 == path[0].1 && path[1].0 == path[1].1 {
+                        continue;
+                    }
+                    let sig: CycleSig =
+                        path.iter().map(|&(e, x)| (flat[e].proc.index(), e, x)).collect();
+                    ctx.0.insert(canonical(sig));
+                    if ctx.0.len() >= MAX_CYCLES {
+                        *ctx.1 = true;
+                        return;
+                    }
+                    continue;
+                }
+                if next <= start || procs.contains(&flat[next].proc.index()) {
+                    continue;
+                }
+                let po = |i: usize, j: usize| -> bool {
+                    let (a, b) = (flat[i], flat[j]);
+                    a.proc == b.proc && a.pc != b.pc && sk.reaches(a.proc.index(), a.pc, b.pc)
+                };
+                let exits: Vec<usize> = std::iter::once(next)
+                    .chain((0..flat.len()).filter(|&t| t > start && t != next && po(next, t)))
+                    .collect();
+                procs.insert(flat[next].proc.index());
+                for &exit in &exits {
+                    path.push((next, exit));
+                    dfs(start, exit, path, procs, flat, adj, sk, ctx);
+                    path.pop();
+                }
+                procs.remove(&flat[next].proc.index());
+            }
+        }
+
+        fn canonical(sig: CycleSig) -> CycleSig {
+            let n = sig.len();
+            let mut best: Option<CycleSig> = None;
+            for rot in 0..n {
+                let fwd: CycleSig = (0..n).map(|k| sig[(rot + k) % n]).collect();
+                let rev: CycleSig = (0..n).map(|k| sig[(rot + n - k) % n]).collect();
+                for cand in [fwd, rev] {
+                    if best.as_ref().is_none_or(|b| &cand < b) {
+                        best = Some(cand);
+                    }
+                }
+            }
+            best.expect("cycle has at least two segments")
+        }
     }
-    best.expect("cycle has at least two segments")
+
+    /// Asserts the report, its rendering and the repaired program equal
+    /// the reference's; returns whether enumeration hit the cap.
+    fn assert_matches_reference(program: &Program) -> bool {
+        let report = crate::analyze(program);
+        let sk = Skeleton::build(program);
+        for (p, accs) in sk.accesses.iter().enumerate() {
+            for pc in 0..sk.code[p].len() {
+                let linear = accs.iter().find(|a| a.pc == pc).map(std::ptr::from_ref);
+                let indexed = sk.access(ProcId::new(p as u16), pc).map(std::ptr::from_ref);
+                assert_eq!(indexed, linear, "{}", program.name());
+            }
+        }
+        let got = build_cycle_report(&report, &sk);
+        let want = reference::build_cycle_report(&report, &sk);
+        assert_eq!(got, want, "{}:\n{}", program.name(), want.render());
+        assert_eq!(got.render(), want.render());
+        let (got_fix, want_fix) =
+            (repair_from(program, &sk, &got), repair_from(program, &sk, &want));
+        assert_eq!(got_fix.plan, want_fix.plan, "{}", program.name());
+        assert_eq!(write_asm(&got_fix.repaired), write_asm(&want_fix.repaired));
+        got.capped
+    }
+
+    #[test]
+    fn catalog_reports_match_the_reference() {
+        for entry in catalog::all() {
+            assert_matches_reference(&entry.program);
+        }
+    }
+
+    /// 252 seeded racy programs: every (P, sections, locations) in
+    /// 2–4 × 2–15 × {3, 16}, three seeds each. Most reach the cycle cap,
+    /// which pins where enumeration stops; the rest pin full runs.
+    #[test]
+    fn generated_reports_match_the_reference() {
+        const PROGRAMS: usize = 252;
+        let mut capped = 0;
+        for i in 0..PROGRAMS {
+            let cfg = GenConfig {
+                procs: 2 + i % 3,
+                sections_per_proc: 2 + (i / 3) % 14,
+                shared_locations: [3, 16][(i / 42) % 2],
+                ops_per_section: 4,
+                rogue_fraction: 0.3,
+                seed: i as u64,
+            };
+            capped += usize::from(assert_matches_reference(&racy(&cfg)));
+        }
+        assert!(
+            capped >= 10 && PROGRAMS - capped >= 10,
+            "{capped} of {PROGRAMS} programs reach the cycle cap"
+        );
+    }
+
+    #[test]
+    fn canonical_picks_the_least_direction() {
+        let fwd = vec![(0, 0, 1), (1, 4, 4), (2, 7, 7)];
+        let rev = vec![(0, 0, 1), (2, 7, 7), (1, 4, 4)];
+        assert_eq!(canonical(fwd.clone()), fwd);
+        assert_eq!(canonical(rev), fwd);
+        let two = vec![(0, 0, 0), (1, 3, 5)];
+        assert_eq!(canonical(two.clone()), two);
+    }
 }

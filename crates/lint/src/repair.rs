@@ -45,7 +45,7 @@ use std::fmt;
 use wmrd_sim::{Addr, Instr, Program};
 use wmrd_trace::{Location, ProcId};
 
-use crate::cycles::{build_cycle_report, feeds_branch, Skeleton};
+use crate::cycles::{build_cycle_report, feeds_branch, CycleReport, Skeleton};
 use crate::report::LintReport;
 
 /// Cap on strengthening rounds (each round strengthens one location, so
@@ -153,12 +153,16 @@ pub struct Repair {
 /// until no resolved `sc-also` pair remains, then fence-covers the
 /// original program's uncovered critical delays.
 pub fn repair(program: &Program, report: &LintReport) -> Repair {
-    // Fences come from the original program's delay set.
     let sk0 = Skeleton::build(program);
-    let cycle_report = build_cycle_report(program, report, &sk0);
+    repair_from(program, &sk0, &build_cycle_report(report, &sk0))
+}
+
+/// [`repair`], given the original program's skeleton and cycle report.
+pub(crate) fn repair_from(program: &Program, sk0: &Skeleton, cycles: &CycleReport) -> Repair {
+    // Fences come from the original program's delay set.
     let uncovered: Vec<(usize, usize, usize)> =
-        cycle_report.uncovered_delays().map(|d| (d.proc.index(), d.from, d.to)).collect();
-    let fences = greedy_fence_cover(&sk0, uncovered);
+        cycles.uncovered_delays().map(|d| (d.proc.index(), d.from, d.to)).collect();
+    let fences = greedy_fence_cover(sk0, uncovered);
 
     // Strengthening loop: re-lint and re-classify after each pick.
     let mut cur = program.clone();

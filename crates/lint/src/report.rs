@@ -244,7 +244,7 @@ fn pair_side(a: &Access) -> PairSide {
     }
 }
 
-fn kinds(a: &Access) -> impl Iterator<Item = AccessKind> + '_ {
+pub(crate) fn kinds(a: &Access) -> impl Iterator<Item = AccessKind> + '_ {
     [(a.reads, AccessKind::Read), (a.writes, AccessKind::Write)]
         .into_iter()
         .filter(|(present, _)| *present)

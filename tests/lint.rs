@@ -426,3 +426,36 @@ fn static_sets_are_tight_enough_to_prune() {
         );
     }
 }
+
+/// The cycle report scales with the program: `analyze`, `analyze_cycles`
+/// and `repair` of a generated racy program the size of the benchmark
+/// ladder's 10,000-event step (4 processors, 162 sections of 6
+/// operations, ≈150 k may-race pairs) finish inside the bound even in
+/// the unoptimized test profile, where they take ≈9 s. Classifying
+/// each key by a scan over every pair takes over five times the bound.
+#[test]
+fn cycle_report_and_repair_scale_to_ten_thousand_events() {
+    const BOUND_SECS: f64 = 60.0;
+    let cfg = wmrd_progs::generate::GenConfig {
+        procs: 4,
+        shared_locations: 16,
+        sections_per_proc: 162,
+        ops_per_section: 6,
+        rogue_fraction: 0.3,
+        seed: 1,
+    };
+    let program = wmrd_progs::generate::racy(&cfg);
+    let t = std::time::Instant::now();
+    let report = wmrd_lint::analyze(&program);
+    let cycles = wmrd_lint::analyze_cycles(&program, &report);
+    let repair = wmrd_lint::repair(&program, &report);
+    let secs = t.elapsed().as_secs_f64();
+    assert_eq!(cycles.classes.len(), report.keys.len());
+    assert!(cycles.capped, "a program this size reaches the cycle cap");
+    assert!(!repair.plan.is_noop(), "a racy program gets a repair");
+    assert!(
+        secs < BOUND_SECS,
+        "lint of {} pairs took {secs:.1}s (bound {BOUND_SECS}s)",
+        report.pairs.len()
+    );
+}
