@@ -19,10 +19,12 @@
 //! requested experiments to completion and exits non-zero iff any
 //! expectation failed.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use wmrd_bench::{fig2_weak_run, model_cycles, sc_run, weak_run};
-use wmrd_core::{OnTheFly, OnTheFlyConfig, PairingPolicy, PostMortem, RaceReport};
+use wmrd_core::{
+    event_race_keys, OnTheFly, OnTheFlyConfig, PairingPolicy, PostMortem, RaceKey, RaceReport,
+};
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{Fidelity, HwImpl, MemoryModel, Program};
 use wmrd_trace::{Metrics, TraceSet, TraceSink};
@@ -30,8 +32,7 @@ use wmrd_verify::theorems::{
     check_condition_3_4_hw, check_theorem_4_1, check_theorem_4_2, sc_race_signatures,
 };
 use wmrd_verify::{
-    enumerate_sc, enumerate_weak, event_race_signatures, is_sequentially_consistent, sample_sc,
-    EnumConfig, RaceSignature,
+    enumerate_sc, enumerate_weak, is_sequentially_consistent, sample_sc, EnumConfig,
 };
 
 /// The default `--json` output path.
@@ -330,7 +331,7 @@ fn e7_condition_3_4(h: &mut Harness) {
                 .expect("samples run");
             sc_race_signatures(&samples, PairingPolicy::ByRole).expect("analyzable")
         } else {
-            HashSet::new()
+            BTreeSet::new()
         };
         for hw in [HwImpl::StoreBuffer, HwImpl::InvalQueue] {
             for model in [MemoryModel::Wo, MemoryModel::RCsc] {
@@ -562,7 +563,7 @@ fn e11_exhaustive_weak_check(h: &mut Harness) {
     for entry in [catalog::fig1a(), catalog::producer_consumer(), catalog::producer_consumer_racy()]
     {
         let sc = enumerate_sc(&entry.program, &EnumConfig::default()).expect("enumerable");
-        let sc_sigs: HashSet<RaceSignature> =
+        let sc_sigs: BTreeSet<RaceKey> =
             sc_race_signatures(&sc.executions, PairingPolicy::ByRole).expect("analyzable");
         for model in [MemoryModel::Wo, MemoryModel::RCsc] {
             let weak = enumerate_weak(&entry.program, model, Fidelity::Conditioned, &cfg)
@@ -581,9 +582,7 @@ fn e11_exhaustive_weak_check(h: &mut Harness) {
                     let all_first_confirmed = report.first_partitions().all(|part| {
                         let races: Vec<_> =
                             part.races.iter().map(|&i| report.races[i].clone()).collect();
-                        event_race_signatures(&races, &exec.events)
-                            .iter()
-                            .any(|s| sc_sigs.contains(s))
+                        event_race_keys(&races, &exec.events).iter().any(|s| sc_sigs.contains(s))
                     });
                     if all_first_confirmed {
                         t42_ok += 1;
@@ -661,7 +660,7 @@ fn a2_raw_hardware(h: &mut Harness) {
                 MemoryModel::Wo,
                 Fidelity::Raw,
                 [seed],
-                &HashSet::new(),
+                &BTreeSet::new(),
                 PairingPolicy::ByRole,
             )
             .expect("checkable");

@@ -1,4 +1,24 @@
-//! Argument parsing (hand-rolled; the CLI surface is small).
+//! Argument parsing for `wmrd`.
+//!
+//! Each subcommand walks its arguments once, left to right, with a
+//! `Cursor`. The flags that several subcommands share are parsed by one
+//! piece of code each, so a flag reads, defaults and fails the same way
+//! wherever it appears:
+//!
+//! * [`ExecOpts`]: `--model`, `--fidelity` and `--hw`, plus `--seed` on
+//!   `run`, `predict` and `stream`: how one program execution runs.
+//!   `check` takes the group without `--seed` (it has `--seeds`).
+//! * [`MetricsOpts`]: `--metrics <file>` and `--stats`.
+//! * `Cursor::number`: every integer flag, failing with "`--x` wants an
+//!   integer"; `Cursor::at_least_one` where zero means nothing to do
+//!   (`check --seeds`, `--chunk`).
+//! * `Cursor::json_format`: `--format text|json` on `lint`, `predict`
+//!   and `query`.
+//!
+//! Every parse failure is a [`CliError::Usage`] naming the flag or
+//! value at fault.
+
+use std::str::FromStr;
 
 use wmrd_core::PairingPolicy;
 use wmrd_predict::PredictOrder;
@@ -6,27 +26,80 @@ use wmrd_sim::{Fidelity, HwImpl, MemoryModel};
 
 use crate::CliError;
 
-/// Options for `wmrd run`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOpts {
-    /// Catalog name or path to a `.wmrd` assembly file.
-    pub program: String,
+/// How one program execution runs: the `--model`, `--fidelity`, `--hw`
+/// and `--seed` flags. An SC execution runs on the SC machine; every
+/// other model runs on the `hw` weak machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecOpts {
     /// Memory model to execute under.
     pub model: MemoryModel,
     /// Conditioned (default) or raw hardware.
     pub fidelity: Fidelity,
     /// Weak-hardware implementation style.
     pub hw: HwImpl,
-    /// Scheduler seed.
+    /// Scheduler seed. `check` takes no `--seed` and leaves it 0.
     pub seed: u64,
+}
+
+impl ExecOpts {
+    fn new(model: MemoryModel) -> Self {
+        ExecOpts { model, fidelity: Fidelity::Conditioned, hw: HwImpl::StoreBuffer, seed: 0 }
+    }
+
+    /// Parses `flag` if it belongs to the group, returning whether it
+    /// did; `takes_seed` says whether the command accepts `--seed`.
+    fn parse_flag(
+        &mut self,
+        flag: &str,
+        cur: &mut Cursor<'_>,
+        takes_seed: bool,
+    ) -> Result<bool, CliError> {
+        match flag {
+            "--model" => self.model = parse_model(cur.value_for(flag)?)?,
+            "--fidelity" => self.fidelity = parse_fidelity(cur.value_for(flag)?)?,
+            "--hw" => self.hw = parse_hw(cur.value_for(flag)?)?,
+            "--seed" if takes_seed => self.seed = cur.number(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The `--metrics <file>` and `--stats` flags: where a command's
+/// `RunMetrics` report goes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetricsOpts {
+    /// Where to write the `RunMetrics` report (JSON).
+    pub out: Option<String>,
+    /// Print a human-readable metrics summary.
+    pub stats: bool,
+}
+
+impl MetricsOpts {
+    /// Parses `flag` if it belongs to the group, returning whether it did.
+    fn parse_flag(&mut self, flag: &str, cur: &mut Cursor<'_>) -> Result<bool, CliError> {
+        match flag {
+            "--metrics" => self.out = Some(cur.owned(flag)?),
+            "--stats" => self.stats = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Options for `wmrd run`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOpts {
+    /// Catalog name or path to a `.wmrd` assembly file.
+    pub program: String,
+    /// How to execute it (default model: SC).
+    pub exec: ExecOpts,
     /// Where to write the event trace (v2 binary).
     pub trace_out: Option<String>,
     /// Where to write the operation-level trace (JSON).
     pub ops_out: Option<String>,
-    /// Where to write the run's `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd analyze`.
@@ -50,10 +123,8 @@ pub struct AnalyzeOpts {
     pub dot_out: Option<String>,
     /// Emit the report as JSON instead of text.
     pub json: bool,
-    /// Where to write the analysis `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd check`.
@@ -61,18 +132,12 @@ pub struct AnalyzeOpts {
 pub struct CheckOpts {
     /// Catalog name or path to a `.wmrd` assembly file.
     pub program: String,
-    /// Memory model to check.
-    pub model: MemoryModel,
-    /// Conditioned (default) or raw hardware.
-    pub fidelity: Fidelity,
-    /// Weak-hardware implementation style.
-    pub hw: HwImpl,
-    /// Number of seeded executions to check.
+    /// Model, fidelity and hardware to check (default model: WO).
+    pub exec: ExecOpts,
+    /// Number of seeded executions to check (at least one).
     pub seeds: u64,
-    /// Where to write the check's `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd explore`.
@@ -116,10 +181,8 @@ pub struct ExploreOpts {
     pub inject: Option<String>,
     /// Where to write the campaign report (JSON).
     pub report_out: Option<String>,
-    /// Where to write the campaign's `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
     /// Synthesize a fence/strengthening repair first, then verify it:
     /// the repaired program must run race-free and satisfy Condition
     /// 3.4 on every hardware backend over the seed range, and the
@@ -145,10 +208,8 @@ pub struct LintOpts {
     /// strengthened) as `.wmrd` assembly to this path. Implies the
     /// cycle analysis and wants exactly one target.
     pub repair_out: Option<String>,
-    /// Where to write the lint `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd predict`.
@@ -159,22 +220,14 @@ pub struct PredictOpts {
     pub targets: Vec<String>,
     /// Predictive partial order (`--order shb|wcp`).
     pub order: PredictOrder,
-    /// Memory model when a program target must be executed first.
-    pub model: MemoryModel,
-    /// Conditioned (default) or raw hardware.
-    pub fidelity: Fidelity,
-    /// Weak-hardware implementation style.
-    pub hw: HwImpl,
-    /// Scheduler seed for the recorded execution.
-    pub seed: u64,
+    /// How a program target is executed first (default model: WO).
+    pub exec: ExecOpts,
     /// Pairing policy for so1 recovery.
     pub pairing: PairingPolicy,
     /// Emit JSON instead of text (`--format json`).
     pub json: bool,
-    /// Where to write the predict `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd capture`.
@@ -194,13 +247,11 @@ pub struct CaptureOpts {
     /// Deliver each run to a live daemon: `SUBMIT` for v2 traces, a
     /// `STREAM`/`FEED`/`CLOSE` session for `WMRS` streams.
     pub sink: Option<String>,
-    /// Chunk size in bytes for `FEED` frames when streaming to
-    /// `--sink` in `WMRS` format.
+    /// Chunk size in bytes (at least one) for `FEED` frames when
+    /// streaming to `--sink` in `WMRS` format.
     pub chunk: usize,
-    /// Where to write the capture `RunMetrics` report (JSON).
-    pub metrics_out: Option<String>,
-    /// Print a human-readable metrics summary.
-    pub stats: bool,
+    /// Metrics report and summary.
+    pub metrics: MetricsOpts,
 }
 
 /// Options for `wmrd serve`.
@@ -237,15 +288,9 @@ pub struct StreamOpts {
     pub to: String,
     /// Catalog name or path to a `.wmrd` assembly file.
     pub program: String,
-    /// Memory model to execute under.
-    pub model: MemoryModel,
-    /// Conditioned (default) or raw hardware.
-    pub fidelity: Fidelity,
-    /// Weak-hardware implementation style.
-    pub hw: HwImpl,
-    /// Scheduler seed.
-    pub seed: u64,
-    /// Chunk size in bytes for `FEED` frames.
+    /// How to execute it (default model: WO).
+    pub exec: ExecOpts,
+    /// Chunk size in bytes (at least one) for `FEED` frames.
     pub chunk: usize,
     /// Session name sent with `STREAM`; defaults to
     /// `<program>-<seed>`.
@@ -309,6 +354,14 @@ pub enum Command {
     Help,
 }
 
+fn usage(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
+
+fn unknown_flag(flag: &str, command: &str) -> CliError {
+    usage(format!("unknown flag `{flag}` for {command}"))
+}
+
 fn parse_model(s: &str) -> Result<MemoryModel, CliError> {
     match s.to_ascii_lowercase().as_str() {
         "sc" => Ok(MemoryModel::Sc),
@@ -316,9 +369,7 @@ fn parse_model(s: &str) -> Result<MemoryModel, CliError> {
         "rcsc" => Ok(MemoryModel::RCsc),
         "drf0" => Ok(MemoryModel::Drf0),
         "drf1" => Ok(MemoryModel::Drf1),
-        other => {
-            Err(CliError::Usage(format!("unknown model `{other}` (expected sc|wo|rcsc|drf0|drf1)")))
-        }
+        other => Err(usage(format!("unknown model `{other}` (expected sc|wo|rcsc|drf0|drf1)"))),
     }
 }
 
@@ -326,9 +377,7 @@ fn parse_fidelity(s: &str) -> Result<Fidelity, CliError> {
     match s.to_ascii_lowercase().as_str() {
         "conditioned" => Ok(Fidelity::Conditioned),
         "raw" => Ok(Fidelity::Raw),
-        other => {
-            Err(CliError::Usage(format!("unknown fidelity `{other}` (expected conditioned|raw)")))
-        }
+        other => Err(usage(format!("unknown fidelity `{other}` (expected conditioned|raw)"))),
     }
 }
 
@@ -337,7 +386,7 @@ fn parse_hw(s: &str) -> Result<HwImpl, CliError> {
         "store-buffer" => Ok(HwImpl::StoreBuffer),
         "inval-queue" => Ok(HwImpl::InvalQueue),
         "ooo" => Ok(HwImpl::Ooo),
-        other => Err(CliError::Usage(format!(
+        other => Err(usage(format!(
             "unknown hardware `{other}` (expected store-buffer|inval-queue|ooo)"
         ))),
     }
@@ -346,18 +395,18 @@ fn parse_hw(s: &str) -> Result<HwImpl, CliError> {
 /// Parses `--seeds` syntax: `A..B` (half-open) or a bare count `N`
 /// meaning `0..N`.
 fn parse_seed_range(s: &str) -> Result<(u64, u64), CliError> {
-    let bad = || CliError::Usage(format!("--seeds wants `start..end` or a count, got `{s}`"));
+    let bad = || usage(format!("--seeds wants `start..end` or a count, got `{s}`"));
     if let Some((a, b)) = s.split_once("..") {
         let start: u64 = a.parse().map_err(|_| bad())?;
         let end: u64 = b.parse().map_err(|_| bad())?;
         if start >= end {
-            return Err(CliError::Usage(format!("--seeds range `{s}` is empty")));
+            return Err(usage(format!("--seeds range `{s}` is empty")));
         }
         Ok((start, end))
     } else {
         let n: u64 = s.parse().map_err(|_| bad())?;
         if n == 0 {
-            return Err(CliError::Usage("--seeds wants at least one seed".into()));
+            return Err(usage("--seeds wants at least one seed"));
         }
         Ok((0, n))
     }
@@ -369,17 +418,14 @@ fn parse_list<T>(s: &str, item: impl Fn(&str) -> Result<T, CliError>) -> Result<
 }
 
 fn parse_order(s: &str) -> Result<PredictOrder, CliError> {
-    PredictOrder::parse(s)
-        .ok_or_else(|| CliError::Usage(format!("unknown order `{s}` (expected shb|wcp)")))
+    PredictOrder::parse(s).ok_or_else(|| usage(format!("unknown order `{s}` (expected shb|wcp)")))
 }
 
 fn parse_pairing(s: &str) -> Result<PairingPolicy, CliError> {
     match s.to_ascii_lowercase().as_str() {
         "by-role" => Ok(PairingPolicy::ByRole),
         "all-sync" => Ok(PairingPolicy::AllSync),
-        other => {
-            Err(CliError::Usage(format!("unknown pairing `{other}` (expected by-role|all-sync)")))
-        }
+        other => Err(usage(format!("unknown pairing `{other}` (expected by-role|all-sync)"))),
     }
 }
 
@@ -398,7 +444,41 @@ impl<'a> Cursor<'a> {
     }
 
     fn value_for(&mut self, flag: &str) -> Result<&'a str, CliError> {
-        self.next().ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
+        self.next().ok_or_else(|| usage(format!("{flag} requires a value")))
+    }
+
+    fn owned(&mut self, flag: &str) -> Result<String, CliError> {
+        self.value_for(flag).map(str::to_string)
+    }
+
+    /// The integer value of `flag`.
+    fn number<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        // `--repro` names what its integer is.
+        let what = if flag == "--repro" { "a seed integer" } else { "an integer" };
+        self.value_for(flag)?.parse().map_err(|_| usage(format!("{flag} wants {what}")))
+    }
+
+    /// The integer value of `flag`, which must not be zero; `unit` names
+    /// one of what it counts.
+    fn at_least_one<T: FromStr + Default + PartialEq>(
+        &mut self,
+        flag: &str,
+        unit: &str,
+    ) -> Result<T, CliError> {
+        let n = self.number(flag)?;
+        if n == T::default() {
+            return Err(usage(format!("{flag} wants at least one {unit}")));
+        }
+        Ok(n)
+    }
+
+    /// `--format text|json`: whether the output is JSON.
+    fn json_format(&mut self, flag: &str) -> Result<bool, CliError> {
+        match self.value_for(flag)? {
+            "text" => Ok(false),
+            "json" => Ok(true),
+            other => Err(usage(format!("unknown format `{other}` (expected text|json)"))),
+        }
     }
 }
 
@@ -414,54 +494,37 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "catalog" => Ok(Command::Catalog),
         "demo" => Ok(Command::Demo),
-        "show" => {
-            let name = cur.value_for("show")?.to_string();
-            Ok(Command::Show(name))
-        }
+        "show" => Ok(Command::Show(cur.owned("show")?)),
         "export" => {
-            let name = cur.value_for("export")?.to_string();
-            let path = cur.value_for("export <name>")?.to_string();
+            let name = cur.owned("export")?;
+            let path = cur.owned("export <name>")?;
             Ok(Command::Export { name, path })
         }
         "run" => {
-            let program = cur.value_for("run")?.to_string();
             let mut opts = RunOpts {
-                program,
-                model: MemoryModel::Sc,
-                fidelity: Fidelity::Conditioned,
-                hw: HwImpl::StoreBuffer,
-                seed: 0,
+                program: cur.owned("run")?,
+                exec: ExecOpts::new(MemoryModel::Sc),
                 trace_out: None,
                 ops_out: None,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(flag) = cur.next() {
+                if opts.exec.parse_flag(flag, &mut cur, true)?
+                    || opts.metrics.parse_flag(flag, &mut cur)?
+                {
+                    continue;
+                }
                 match flag {
-                    "--model" => opts.model = parse_model(cur.value_for(flag)?)?,
-                    "--fidelity" => opts.fidelity = parse_fidelity(cur.value_for(flag)?)?,
-                    "--hw" => opts.hw = parse_hw(cur.value_for(flag)?)?,
-                    "--seed" => {
-                        opts.seed = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--seed wants an integer".into()))?
-                    }
-                    "--trace" => opts.trace_out = Some(cur.value_for(flag)?.to_string()),
-                    "--ops" => opts.ops_out = Some(cur.value_for(flag)?.to_string()),
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(flag)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for run")))
-                    }
+                    "--trace" => opts.trace_out = Some(cur.owned(flag)?),
+                    "--ops" => opts.ops_out = Some(cur.owned(flag)?),
+                    other => return Err(unknown_flag(other, "run")),
                 }
             }
             Ok(Command::Run(opts))
         }
         "analyze" => {
-            let trace = cur.value_for("analyze")?.to_string();
             let mut opts = AnalyzeOpts {
-                trace,
+                trace: cur.owned("analyze")?,
                 salvage: false,
                 inject: None,
                 pairing: PairingPolicy::ByRole,
@@ -469,62 +532,48 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 timeline: false,
                 dot_out: None,
                 json: false,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(flag) = cur.next() {
+                if opts.metrics.parse_flag(flag, &mut cur)? {
+                    continue;
+                }
                 match flag {
                     "--pairing" => opts.pairing = parse_pairing(cur.value_for(flag)?)?,
                     "--salvage" => opts.salvage = true,
-                    "--inject" => opts.inject = Some(cur.value_for(flag)?.to_string()),
+                    "--inject" => opts.inject = Some(cur.owned(flag)?),
                     "--all" => opts.show_all = true,
                     "--timeline" => opts.timeline = true,
-                    "--dot" => opts.dot_out = Some(cur.value_for(flag)?.to_string()),
+                    "--dot" => opts.dot_out = Some(cur.owned(flag)?),
                     "--json" => opts.json = true,
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(flag)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for analyze")))
-                    }
+                    other => return Err(unknown_flag(other, "analyze")),
                 }
             }
             Ok(Command::Analyze(opts))
         }
         "check" => {
-            let program = cur.value_for("check")?.to_string();
             let mut opts = CheckOpts {
-                program,
-                model: MemoryModel::Wo,
-                fidelity: Fidelity::Conditioned,
-                hw: HwImpl::StoreBuffer,
+                program: cur.owned("check")?,
+                exec: ExecOpts::new(MemoryModel::Wo),
                 seeds: 5,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(flag) = cur.next() {
+                if opts.exec.parse_flag(flag, &mut cur, false)?
+                    || opts.metrics.parse_flag(flag, &mut cur)?
+                {
+                    continue;
+                }
                 match flag {
-                    "--model" => opts.model = parse_model(cur.value_for(flag)?)?,
-                    "--fidelity" => opts.fidelity = parse_fidelity(cur.value_for(flag)?)?,
-                    "--hw" => opts.hw = parse_hw(cur.value_for(flag)?)?,
-                    "--seeds" => {
-                        opts.seeds = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--seeds wants an integer".into()))?
-                    }
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(flag)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for check")))
-                    }
+                    "--seeds" => opts.seeds = cur.at_least_one(flag, "seed")?,
+                    other => return Err(unknown_flag(other, "check")),
                 }
             }
             Ok(Command::Check(opts))
         }
         "explore" => {
-            let program = cur.value_for("explore")?.to_string();
             let mut opts = ExploreOpts {
-                program,
+                program: cur.owned("explore")?,
                 seeds: (0, 100),
                 jobs: 0,
                 budget: None,
@@ -540,38 +589,24 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 sink: None,
                 inject: None,
                 report_out: None,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
                 verify_repair: false,
             };
             while let Some(flag) = cur.next() {
+                if opts.metrics.parse_flag(flag, &mut cur)? {
+                    continue;
+                }
                 match flag {
                     "--seeds" => opts.seeds = parse_seed_range(cur.value_for(flag)?)?,
-                    "--jobs" => {
-                        opts.jobs = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--jobs wants an integer".into()))?
-                    }
-                    "--budget" => {
-                        opts.budget = Some(
-                            cur.value_for(flag)?
-                                .parse()
-                                .map_err(|_| CliError::Usage("--budget wants an integer".into()))?,
-                        )
-                    }
-                    "--cycle-budget" => {
-                        opts.cycle_budget = Some(cur.value_for(flag)?.parse().map_err(|_| {
-                            CliError::Usage("--cycle-budget wants an integer".into())
-                        })?)
-                    }
+                    "--jobs" => opts.jobs = cur.number(flag)?,
+                    "--budget" => opts.budget = Some(cur.number(flag)?),
+                    "--cycle-budget" => opts.cycle_budget = Some(cur.number(flag)?),
                     "--model" => opts.models = parse_list(cur.value_for(flag)?, parse_model)?,
                     "--hw" => opts.hws = parse_list(cur.value_for(flag)?, parse_hw)?,
                     "--drain" => {
                         opts.drain_probs = parse_list(cur.value_for(flag)?, |s| {
-                            s.parse().map_err(|_| {
-                                CliError::Usage(format!("--drain wants numbers, got `{s}`"))
-                            })
+                            s.parse()
+                                .map_err(|_| usage(format!("--drain wants numbers, got `{s}`")))
                         })?
                     }
                     "--fidelity" => opts.fidelity = parse_fidelity(cur.value_for(flag)?)?,
@@ -579,20 +614,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--prune-static" => opts.prune_static = true,
                     "--predict" => opts.predict = true,
                     "--verify-repair" => opts.verify_repair = true,
-                    "--repro" => {
-                        opts.repro =
-                            Some(cur.value_for(flag)?.parse().map_err(|_| {
-                                CliError::Usage("--repro wants a seed integer".into())
-                            })?)
-                    }
-                    "--sink" => opts.sink = Some(cur.value_for(flag)?.to_string()),
-                    "--inject" => opts.inject = Some(cur.value_for(flag)?.to_string()),
-                    "--report" => opts.report_out = Some(cur.value_for(flag)?.to_string()),
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(flag)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for explore")))
-                    }
+                    "--repro" => opts.repro = Some(cur.number(flag)?),
+                    "--sink" => opts.sink = Some(cur.owned(flag)?),
+                    "--inject" => opts.inject = Some(cur.owned(flag)?),
+                    "--report" => opts.report_out = Some(cur.owned(flag)?),
+                    other => return Err(unknown_flag(other, "explore")),
                 }
             }
             Ok(Command::Explore(opts))
@@ -603,39 +629,26 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 json: false,
                 cycles: false,
                 repair_out: None,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(arg) = cur.next() {
+                if opts.metrics.parse_flag(arg, &mut cur)? {
+                    continue;
+                }
                 match arg {
-                    "--format" => match cur.value_for(arg)? {
-                        "text" => opts.json = false,
-                        "json" => opts.json = true,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "unknown format `{other}` (expected text|json)"
-                            )))
-                        }
-                    },
+                    "--format" => opts.json = cur.json_format(arg)?,
                     "--cycles" => opts.cycles = true,
-                    "--repair" => opts.repair_out = Some(cur.value_for(arg)?.to_string()),
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(arg)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}` for lint")))
-                    }
+                    "--repair" => opts.repair_out = Some(cur.owned(arg)?),
+                    flag if flag.starts_with("--") => return Err(unknown_flag(flag, "lint")),
                     target => opts.targets.push(target.to_string()),
                 }
             }
             if opts.targets.is_empty() {
-                return Err(CliError::Usage(
-                    "lint wants at least one target (catalog name, file, or `all`)".into(),
-                ));
+                return Err(usage("lint wants at least one target (catalog name, file, or `all`)"));
             }
             if opts.repair_out.is_some() && opts.targets.len() != 1 {
-                return Err(CliError::Usage(
-                    "lint --repair wants exactly one target (it writes one repaired program)"
-                        .into(),
+                return Err(usage(
+                    "lint --repair wants exactly one target (it writes one repaired program)",
                 ));
             }
             Ok(Command::Lint(opts))
@@ -644,50 +657,29 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut opts = PredictOpts {
                 targets: Vec::new(),
                 order: PredictOrder::Wcp,
-                model: MemoryModel::Wo,
-                fidelity: Fidelity::Conditioned,
-                hw: HwImpl::StoreBuffer,
-                seed: 0,
+                exec: ExecOpts::new(MemoryModel::Wo),
                 pairing: PairingPolicy::ByRole,
                 json: false,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(arg) = cur.next() {
+                if opts.exec.parse_flag(arg, &mut cur, true)?
+                    || opts.metrics.parse_flag(arg, &mut cur)?
+                {
+                    continue;
+                }
                 match arg {
                     "--order" => opts.order = parse_order(cur.value_for(arg)?)?,
-                    "--format" => match cur.value_for(arg)? {
-                        "text" => opts.json = false,
-                        "json" => opts.json = true,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "unknown format `{other}` (expected text|json)"
-                            )))
-                        }
-                    },
-                    "--model" => opts.model = parse_model(cur.value_for(arg)?)?,
-                    "--fidelity" => opts.fidelity = parse_fidelity(cur.value_for(arg)?)?,
-                    "--hw" => opts.hw = parse_hw(cur.value_for(arg)?)?,
-                    "--seed" => {
-                        opts.seed = cur
-                            .value_for(arg)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--seed wants an integer".into()))?
-                    }
+                    "--format" => opts.json = cur.json_format(arg)?,
                     "--pairing" => opts.pairing = parse_pairing(cur.value_for(arg)?)?,
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(arg)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}` for predict")))
-                    }
+                    flag if flag.starts_with("--") => return Err(unknown_flag(flag, "predict")),
                     target => opts.targets.push(target.to_string()),
                 }
             }
             if opts.targets.is_empty() {
-                return Err(CliError::Usage(
+                return Err(usage(
                     "predict wants at least one target (catalog name, program or trace file, \
-                     or `all`)"
-                        .into(),
+                     or `all`)",
                 ));
             }
             Ok(Command::Predict(opts))
@@ -701,60 +693,37 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out: None,
                 sink: None,
                 chunk: 4096,
-                metrics_out: None,
-                stats: false,
+                metrics: MetricsOpts::default(),
             };
             while let Some(arg) = cur.next() {
+                if opts.metrics.parse_flag(arg, &mut cur)? {
+                    continue;
+                }
                 match arg {
-                    "--runs" => {
-                        opts.runs = cur
-                            .value_for(arg)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--runs wants an integer".into()))?
-                    }
-                    "--seed" => {
-                        opts.seed = cur
-                            .value_for(arg)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--seed wants an integer".into()))?
-                    }
+                    "--runs" => opts.runs = cur.number(arg)?,
+                    "--seed" => opts.seed = cur.number(arg)?,
                     "--format" => match cur.value_for(arg)? {
                         "v2" => opts.wmrs = false,
                         "wmrs" => opts.wmrs = true,
                         other => {
-                            return Err(CliError::Usage(format!(
+                            return Err(usage(format!(
                                 "unknown format `{other}` (expected v2|wmrs)"
                             )))
                         }
                     },
-                    "--out" => opts.out = Some(cur.value_for(arg)?.to_string()),
-                    "--sink" => opts.sink = Some(cur.value_for(arg)?.to_string()),
-                    "--chunk" => {
-                        opts.chunk = cur
-                            .value_for(arg)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--chunk wants an integer".into()))?
-                    }
-                    "--metrics" => opts.metrics_out = Some(cur.value_for(arg)?.to_string()),
-                    "--stats" => opts.stats = true,
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}` for capture")))
-                    }
+                    "--out" => opts.out = Some(cur.owned(arg)?),
+                    "--sink" => opts.sink = Some(cur.owned(arg)?),
+                    "--chunk" => opts.chunk = cur.at_least_one(arg, "byte")?,
+                    flag if flag.starts_with("--") => return Err(unknown_flag(flag, "capture")),
                     name if opts.workload.is_empty() => opts.workload = name.to_string(),
-                    extra => {
-                        return Err(CliError::Usage(format!(
-                            "unexpected capture argument `{extra}`"
-                        )))
-                    }
+                    extra => return Err(usage(format!("unexpected capture argument `{extra}`"))),
                 }
             }
             if opts.workload.is_empty() {
-                return Err(CliError::Usage(
-                    "capture wants a workload name, `all`, or `list`".into(),
-                ));
+                return Err(usage("capture wants a workload name, `all`, or `list`"));
             }
             if opts.runs == 0 {
-                return Err(CliError::Usage("--runs wants at least 1".into()));
+                return Err(usage("--runs wants at least 1"));
             }
             Ok(Command::Capture(opts))
         }
@@ -769,34 +738,17 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             };
             while let Some(flag) = cur.next() {
                 match flag {
-                    "--listen" => opts.listen = cur.value_for(flag)?.to_string(),
-                    "--catalog" => opts.catalog = Some(cur.value_for(flag)?.to_string()),
-                    "--workers" => {
-                        opts.workers = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--workers wants an integer".into()))?
-                    }
-                    "--queue-cap" => {
-                        opts.queue_cap = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--queue-cap wants an integer".into()))?
-                    }
-                    "--max-streams" => {
-                        opts.max_streams = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--max-streams wants an integer".into()))?
-                    }
+                    "--listen" => opts.listen = cur.owned(flag)?,
+                    "--catalog" => opts.catalog = Some(cur.owned(flag)?),
+                    "--workers" => opts.workers = cur.number(flag)?,
+                    "--queue-cap" => opts.queue_cap = cur.number(flag)?,
+                    "--max-streams" => opts.max_streams = cur.number(flag)?,
                     "--pairing" => opts.pairing = parse_pairing(cur.value_for(flag)?)?,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for serve")))
-                    }
+                    other => return Err(unknown_flag(other, "serve")),
                 }
             }
             if opts.listen.is_empty() {
-                return Err(CliError::Usage("serve requires --listen <addr|unix:path>".into()));
+                return Err(usage("serve requires --listen <addr|unix:path>"));
             }
             Ok(Command::Serve(opts))
         }
@@ -805,62 +757,40 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut files = Vec::new();
             while let Some(arg) = cur.next() {
                 match arg {
-                    "--to" => to = Some(cur.value_for(arg)?.to_string()),
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}` for submit")))
-                    }
+                    "--to" => to = Some(cur.owned(arg)?),
+                    flag if flag.starts_with("--") => return Err(unknown_flag(flag, "submit")),
                     file => files.push(file.to_string()),
                 }
             }
             let Some(to) = to else {
-                return Err(CliError::Usage("submit requires --to <addr|unix:path>".into()));
+                return Err(usage("submit requires --to <addr|unix:path>"));
             };
             if files.is_empty() {
-                return Err(CliError::Usage("submit wants at least one trace file".into()));
+                return Err(usage("submit wants at least one trace file"));
             }
             Ok(Command::Submit(SubmitOpts { to, files }))
         }
         "stream" => {
-            let program = cur.value_for("stream")?.to_string();
             let mut opts = StreamOpts {
                 to: String::new(),
-                program,
-                model: MemoryModel::Wo,
-                fidelity: Fidelity::Conditioned,
-                hw: HwImpl::StoreBuffer,
-                seed: 0,
+                program: cur.owned("stream")?,
+                exec: ExecOpts::new(MemoryModel::Wo),
                 chunk: 4096,
                 session: None,
             };
             while let Some(flag) = cur.next() {
+                if opts.exec.parse_flag(flag, &mut cur, true)? {
+                    continue;
+                }
                 match flag {
-                    "--to" => opts.to = cur.value_for(flag)?.to_string(),
-                    "--model" => opts.model = parse_model(cur.value_for(flag)?)?,
-                    "--fidelity" => opts.fidelity = parse_fidelity(cur.value_for(flag)?)?,
-                    "--hw" => opts.hw = parse_hw(cur.value_for(flag)?)?,
-                    "--seed" => {
-                        opts.seed = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--seed wants an integer".into()))?
-                    }
-                    "--chunk" => {
-                        opts.chunk = cur
-                            .value_for(flag)?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--chunk wants an integer".into()))?;
-                        if opts.chunk == 0 {
-                            return Err(CliError::Usage("--chunk wants at least one byte".into()));
-                        }
-                    }
-                    "--session" => opts.session = Some(cur.value_for(flag)?.to_string()),
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}` for stream")))
-                    }
+                    "--to" => opts.to = cur.owned(flag)?,
+                    "--chunk" => opts.chunk = cur.at_least_one(flag, "byte")?,
+                    "--session" => opts.session = Some(cur.owned(flag)?),
+                    other => return Err(unknown_flag(other, "stream")),
                 }
             }
             if opts.to.is_empty() {
-                return Err(CliError::Usage("stream requires --to <addr|unix:path>".into()));
+                return Err(usage("stream requires --to <addr|unix:path>"));
             }
             Ok(Command::Stream(opts))
         }
@@ -870,37 +800,24 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut json = false;
             while let Some(arg) = cur.next() {
                 match arg {
-                    "--to" => to = Some(cur.value_for(arg)?.to_string()),
-                    "--format" => match cur.value_for(arg)? {
-                        "text" => json = false,
-                        "json" => json = true,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "unknown format `{other}` (expected text|json)"
-                            )))
-                        }
-                    },
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}` for query")))
-                    }
+                    "--to" => to = Some(cur.owned(arg)?),
+                    "--format" => json = cur.json_format(arg)?,
+                    flag if flag.starts_with("--") => return Err(unknown_flag(flag, "query")),
                     s if spec.is_none() => spec = Some(s.to_string()),
-                    extra => {
-                        return Err(CliError::Usage(format!("unexpected query argument `{extra}`")))
-                    }
+                    extra => return Err(usage(format!("unexpected query argument `{extra}`"))),
                 }
             }
             let Some(to) = to else {
-                return Err(CliError::Usage("query requires --to <addr|unix:path>".into()));
+                return Err(usage("query requires --to <addr|unix:path>"));
             };
             let Some(spec) = spec else {
-                return Err(CliError::Usage(
-                    "query wants a spec (races|traces|key=…|program=…|model=…|since=…|stats|ping|compact|shutdown)"
-                        .into(),
+                return Err(usage(
+                    "query wants a spec (races|traces|key=…|program=…|model=…|since=…|stats|ping|compact|shutdown)",
                 ));
             };
             Ok(Command::Query(QueryOpts { to, spec, json }))
         }
-        other => Err(CliError::Usage(format!("unknown command `{other}` (try `wmrd help`)"))),
+        other => Err(usage(format!("unknown command `{other}` (try `wmrd help`)"))),
     }
 }
 
@@ -1068,26 +985,26 @@ mod tests {
         .unwrap();
         let Command::Run(opts) = cmd else { panic!("expected run") };
         assert_eq!(opts.program, "fig1a");
-        assert_eq!(opts.model, MemoryModel::Wo);
-        assert_eq!(opts.fidelity, Fidelity::Raw);
-        assert_eq!(opts.hw, HwImpl::InvalQueue);
-        assert_eq!(opts.seed, 9);
+        assert_eq!(opts.exec.model, MemoryModel::Wo);
+        assert_eq!(opts.exec.fidelity, Fidelity::Raw);
+        assert_eq!(opts.exec.hw, HwImpl::InvalQueue);
+        assert_eq!(opts.exec.seed, 9);
         assert_eq!(opts.trace_out.as_deref(), Some("t.bin"));
         assert_eq!(opts.ops_out.as_deref(), Some("o.json"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert!(opts.stats);
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
+        assert!(opts.metrics.stats);
     }
 
     #[test]
     fn run_defaults() {
         let Command::Run(opts) = parse(&argv("run fig1b")).unwrap() else { panic!("expected run") };
-        assert_eq!(opts.model, MemoryModel::Sc);
-        assert_eq!(opts.fidelity, Fidelity::Conditioned);
-        assert_eq!(opts.hw, HwImpl::StoreBuffer);
-        assert_eq!(opts.seed, 0);
+        assert_eq!(opts.exec.model, MemoryModel::Sc);
+        assert_eq!(opts.exec.fidelity, Fidelity::Conditioned);
+        assert_eq!(opts.exec.hw, HwImpl::StoreBuffer);
+        assert_eq!(opts.exec.seed, 0);
         assert!(opts.trace_out.is_none());
-        assert!(opts.metrics_out.is_none());
-        assert!(!opts.stats);
+        assert!(opts.metrics.out.is_none());
+        assert!(!opts.metrics.stats);
     }
 
     #[test]
@@ -1101,8 +1018,8 @@ mod tests {
         assert_eq!(opts.pairing, PairingPolicy::AllSync);
         assert!(opts.show_all && opts.timeline && opts.json);
         assert_eq!(opts.dot_out.as_deref(), Some("g.dot"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert!(opts.stats);
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
+        assert!(opts.metrics.stats);
         assert!(!opts.salvage);
         assert!(opts.inject.is_none());
     }
@@ -1132,10 +1049,10 @@ mod tests {
         else {
             panic!("expected check")
         };
-        assert_eq!(opts.model, MemoryModel::RCsc);
+        assert_eq!(opts.exec.model, MemoryModel::RCsc);
         assert_eq!(opts.seeds, 12);
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert!(opts.stats);
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
+        assert!(opts.metrics.stats);
     }
 
     #[test]
@@ -1159,7 +1076,7 @@ mod tests {
             panic!("expected lint")
         };
         assert_eq!(opts.targets, vec!["fig1a".to_string()]);
-        assert!(!opts.json && !opts.stats && opts.metrics_out.is_none());
+        assert!(!opts.json && !opts.metrics.stats && opts.metrics.out.is_none());
 
         let Command::Lint(opts) =
             parse(&argv("lint all prog.wmrd --format json --metrics m.json --stats")).unwrap()
@@ -1167,8 +1084,8 @@ mod tests {
             panic!("expected lint")
         };
         assert_eq!(opts.targets, vec!["all".to_string(), "prog.wmrd".to_string()]);
-        assert!(opts.json && opts.stats);
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
+        assert!(opts.json && opts.metrics.stats);
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
 
         let Command::Lint(opts) = parse(&argv("lint x --format text")).unwrap() else {
             panic!("expected lint")
@@ -1240,9 +1157,9 @@ mod tests {
         };
         assert_eq!(opts.targets, vec!["fig1a".to_string()]);
         assert_eq!(opts.order, PredictOrder::Wcp, "wcp is the default order");
-        assert_eq!(opts.model, MemoryModel::Wo);
-        assert_eq!(opts.seed, 0);
-        assert!(!opts.json && !opts.stats && opts.metrics_out.is_none());
+        assert_eq!(opts.exec.model, MemoryModel::Wo);
+        assert_eq!(opts.exec.seed, 0);
+        assert!(!opts.json && !opts.metrics.stats && opts.metrics.out.is_none());
 
         let cmd = parse(&argv(
             "predict all t.bin --order shb --format json --model rcsc --fidelity raw \
@@ -1252,13 +1169,13 @@ mod tests {
         let Command::Predict(opts) = cmd else { panic!("expected predict") };
         assert_eq!(opts.targets, vec!["all".to_string(), "t.bin".to_string()]);
         assert_eq!(opts.order, PredictOrder::Shb);
-        assert!(opts.json && opts.stats);
-        assert_eq!(opts.model, MemoryModel::RCsc);
-        assert_eq!(opts.fidelity, Fidelity::Raw);
-        assert_eq!(opts.hw, HwImpl::InvalQueue);
-        assert_eq!(opts.seed, 7);
+        assert!(opts.json && opts.metrics.stats);
+        assert_eq!(opts.exec.model, MemoryModel::RCsc);
+        assert_eq!(opts.exec.fidelity, Fidelity::Raw);
+        assert_eq!(opts.exec.hw, HwImpl::InvalQueue);
+        assert_eq!(opts.exec.seed, 7);
         assert_eq!(opts.pairing, PairingPolicy::AllSync);
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
 
         assert!(matches!(parse(&argv("predict")), Err(CliError::Usage(_))), "target required");
         assert!(matches!(parse(&argv("predict x --order hb3")), Err(CliError::Usage(_))));
@@ -1274,8 +1191,8 @@ mod tests {
         assert_eq!(opts.workload, "publish");
         assert_eq!(opts.runs, 1);
         assert_eq!(opts.seed, 0);
-        assert!(!opts.wmrs && !opts.stats);
-        assert!(opts.out.is_none() && opts.sink.is_none() && opts.metrics_out.is_none());
+        assert!(!opts.wmrs && !opts.metrics.stats);
+        assert!(opts.out.is_none() && opts.sink.is_none() && opts.metrics.out.is_none());
         assert_eq!(opts.chunk, 4096);
 
         let cmd = parse(&argv(
@@ -1287,11 +1204,11 @@ mod tests {
         assert_eq!(opts.workload, "all");
         assert_eq!(opts.runs, 5);
         assert_eq!(opts.seed, 11);
-        assert!(opts.wmrs && opts.stats);
+        assert!(opts.wmrs && opts.metrics.stats);
         assert_eq!(opts.out.as_deref(), Some("/tmp/cap"));
         assert_eq!(opts.sink.as_deref(), Some("127.0.0.1:900"));
         assert_eq!(opts.chunk, 64);
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
 
         assert!(matches!(parse(&argv("capture")), Err(CliError::Usage(_))), "workload required");
         assert!(matches!(parse(&argv("capture a b")), Err(CliError::Usage(_))));
@@ -1320,8 +1237,8 @@ mod tests {
         assert_eq!(opts.fidelity, Fidelity::Raw);
         assert_eq!(opts.pairing, PairingPolicy::AllSync);
         assert_eq!(opts.report_out.as_deref(), Some("r.json"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert!(opts.stats);
+        assert_eq!(opts.metrics.out.as_deref(), Some("m.json"));
+        assert!(opts.metrics.stats);
     }
 
     #[test]
@@ -1379,10 +1296,10 @@ mod tests {
         let Command::Stream(opts) = cmd else { panic!("expected stream") };
         assert_eq!(opts.to, "unix:/tmp/w.sock");
         assert_eq!(opts.program, "fig1a");
-        assert_eq!(opts.model, MemoryModel::RCsc);
-        assert_eq!(opts.fidelity, Fidelity::Raw);
-        assert_eq!(opts.hw, HwImpl::InvalQueue);
-        assert_eq!(opts.seed, 7);
+        assert_eq!(opts.exec.model, MemoryModel::RCsc);
+        assert_eq!(opts.exec.fidelity, Fidelity::Raw);
+        assert_eq!(opts.exec.hw, HwImpl::InvalQueue);
+        assert_eq!(opts.exec.seed, 7);
         assert_eq!(opts.chunk, 128);
         assert_eq!(opts.session.as_deref(), Some("s1"));
     }
@@ -1392,7 +1309,7 @@ mod tests {
         let Command::Stream(opts) = parse(&argv("stream fig1a --to 127.0.0.1:1")).unwrap() else {
             panic!("expected stream")
         };
-        assert_eq!(opts.model, MemoryModel::Wo);
+        assert_eq!(opts.exec.model, MemoryModel::Wo);
         assert_eq!(opts.chunk, 4096);
         assert!(opts.session.is_none());
 
@@ -1483,13 +1400,13 @@ mod tests {
             else {
                 panic!("expected run")
             };
-            assert_eq!(opts.hw, hw, "run --hw {name}");
+            assert_eq!(opts.exec.hw, hw, "run --hw {name}");
 
             let Command::Check(opts) = parse(&argv(&format!("check fig1a --hw {name}"))).unwrap()
             else {
                 panic!("expected check")
             };
-            assert_eq!(opts.hw, hw, "check --hw {name}");
+            assert_eq!(opts.exec.hw, hw, "check --hw {name}");
 
             let Command::Explore(opts) =
                 parse(&argv(&format!("explore fig1a --hw {name} --prune-static --predict")))
@@ -1505,14 +1422,14 @@ mod tests {
             else {
                 panic!("expected predict")
             };
-            assert_eq!(opts.hw, hw, "predict --hw {name}");
+            assert_eq!(opts.exec.hw, hw, "predict --hw {name}");
 
             let Command::Stream(opts) =
                 parse(&argv(&format!("stream fig1a --to unix:/tmp/w.sock --hw {name}"))).unwrap()
             else {
                 panic!("expected stream")
             };
-            assert_eq!(opts.hw, hw, "stream --hw {name}");
+            assert_eq!(opts.exec.hw, hw, "stream --hw {name}");
         }
         // The list parser used by explore accepts every variant at once.
         let all = HwImpl::ALL.map(|h| h.to_string()).join(",");
@@ -1521,5 +1438,74 @@ mod tests {
             panic!("expected explore")
         };
         assert_eq!(opts.hws, HwImpl::ALL.to_vec());
+    }
+
+    fn usage_message(args: &str) -> String {
+        match parse(&argv(args)) {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("`{args}` should be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_rejects_zero_seeds() {
+        // Zero executions are no evidence that Condition 3.4 holds.
+        assert_eq!(usage_message("check fig1b --seeds 0"), "--seeds wants at least one seed");
+        assert_eq!(usage_message("explore fig1b --seeds 0"), "--seeds wants at least one seed");
+        let Command::Check(opts) = parse(&argv("check fig1b --seeds 1")).unwrap() else {
+            panic!("expected check")
+        };
+        assert_eq!(opts.seeds, 1);
+    }
+
+    #[test]
+    fn chunk_zero_is_rejected_by_capture_and_stream_alike() {
+        let want = "--chunk wants at least one byte";
+        assert_eq!(usage_message("capture publish --format wmrs --chunk 0"), want);
+        assert_eq!(usage_message("stream fig1a --to unix:/tmp/w.sock --chunk 0"), want);
+        assert_eq!(usage_message("capture publish --chunk x"), "--chunk wants an integer");
+        let Command::Capture(opts) = parse(&argv("capture publish --chunk 1")).unwrap() else {
+            panic!("expected capture")
+        };
+        assert_eq!(opts.chunk, 1);
+    }
+
+    #[test]
+    fn every_integer_flag_names_itself_when_malformed() {
+        for (prefix, flag) in [
+            ("run fig1a", "--seed"),
+            ("check fig1a", "--seeds"),
+            ("explore fig1a", "--jobs"),
+            ("explore fig1a", "--budget"),
+            ("explore fig1a", "--cycle-budget"),
+            ("predict fig1a", "--seed"),
+            ("capture publish", "--runs"),
+            ("capture publish", "--seed"),
+            ("capture publish", "--chunk"),
+            ("serve --listen :0", "--workers"),
+            ("serve --listen :0", "--queue-cap"),
+            ("serve --listen :0", "--max-streams"),
+            ("stream fig1a --to x:1", "--seed"),
+            ("stream fig1a --to x:1", "--chunk"),
+        ] {
+            let message = usage_message(&format!("{prefix} {flag} -1"));
+            assert_eq!(message, format!("{flag} wants an integer"), "{prefix} {flag}");
+            let message = usage_message(&format!("{prefix} {flag}"));
+            assert_eq!(message, format!("{flag} requires a value"), "{prefix} {flag}");
+        }
+        assert_eq!(usage_message("explore fig1a --repro x"), "--repro wants a seed integer");
+    }
+
+    #[test]
+    fn seed_is_a_flag_only_where_a_single_execution_runs() {
+        assert_eq!(usage_message("check fig1a --seed 3"), "unknown flag `--seed` for check");
+        let Command::Run(opts) = parse(&argv("run fig1a --seed 3")).unwrap() else {
+            panic!("expected run")
+        };
+        assert_eq!(opts.exec.seed, 3);
+        assert_eq!(
+            usage_message("stream fig1a --to x:1 --stats"),
+            "unknown flag `--stats` for stream"
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use wmrd_core::{render, PairingPolicy, PostMortem, SalvageAnalysis};
+use wmrd_core::{render, PairingPolicy, PostMortem, RaceKey, SalvageAnalysis};
 use wmrd_explore::{
     run_campaign, run_campaign_observed, CampaignObserver, CampaignReport, CampaignSpec, ExecSpec,
 };
@@ -12,17 +12,18 @@ use wmrd_progs::catalog;
 use wmrd_serve::{Client, Endpoint, Reply, ServeConfig, Server, StreamMeta};
 use wmrd_sim::{
     run_sc, run_weak, run_weak_hw, write_asm, Fidelity, HwImpl, MemoryModel, Program, RandomSched,
-    RandomWeakSched, RunConfig, WeakScript,
+    RandomWeakSched, RunConfig, RunOutcome, WeakScript,
 };
 use wmrd_trace::{
-    Json, Metrics, MultiSink, OpRecorder, StreamWriter, ToJson, TraceBuilder, TraceSet,
+    Json, Metrics, MultiSink, OpRecorder, StreamWriter, ToJson, TraceBuilder, TraceMeta, TraceSet,
+    TraceSink,
 };
 use wmrd_verify::sample_sc;
 use wmrd_verify::theorems::{check_condition_3_4_hw, sc_race_signatures};
 
 use crate::args::{
-    parse, AnalyzeOpts, CaptureOpts, CheckOpts, Command, ExploreOpts, LintOpts, PredictOpts,
-    QueryOpts, RunOpts, ServeOpts, StreamOpts, SubmitOpts, USAGE,
+    parse, AnalyzeOpts, CaptureOpts, CheckOpts, Command, ExecOpts, ExploreOpts, LintOpts,
+    MetricsOpts, PredictOpts, QueryOpts, RunOpts, ServeOpts, StreamOpts, SubmitOpts, USAGE,
 };
 use crate::CliError;
 
@@ -30,37 +31,94 @@ fn file_err(path: &str) -> impl FnOnce(std::io::Error) -> CliError + '_ {
     move |source| CliError::File { path: path.to_string(), source }
 }
 
-/// The metrics handle for one command: enabled only when the user asked
-/// for `--metrics <file>` or `--stats`, so unobserved invocations pay
-/// nothing.
-fn metrics_for(metrics_out: &Option<String>, stats: bool) -> Metrics {
-    if metrics_out.is_some() || stats {
-        Metrics::enabled()
-    } else {
-        Metrics::disabled()
+impl MetricsOpts {
+    /// The metrics handle for one command: enabled only when the user
+    /// asked for `--metrics <file>` or `--stats`, so unobserved
+    /// invocations pay nothing.
+    fn handle(&self) -> Metrics {
+        if self.out.is_some() || self.stats {
+            Metrics::enabled()
+        } else {
+            Metrics::disabled()
+        }
+    }
+
+    /// Writes the collected metrics to `--metrics <file>` (schema-stable
+    /// JSON, see OBSERVABILITY.md) and/or appends the `--stats` summary.
+    fn emit(&self, metrics: &Metrics, out: &mut String) -> Result<(), CliError> {
+        if !metrics.is_enabled() {
+            return Ok(());
+        }
+        let report = metrics.report();
+        if let Some(path) = &self.out {
+            std::fs::write(path, report.to_json()).map_err(file_err(path))?;
+            let _ = writeln!(out, "metrics written to {path}");
+        }
+        if self.stats {
+            let _ = write!(out, "{}", report.to_summary());
+        }
+        Ok(())
     }
 }
 
-/// Writes the collected metrics to `--metrics <file>` (schema-stable
-/// JSON, see OBSERVABILITY.md) and/or appends the `--stats` summary.
-fn emit_metrics(
-    metrics: &Metrics,
-    metrics_out: &Option<String>,
-    stats: bool,
-    out: &mut String,
-) -> Result<(), CliError> {
-    if !metrics.is_enabled() {
-        return Ok(());
+/// Executes `program` once as `exec` says, feeding `sink`: an SC
+/// execution on the SC machine, every other model on the `exec.hw` weak
+/// machine, each under its seeded random scheduler. Returns the outcome
+/// and the metadata the execution's trace carries.
+fn execute<S: TraceSink>(
+    program: &Program,
+    exec: &ExecOpts,
+    sink: &mut S,
+) -> Result<(RunOutcome, TraceMeta), CliError> {
+    let config = RunConfig::default();
+    let outcome = if exec.model == MemoryModel::Sc {
+        run_sc(program, &mut RandomSched::new(exec.seed), sink, config)?
+    } else {
+        let mut sched = RandomWeakSched::new(exec.seed, 0.3);
+        run_weak_hw(exec.hw, program, exec.model, exec.fidelity, &mut sched, sink, config)?
+    };
+    let meta = TraceMeta {
+        program: Some(program.name().to_string()),
+        model: Some(exec.model.to_string()),
+        seed: Some(exec.seed),
+    };
+    Ok((outcome, meta))
+}
+
+/// Expands command-line targets: the word `all` means every catalog
+/// entry.
+fn expand_targets(targets: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    for t in targets {
+        if t == "all" {
+            out.extend(catalog::all().into_iter().map(|e| e.name.to_string()));
+        } else {
+            out.push(t.clone());
+        }
     }
-    let report = metrics.report();
-    if let Some(path) = metrics_out {
-        std::fs::write(path, report.to_json()).map_err(file_err(path))?;
-        let _ = writeln!(out, "metrics written to {path}");
+    out
+}
+
+/// Worker threads for `--jobs`: `0` means one per available core.
+fn worker_count(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
     }
-    if stats {
-        let _ = write!(out, "{}", report.to_summary());
-    }
-    Ok(())
+}
+
+/// A race identity as the campaign commands print it:
+/// `m[<addr>] <proc>:<kind> × <proc>:<kind>`.
+fn key_text(key: &RaceKey) -> String {
+    format!(
+        "m[{}] {}:{:?} × {}:{:?}",
+        key.loc.addr(),
+        key.a.proc,
+        key.a.kind,
+        key.b.proc,
+        key.b.kind
+    )
 }
 
 /// Executes one CLI invocation (arguments exclude the binary name) and
@@ -152,38 +210,24 @@ fn cmd_export(name: &str, path: &str) -> Result<String, CliError> {
 
 fn cmd_run(opts: &RunOpts) -> Result<String, CliError> {
     let program = load_program(&opts.program)?;
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let exec = &opts.exec;
+    let metrics = opts.metrics.handle();
     metrics.context("command", "run");
     metrics.context("program", program.name());
-    metrics.context("model", opts.model);
-    metrics.context("fidelity", opts.fidelity);
-    metrics.context("seed", opts.seed);
-    if opts.model != MemoryModel::Sc {
-        metrics.context("hw", opts.hw);
+    metrics.context("model", exec.model);
+    metrics.context("fidelity", exec.fidelity);
+    metrics.context("seed", exec.seed);
+    if exec.model != MemoryModel::Sc {
+        metrics.context("hw", exec.hw);
     }
     let mut sink = MultiSink::new(
         TraceBuilder::new(program.num_procs()),
         OpRecorder::new(program.num_procs()),
     );
-    let outcome = if opts.model == MemoryModel::Sc {
-        run_sc(&program, &mut RandomSched::new(opts.seed), &mut sink, RunConfig::default())?
-    } else {
-        let mut sched = RandomWeakSched::new(opts.seed, 0.3);
-        run_weak_hw(
-            opts.hw,
-            &program,
-            opts.model,
-            opts.fidelity,
-            &mut sched,
-            &mut sink,
-            RunConfig::default(),
-        )?
-    };
+    let (outcome, meta) = execute(&program, exec, &mut sink)?;
     let (builder, recorder) = sink.into_inner();
     let mut trace = builder.finish();
-    trace.meta.program = Some(program.name().to_string());
-    trace.meta.model = Some(opts.model.to_string());
-    trace.meta.seed = Some(opts.seed);
+    trace.meta = meta;
     outcome.stats.record_into(&metrics);
     if metrics.is_enabled() {
         metrics.set_gauge("sim.steps", outcome.steps);
@@ -197,9 +241,9 @@ fn cmd_run(opts: &RunOpts) -> Result<String, CliError> {
         out,
         "ran {} on {} (fidelity {}, seed {}): {} steps, {} cycles, {} events",
         program.name(),
-        opts.model,
-        opts.fidelity,
-        opts.seed,
+        exec.model,
+        exec.fidelity,
+        exec.seed,
         outcome.steps,
         outcome.total_cycles(),
         trace.num_events()
@@ -217,7 +261,7 @@ fn cmd_run(opts: &RunOpts) -> Result<String, CliError> {
         let report = PostMortem::new(&trace).metrics(&metrics).analyze()?;
         let _ = writeln!(out, "{report}");
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
 }
 
@@ -228,7 +272,7 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, CliError> {
 }
 
 fn cmd_analyze(opts: &AnalyzeOpts) -> Result<String, CliError> {
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let metrics = opts.metrics.handle();
     metrics.context("command", "analyze");
     metrics.context("pairing", format!("{:?}", opts.pairing));
     let mut bytes = std::fs::read(&opts.trace).map_err(file_err(&opts.trace))?;
@@ -279,27 +323,28 @@ fn cmd_analyze(opts: &AnalyzeOpts) -> Result<String, CliError> {
         std::fs::write(path, render::to_dot(&trace, &report)?).map_err(file_err(path))?;
         let _ = writeln!(out, "dot graph written to {path}");
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
 }
 
 fn cmd_check(opts: &CheckOpts) -> Result<String, CliError> {
     let program = load_program(&opts.program)?;
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let exec = &opts.exec;
+    let metrics = opts.metrics.handle();
     metrics.context("command", "check");
     metrics.context("program", program.name());
-    metrics.context("model", opts.model);
-    metrics.context("fidelity", opts.fidelity);
-    metrics.context("hw", opts.hw);
+    metrics.context("model", exec.model);
+    metrics.context("fidelity", exec.fidelity);
+    metrics.context("hw", exec.hw);
     // Build the SC-race oracle by sampling.
     let samples = sample_sc(&program, 0..60, RunConfig::default())?;
     let sigs = sc_race_signatures(&samples, PairingPolicy::ByRole)?;
     let sc_racy = !sigs.is_empty();
     let outcomes = check_condition_3_4_hw(
-        opts.hw,
+        exec.hw,
         &program,
-        opts.model,
-        opts.fidelity,
+        exec.model,
+        exec.fidelity,
         0..opts.seeds,
         &sigs,
         PairingPolicy::ByRole,
@@ -309,9 +354,9 @@ fn cmd_check(opts: &CheckOpts) -> Result<String, CliError> {
         out,
         "Condition 3.4 check: {} on {} ({}, {}), {} seeded executions",
         program.name(),
-        opts.model,
-        opts.fidelity,
-        opts.hw,
+        exec.model,
+        exec.fidelity,
+        exec.hw,
         outcomes.len()
     );
     let _ = writeln!(
@@ -357,7 +402,7 @@ fn cmd_check(opts: &CheckOpts) -> Result<String, CliError> {
         metrics.add("check.racy", outcomes.iter().filter(|o| !o.race_free).count() as u64);
         metrics.add("check.violations", outcomes.iter().filter(|o| !o.holds()).count() as u64);
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
 }
 
@@ -389,18 +434,10 @@ impl ToJson for LintedTarget {
 }
 
 fn cmd_lint(opts: &LintOpts) -> Result<String, CliError> {
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let metrics = opts.metrics.handle();
     metrics.context("command", "lint");
     let run_cycles = opts.cycles || opts.repair_out.is_some();
-    // Expand targets: the word `all` means every catalog entry.
-    let mut targets: Vec<String> = Vec::new();
-    for t in &opts.targets {
-        if t == "all" {
-            targets.extend(catalog::all().into_iter().map(|e| e.name.to_string()));
-        } else {
-            targets.push(t.clone());
-        }
-    }
+    let targets = expand_targets(&opts.targets);
     if opts.repair_out.is_some() && targets.len() != 1 {
         return Err(CliError::Usage(
             "lint --repair wants exactly one target (it writes one repaired program)".into(),
@@ -461,7 +498,7 @@ fn cmd_lint(opts: &LintOpts) -> Result<String, CliError> {
             repair.plan.strengthened.len()
         );
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     if findings > 0 {
         // A verdict, not a malfunction: the caller prints `output` and
         // exits non-zero so scripts can gate on the result.
@@ -472,9 +509,9 @@ fn cmd_lint(opts: &LintOpts) -> Result<String, CliError> {
 
 /// Resolves one `predict` target to a trace: an existing file that
 /// starts with the `WMRD` trace magic is decoded as-is; anything else
-/// goes through [`load_program`] and is executed once under the seeded
-/// scheduler, exactly like `wmrd run`.
-fn predict_input(target: &str, opts: &PredictOpts) -> Result<TraceSet, CliError> {
+/// goes through [`load_program`] and is run once by [`execute`], exactly
+/// like `wmrd run`.
+fn predict_input(target: &str, exec: &ExecOpts) -> Result<TraceSet, CliError> {
     let is_catalog = catalog::all().into_iter().any(|e| e.name == target);
     if !is_catalog && std::path::Path::new(target).exists() {
         let bytes = std::fs::read(target).map_err(file_err(target))?;
@@ -484,43 +521,20 @@ fn predict_input(target: &str, opts: &PredictOpts) -> Result<TraceSet, CliError>
     }
     let program = load_program(target)?;
     let mut builder = TraceBuilder::new(program.num_procs());
-    if opts.model == MemoryModel::Sc {
-        run_sc(&program, &mut RandomSched::new(opts.seed), &mut builder, RunConfig::default())?;
-    } else {
-        let mut sched = RandomWeakSched::new(opts.seed, 0.3);
-        run_weak_hw(
-            opts.hw,
-            &program,
-            opts.model,
-            opts.fidelity,
-            &mut sched,
-            &mut builder,
-            RunConfig::default(),
-        )?;
-    }
+    let (_, meta) = execute(&program, exec, &mut builder)?;
     let mut trace = builder.finish();
-    trace.meta.program = Some(program.name().to_string());
-    trace.meta.model = Some(opts.model.to_string());
-    trace.meta.seed = Some(opts.seed);
+    trace.meta = meta;
     Ok(trace)
 }
 
 fn cmd_predict(opts: &PredictOpts) -> Result<String, CliError> {
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let metrics = opts.metrics.handle();
     metrics.context("command", "predict");
     metrics.context("order", opts.order);
-    // Expand targets: the word `all` means every catalog entry.
-    let mut targets: Vec<String> = Vec::new();
-    for t in &opts.targets {
-        if t == "all" {
-            targets.extend(catalog::all().into_iter().map(|e| e.name.to_string()));
-        } else {
-            targets.push(t.clone());
-        }
-    }
+    let targets = expand_targets(&opts.targets);
     let mut reports = Vec::new();
     for target in &targets {
-        let trace = predict_input(target, opts)?;
+        let trace = predict_input(target, &opts.exec)?;
         let name = trace.meta.program.clone().unwrap_or_else(|| target.clone());
         reports.push(wmrd_predict::predict_with_metrics(
             &trace,
@@ -559,7 +573,7 @@ fn cmd_predict(opts: &PredictOpts) -> Result<String, CliError> {
             );
         }
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     if findings > 0 {
         // A verdict, not a malfunction — mirror `lint`'s typed non-zero
         // exit so scripts can gate on predicted races.
@@ -605,7 +619,7 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
         })?]
     };
 
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let metrics = opts.metrics.handle();
     metrics.context("command", "capture");
     let mut out = String::new();
     let mut delivered = 0u64;
@@ -699,7 +713,7 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
             String::new()
         }
     );
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
 }
 
@@ -719,7 +733,7 @@ fn deliver_wmrs(
     };
     let mut summary = String::new();
     let _ = write!(summary, "{}", client.stream_open(&session, &meta)?.into_text()?.trim_end());
-    for frame in bytes.chunks(chunk.max(1)) {
+    for frame in bytes.chunks(chunk) {
         let ack = client.stream_feed(frame)?.into_text()?;
         if !ack.trim_end().ends_with("new=0") {
             let _ = write!(summary, "; {}", ack.trim_end());
@@ -752,39 +766,29 @@ fn campaign_spec(opts: &ExploreOpts) -> Result<CampaignSpec, CliError> {
     Ok(spec)
 }
 
-/// Executes one campaign point into a finished trace, using the same
-/// scheduler construction the campaign workers (and `--sink`
-/// re-execution) use, so the recorded schedule is one the campaign
-/// itself covers.
-fn exec_trace(program: &Program, exec: &ExecSpec, config: RunConfig) -> Result<TraceSet, CliError> {
-    let mut builder = TraceBuilder::new(program.num_procs());
-    if exec.model == MemoryModel::Sc {
-        run_sc(program, &mut RandomSched::new(exec.seed), &mut builder, config)?;
-    } else {
-        let mut sched = RandomWeakSched::new(exec.seed, exec.drain_prob);
-        run_weak_hw(exec.hw, program, exec.model, exec.fidelity, &mut sched, &mut builder, config)?;
+/// The campaign's first execution point at `seed`: the first entry of
+/// each configuration list, so `--repro` and `--predict` coordinates can
+/// be fed back verbatim.
+fn first_point(spec: &CampaignSpec, seed: u64) -> ExecSpec {
+    ExecSpec {
+        hw: spec.hws[0],
+        model: spec.models[0],
+        fidelity: spec.fidelity,
+        drain_prob: spec.drain_probs[0],
+        seed,
     }
-    Ok(builder.finish())
 }
 
 fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
     let program = load_program(&opts.program)?;
     let spec = campaign_spec(opts)?;
-    let metrics = metrics_for(&opts.metrics_out, opts.stats);
+    let metrics = opts.metrics.handle();
     metrics.context("command", "explore");
     metrics.context("program", program.name());
 
     if let Some(seed) = opts.repro {
-        // Replay one point in full detail; the configuration lists
-        // pick their first entries, so a finding's coordinates can be
-        // fed back verbatim.
-        let exec = ExecSpec {
-            hw: spec.hws[0],
-            model: spec.models[0],
-            fidelity: spec.fidelity,
-            drain_prob: spec.drain_probs[0],
-            seed,
-        };
+        // Replay one point in full detail.
+        let exec = first_point(&spec, seed);
         metrics.context("seed", seed);
         let replay = wmrd_explore::replay(&program, &exec, spec.config, spec.pairing)?;
         let mut out = String::new();
@@ -802,18 +806,10 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
         if !replay.keys.is_empty() {
             let _ = writeln!(out, "race identities reached by this seed:");
             for key in &replay.keys {
-                let _ = writeln!(
-                    out,
-                    "  m[{}] {}:{:?} × {}:{:?}",
-                    key.loc.addr(),
-                    key.a.proc,
-                    key.a.kind,
-                    key.b.proc,
-                    key.b.kind
-                );
+                let _ = writeln!(out, "  {}", key_text(key));
             }
         }
-        emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+        opts.metrics.emit(&metrics, &mut out)?;
         return Ok(out);
     }
 
@@ -845,27 +841,22 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
                 std::fs::write(path, report.json().pretty()).map_err(file_err(path))?;
                 let _ = writeln!(out, "campaign report written to {path}");
             }
-            emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+            opts.metrics.emit(&metrics, &mut out)?;
             return Ok(out);
         }
     }
 
-    // With --predict, run the campaign's first execution point once and
-    // predict races from that single trace; the campaign then serves as
-    // the soundness oracle below.
+    // With --predict, replay the campaign's first execution point once,
+    // on the machine its workers run it on, and predict races from that
+    // single trace; the campaign then serves as the soundness oracle
+    // below.
     let predicted = opts
         .predict
         .then(|| -> Result<wmrd_predict::PredictReport, CliError> {
-            let exec = ExecSpec {
-                hw: spec.hws[0],
-                model: spec.models[0],
-                fidelity: spec.fidelity,
-                drain_prob: spec.drain_probs[0],
-                seed: opts.seeds.0,
-            };
-            let trace = exec_trace(&program, &exec, spec.config)?;
+            let exec = first_point(&spec, opts.seeds.0);
+            let replay = wmrd_explore::replay(&program, &exec, spec.config, spec.pairing)?;
             Ok(wmrd_predict::predict_with_metrics(
-                &trace,
+                &replay.trace,
                 program.name(),
                 spec.pairing,
                 wmrd_predict::PredictOrder::Wcp,
@@ -874,11 +865,7 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
         })
         .transpose()?;
 
-    let jobs = if opts.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.jobs
-    };
+    let jobs = worker_count(opts.jobs);
     let sink = opts
         .sink
         .as_deref()
@@ -908,13 +895,9 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
             for key in &missed {
                 let _ = writeln!(
                     out,
-                    "WARNING: dynamic race m[{}] {}:{:?} × {}:{:?} escaped the static \
-                     may-race set — lint soundness violation",
-                    key.loc.addr(),
-                    key.a.proc,
-                    key.a.kind,
-                    key.b.proc,
-                    key.b.kind
+                    "WARNING: dynamic race {} escaped the static may-race set — lint \
+                     soundness violation",
+                    key_text(key)
                 );
             }
         }
@@ -939,13 +922,9 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
             for key in &escaped {
                 let _ = writeln!(
                     out,
-                    "WARNING: predicted race m[{}] {}:{:?} × {}:{:?} was reached by no campaign \
-                     seed — prediction soundness violation",
-                    key.loc.addr(),
-                    key.a.proc,
-                    key.a.kind,
-                    key.b.proc,
-                    key.b.kind
+                    "WARNING: predicted race {} was reached by no campaign seed — prediction \
+                     soundness violation",
+                    key_text(key)
                 );
             }
         }
@@ -964,7 +943,7 @@ fn cmd_explore(opts: &ExploreOpts) -> Result<String, CliError> {
         std::fs::write(path, report.json().pretty()).map_err(file_err(path))?;
         let _ = writeln!(out, "campaign report written to {path}");
     }
-    emit_metrics(&metrics, &opts.metrics_out, opts.stats, &mut out)?;
+    opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
 }
 
@@ -1001,11 +980,7 @@ fn cmd_verify_repair(
     let _ = writeln!(out, "repair verification for {}", program.name());
     let _ = write!(out, "{}", cycles.render());
     let _ = write!(out, "{}", repair.plan.render());
-    let jobs = if opts.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.jobs
-    };
+    let jobs = worker_count(opts.jobs);
     let mut failure: Option<String> = None;
 
     // 1a. The repaired program races on no backend.
@@ -1024,15 +999,7 @@ fn cmd_verify_repair(
         if dynamic.len() == 1 { "y" } else { "ies" }
     );
     for key in &dynamic {
-        let _ = writeln!(
-            out,
-            "  STILL RACES: m[{}] {}:{:?} × {}:{:?}",
-            key.loc.addr(),
-            key.a.proc,
-            key.a.kind,
-            key.b.proc,
-            key.b.kind
-        );
+        let _ = writeln!(out, "  STILL RACES: {}", key_text(key));
     }
     if !dynamic.is_empty() {
         failure = Some(format!(
@@ -1094,7 +1061,7 @@ fn cmd_verify_repair(
     match failure {
         Some(reason) => {
             let _ = writeln!(out, "REPAIR UNVERIFIED: {reason}");
-            emit_metrics(metrics, &opts.metrics_out, opts.stats, &mut out)?;
+            opts.metrics.emit(metrics, &mut out)?;
             Err(CliError::RepairUnverified { output: out, reason })
         }
         None => {
@@ -1104,7 +1071,7 @@ fn cmd_verify_repair(
                  (seeds {}..{})",
                 opts.seeds.0, opts.seeds.1
             );
-            emit_metrics(metrics, &opts.metrics_out, opts.stats, &mut out)?;
+            opts.metrics.emit(metrics, &mut out)?;
             Ok(out)
         }
     }
@@ -1317,32 +1284,15 @@ fn cmd_stream(opts: &StreamOpts) -> Result<String, CliError> {
     let program = load_program(&opts.program)?;
 
     let mut writer = StreamWriter::new(Vec::new(), program.num_procs());
-    if opts.model == MemoryModel::Sc {
-        run_sc(&program, &mut RandomSched::new(opts.seed), &mut writer, RunConfig::default())?;
-    } else {
-        let mut sched = RandomWeakSched::new(opts.seed, 0.3);
-        run_weak_hw(
-            opts.hw,
-            &program,
-            opts.model,
-            opts.fidelity,
-            &mut sched,
-            &mut writer,
-            RunConfig::default(),
-        )?;
-    }
+    let (_, meta) = execute(&program, &opts.exec, &mut writer)?;
     let records = writer.records();
     let bytes = writer.finish()?;
 
     let session = match &opts.session {
         Some(name) => name.clone(),
-        None => session_token(&format!("{}-{}", program.name(), opts.seed)),
+        None => session_token(&format!("{}-{}", program.name(), opts.exec.seed)),
     };
-    let meta = StreamMeta {
-        program: Some(program.name().to_string()),
-        model: Some(opts.model.to_string()),
-        seed: Some(opts.seed),
-    };
+    let meta = StreamMeta { program: meta.program, model: meta.model, seed: meta.seed };
 
     let mut out = String::new();
     let mut client = Client::connect(&endpoint)?;
@@ -2177,5 +2127,73 @@ mod tests {
         run_cli(&argv(&format!("query --to {addr} shutdown"))).unwrap();
         let summary = daemon.join().unwrap();
         assert_eq!(summary.ingested, 1, "the CLOSEd stream was ingested");
+    }
+
+    /// Where the shipped `.wmrd` examples live.
+    fn example(name: &str) -> String {
+        format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn help_documents_every_cli_surface() {
+        let help = run_cli(&argv("help")).unwrap();
+        for needle in
+            ["--cycles", "wmrd predict", "--hw store-buffer|inval-queue|ooo", "wmrd capture"]
+        {
+            assert!(help.contains(needle), "wmrd help does not document `{needle}`");
+        }
+    }
+
+    #[test]
+    fn lint_passes_a_file_and_a_catalog_target_together() {
+        let out =
+            run_cli(&argv(&format!("lint {} counter-locked", example("spinlock.wmrd")))).unwrap();
+        assert!(out.contains("linted 2 program(s): 0 with may-race findings"), "{out}");
+    }
+
+    #[test]
+    fn lint_all_cycles_classifies_the_whole_catalog() {
+        // Findings are the only failure: the catalog has racy entries,
+        // and every entry gets its cycle classification.
+        let CliError::LintFindings { output, .. } =
+            run_cli(&argv("lint all --cycles")).unwrap_err()
+        else {
+            panic!("lint all --cycles must end in findings, nothing else")
+        };
+        for entry in catalog::all() {
+            let header = format!("cycle classification for '{}'", entry.name);
+            assert!(output.contains(&header), "missing {header}:\n{output}");
+        }
+    }
+
+    #[test]
+    fn predict_exit_status_from_executed_programs() {
+        let out = run_cli(&argv("predict counter-locked --model wo")).unwrap();
+        assert!(out.contains("verdict: predictively race-free"), "{out}");
+        let err = run_cli(&argv("predict lazy-publish-racy --model wo --seed 2 --order wcp"))
+            .unwrap_err();
+        let CliError::PredictFindings { output, findings } = err else {
+            panic!("lazy-publish-racy must predict a race")
+        };
+        assert!(findings > 0, "{output}");
+        assert!(output.contains("verdict: RACES PREDICTED"), "{output}");
+    }
+
+    #[test]
+    fn hw_flags_accept_ooo_and_reject_unknown_styles() {
+        let out = run_cli(&argv("run fig1a --hw ooo --model wo")).unwrap();
+        assert!(out.contains("ran fig1a on WO"), "{out}");
+        let out = run_cli(&argv("check fig1b --hw ooo --seeds 4")).unwrap();
+        assert!(out.contains("ooo), 4 seeded executions"), "{out}");
+        assert!(out.contains("every execution satisfied Condition 3.4"), "{out}");
+        let err = run_cli(&argv("run fig1a --hw rob --model wo")).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+    }
+
+    #[test]
+    fn capture_reports_the_races_of_a_racy_workload_at_seed_zero() {
+        let out = run_cli(&argv("capture publish-racy --seed 0")).unwrap();
+        assert!(out.contains("publish-racy seed=0:"), "{out}");
+        assert!(out.contains("  race "), "expected inline race keys:\n{out}");
     }
 }

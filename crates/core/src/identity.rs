@@ -125,8 +125,9 @@ pub fn one_event_race_keys(race: &DataRace, trace: &TraceSet) -> BTreeSet<RaceKe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::OpAnalysis;
     use crate::{detect_races, HbGraph, PairingPolicy};
-    use wmrd_trace::{TraceBuilder, TraceSink, Value};
+    use wmrd_trace::{OpRecorder, TraceBuilder, TraceSink, Value};
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -200,6 +201,36 @@ mod tests {
     }
 
     #[test]
+    fn op_and_event_signatures_agree_on_a_simple_race() {
+        // Same execution traced at both granularities.
+        let mut events = TraceBuilder::new(2);
+        let mut ops = OpRecorder::new(2);
+        // Feed both sinks identically.
+        let feed = |b: &mut dyn TraceSink| {
+            b.data_access(p(0), l(3), AccessKind::Write, Value::new(1), None);
+            b.data_access(p(1), l(3), AccessKind::Read, Value::ZERO, None);
+        };
+        feed(&mut events);
+        feed(&mut ops);
+        let event_trace = events.finish();
+        let op_trace = ops.finish();
+
+        let hb = HbGraph::build(&event_trace, PairingPolicy::ByRole).unwrap();
+        let event_races = detect_races(&event_trace, &hb);
+        let esigs = event_race_keys(&event_races, &event_trace);
+
+        let analysis = OpAnalysis::analyze(&op_trace, PairingPolicy::ByRole).unwrap();
+        let osigs = op_race_keys(analysis.races(), &op_trace);
+
+        assert_eq!(esigs, osigs);
+        assert_eq!(esigs.len(), 1);
+        let sig = esigs.iter().next().unwrap();
+        assert_eq!(sig.loc, l(3));
+        assert_eq!(sig.a.kind, AccessKind::Write);
+        assert_eq!(sig.b.kind, AccessKind::Read);
+    }
+
+    #[test]
     fn multi_location_event_race_yields_multiple_keys() {
         let mut b = TraceBuilder::new(2);
         b.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
@@ -229,6 +260,17 @@ mod tests {
         let keys = event_race_keys(&races, &t);
         assert_eq!(keys.len(), 2);
         assert!(keys.iter().all(|k| !(k.a.sync && k.b.sync)), "{keys:?}");
+    }
+
+    #[test]
+    fn one_race_helper() {
+        let mut b = TraceBuilder::new(2);
+        b.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
+        b.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
+        let t = b.finish();
+        let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
+        let races = detect_races(&t, &hb);
+        assert_eq!(one_event_race_keys(&races[0], &t).len(), 1);
     }
 
     #[test]

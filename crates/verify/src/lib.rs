@@ -15,9 +15,10 @@
 //!   workhorse for checking Condition 3.4(1) ("no data races ⇒ the
 //!   execution is sequentially consistent") and Definition 3.2 ("the
 //!   prefix is also the prefix of an SC execution").
-//! * [`RaceSignature`] names a race independently of dynamic operation
-//!   ids, so a race found in a weak execution can be matched against
-//!   races of enumerated SC executions (Theorem 4.2 / Condition 3.4(2)).
+//! * [`wmrd_core::RaceKey`] names a race independently of dynamic
+//!   operation ids, so a race found in a weak execution can be matched
+//!   against races of enumerated SC executions (Theorem 4.2 / Condition
+//!   3.4(2)).
 //! * [`theorems`] bundles the checks: [`theorems::check_theorem_4_1`],
 //!   [`theorems::check_theorem_4_2`], and
 //!   [`theorems::check_condition_3_4`].
@@ -44,15 +45,10 @@
 mod error;
 mod linearize;
 mod oracle;
-mod signature;
 pub mod theorems;
 mod weak_oracle;
 
 pub use error::VerifyError;
 pub use linearize::{is_sequentially_consistent, linearization_witness};
 pub use oracle::{enumerate_sc, sample_sc, EnumConfig, EnumResult, ScExecution};
-pub use signature::{
-    event_race_signatures, one_event_race_signatures, op_race_signatures, RaceSignature,
-    SideSignature,
-};
 pub use weak_oracle::{enumerate_weak, WeakEnumResult};

@@ -13,17 +13,14 @@
 //!   the SCP estimate against the linearizability oracle
 //!   ([`check_scp_prefix`]).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use wmrd_core::ops::OpAnalysis;
-use wmrd_core::{PairingPolicy, PostMortem, RaceReport};
+use wmrd_core::{event_race_keys, op_race_keys, PairingPolicy, PostMortem, RaceKey, RaceReport};
 use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig};
 use wmrd_trace::{EventKind, MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet};
 
-use crate::{
-    event_race_signatures, is_sequentially_consistent, op_race_signatures, RaceSignature,
-    ScExecution, VerifyError,
-};
+use crate::{is_sequentially_consistent, ScExecution, VerifyError};
 
 /// Checks Theorem 4.1 on one analyzed execution: first partitions with
 /// data races exist iff data races exist.
@@ -54,11 +51,11 @@ impl Theorem42Outcome {
 pub fn sc_race_signatures(
     executions: &[ScExecution],
     pairing: PairingPolicy,
-) -> Result<HashSet<RaceSignature>, VerifyError> {
-    let mut sigs = HashSet::new();
+) -> Result<BTreeSet<RaceKey>, VerifyError> {
+    let mut sigs = BTreeSet::new();
     for exec in executions {
         let analysis = OpAnalysis::analyze(&exec.ops, pairing)?;
-        sigs.extend(op_race_signatures(analysis.races(), &exec.ops));
+        sigs.extend(op_race_keys(analysis.races(), &exec.ops));
     }
     Ok(sigs)
 }
@@ -68,14 +65,14 @@ pub fn sc_race_signatures(
 pub fn check_theorem_4_2(
     trace: &TraceSet,
     report: &RaceReport,
-    sc_sigs: &HashSet<RaceSignature>,
+    sc_sigs: &BTreeSet<RaceKey>,
 ) -> Theorem42Outcome {
     let mut checked = 0;
     let mut confirmed = 0;
     for part in report.first_partitions() {
         checked += 1;
         let part_races: Vec<_> = part.races.iter().map(|&r| report.races[r].clone()).collect();
-        let sigs = event_race_signatures(&part_races, trace);
+        let sigs = event_race_keys(&part_races, trace);
         if sigs.iter().any(|s| sc_sigs.contains(s)) {
             confirmed += 1;
         }
@@ -182,7 +179,7 @@ pub fn check_condition_3_4(
     model: MemoryModel,
     fidelity: Fidelity,
     seeds: impl IntoIterator<Item = u64>,
-    sc_sigs: &HashSet<RaceSignature>,
+    sc_sigs: &BTreeSet<RaceKey>,
     pairing: PairingPolicy,
 ) -> Result<Vec<Condition34Outcome>, VerifyError> {
     check_condition_3_4_hw(HwImpl::StoreBuffer, program, model, fidelity, seeds, sc_sigs, pairing)
@@ -202,7 +199,7 @@ pub fn check_condition_3_4_hw(
     model: MemoryModel,
     fidelity: Fidelity,
     seeds: impl IntoIterator<Item = u64>,
-    sc_sigs: &HashSet<RaceSignature>,
+    sc_sigs: &BTreeSet<RaceKey>,
     pairing: PairingPolicy,
 ) -> Result<Vec<Condition34Outcome>, VerifyError> {
     let mut outcomes = Vec::new();
@@ -238,7 +235,7 @@ mod tests {
     use crate::{enumerate_sc, EnumConfig};
     use wmrd_progs::catalog;
 
-    fn sc_sigs_of(program: &Program) -> HashSet<RaceSignature> {
+    fn sc_sigs_of(program: &Program) -> BTreeSet<RaceKey> {
         let result = enumerate_sc(program, &EnumConfig::default()).unwrap();
         sc_race_signatures(&result.executions, PairingPolicy::ByRole).unwrap()
     }
@@ -251,7 +248,7 @@ mod tests {
                 MemoryModel::Wo,
                 Fidelity::Conditioned,
                 0..3,
-                &HashSet::new(),
+                &BTreeSet::new(),
                 PairingPolicy::ByRole,
             );
             // We only need reports here; rebuild them via PostMortem in
@@ -264,7 +261,7 @@ mod tests {
     #[test]
     fn condition_3_4_holds_for_race_free_program_on_all_weak_models() {
         let entry = catalog::fig1b();
-        let sigs = HashSet::new(); // race-free: no SC sigs needed
+        let sigs = BTreeSet::new(); // race-free: no SC sigs needed
         for model in MemoryModel::WEAK {
             let outcomes = check_condition_3_4(
                 &entry.program,
@@ -322,7 +319,7 @@ mod tests {
                 MemoryModel::Wo,
                 Fidelity::Raw,
                 [seed],
-                &HashSet::new(),
+                &BTreeSet::new(),
                 PairingPolicy::ByRole,
             )
             .unwrap();

@@ -151,8 +151,9 @@ pub fn enumerate_weak(
 mod tests {
     use super::*;
     use crate::theorems::sc_race_signatures;
-    use crate::{enumerate_sc, event_race_signatures, is_sequentially_consistent, RaceSignature};
-    use wmrd_core::{PairingPolicy, PostMortem};
+    use crate::{enumerate_sc, is_sequentially_consistent};
+    use std::collections::BTreeSet;
+    use wmrd_core::{event_race_keys, PairingPolicy, PostMortem, RaceKey};
     use wmrd_progs::catalog;
 
     fn small_config() -> EnumConfig {
@@ -189,7 +190,7 @@ mod tests {
         let entry = catalog::fig1a();
         let sc = enumerate_sc(&entry.program, &EnumConfig::default()).unwrap();
         assert!(sc.complete);
-        let sc_sigs: HashSet<RaceSignature> =
+        let sc_sigs: BTreeSet<RaceKey> =
             sc_race_signatures(&sc.executions, PairingPolicy::ByRole).unwrap();
 
         let weak =
@@ -208,7 +209,7 @@ mod tests {
                 for part in report.first_partitions() {
                     let races: Vec<_> =
                         part.races.iter().map(|&i| report.races[i].clone()).collect();
-                    let sigs = event_race_signatures(&races, &exec.events);
+                    let sigs = event_race_keys(&races, &exec.events);
                     assert!(
                         sigs.iter().any(|s| sc_sigs.contains(s)),
                         "first partition without an SC race"

@@ -6,7 +6,7 @@
 //! cargo run -p wmrd-xtests --example fuzz_theorems [-- <num-programs>]
 //! ```
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use wmrd_core::{PairingPolicy, PostMortem};
 use wmrd_progs::generate;
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             MemoryModel::Wo,
             Fidelity::Raw,
             [seed],
-            &HashSet::new(),
+            &BTreeSet::new(),
             PairingPolicy::ByRole,
         )?;
         if outcomes[0].race_free && outcomes[0].part1_sc == Some(false) {

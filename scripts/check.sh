@@ -1,9 +1,17 @@
 #!/bin/sh
-# The full local gate: formatting, lints as errors, the test suite, the
-# CLI exit-status smokes and the documentation gates. Run from the
-# repository root (or any subdirectory):
+# The full local gate. Run from the repository root (or any
+# subdirectory):
 #
 #   sh scripts/check.sh
+#
+# It runs, in order: cargo fmt --check, clippy with warnings as errors,
+# the release build, a check that benchmark/ still builds against the
+# workspace, the benchmark smoke (every workload's per-operation
+# checks), cargo test, the SERVING.md protocol-verb gate, the
+# documentation gates (DESIGN.md and EXPERIMENTS.md sections, metric
+# keys in OBSERVABILITY.md) and the explore crate's #[ignore] hygiene
+# gate. The CLI smokes (exit statuses, the --hw, lint, predict and
+# capture surfaces, the help text) are run_cli cases under cargo test.
 #
 # CI and reviewers run exactly this; a clean exit here means the PR is
 # mergeable from the code-quality side. Everything builds with
@@ -59,9 +67,6 @@ echo "== cargo test"
 # oracles, capture e2e) and the doctests.
 cargo test --offline --workspace -q
 
-cargo build --offline -q -p wmrd-cli
-wmrd=target/debug/wmrd
-
 echo "== protocol documentation gate (SERVING.md)"
 # Every verb the protocol parses must be documented with a framing
 # example in SERVING.md; adding a verb without documenting it fails
@@ -78,71 +83,10 @@ for verb in $verbs; do
     fi
 done
 
-echo "== lint smoke (exit status: race-free 0, findings non-zero)"
-$wmrd lint examples/spinlock.wmrd counter-locked > /dev/null
-if $wmrd lint fig1a > /dev/null 2>&1; then
-    echo "check.sh: wmrd lint fig1a must exit non-zero (it has may-race findings)" >&2
-    exit 1
-fi
-
-echo "== fence smoke (delay-set classification + verified repair)"
-# The whole catalog classifies under --cycles without panicking
-# (findings exit 1 — `all` includes racy entries), fig1b classifies
-# weak-only with a no-op repair (the canonical false positive
-# explained, not fenced), and a repaired racy entry verifies
-# dynamically — race-free and Condition-3.4-clean on every backend,
-# with the raw-ooo ablation still racing unrepaired.
-rc=0
-$wmrd lint all --cycles > /dev/null 2>&1 || rc=$?
-if [ "$rc" -gt 1 ]; then
-    echo "check.sh: wmrd lint all --cycles crashed (exit $rc)" >&2
-    exit 1
-fi
-fig1b_out=$($wmrd lint examples/fig1b.wmrd --cycles 2>/dev/null || true)
-if ! echo "$fig1b_out" | grep -q "weak-only (sync chain via m\[2\])"; then
-    echo "check.sh: fig1b must classify weak-only via the m[2] sync chain" >&2
-    exit 1
-fi
-if ! echo "$fig1b_out" | grep -q "no-op (nothing to fix)"; then
-    echo "check.sh: fig1b's repair must be a no-op (no fences on a race-free program)" >&2
-    exit 1
-fi
-$wmrd explore fig1a --verify-repair --seeds 0..16 --jobs 2 | grep -q "repair verified"
-$wmrd explore peterson-sync --verify-repair --seeds 0..24 --jobs 2 | grep -q "repair verified"
-
-echo "== predict smoke (exit status: race-free 0, predictions non-zero)"
-$wmrd predict counter-locked --model wo > /dev/null
-if $wmrd predict lazy-publish-racy --model wo --seed 2 --order wcp > /dev/null 2>&1; then
-    echo "check.sh: wmrd predict lazy-publish-racy must exit non-zero (it predicts a race)" >&2
-    exit 1
-fi
-
-echo "== ooo smoke (every command that takes --hw accepts ooo)"
-$wmrd run fig1a --hw ooo --model wo > /dev/null
-$wmrd check fig1b --hw ooo --seeds 4 > /dev/null
-if $wmrd run fig1a --hw rob --model wo > /dev/null 2>&1; then
-    echo "check.sh: wmrd run --hw rob must exit non-zero (unknown hardware style)" >&2
-    exit 1
-fi
-
-echo "== capture smoke (a racy capture reports its races inline)"
-$wmrd capture list > /dev/null
-if ! $wmrd capture publish-racy --seed 0 | grep -q "race "; then
-    echo "check.sh: wmrd capture publish-racy must report at least one race key" >&2
-    exit 1
-fi
-
 echo "== documentation gates"
-# The CLI surfaces must stay documented in the help text, their design
-# and experiment sections must exist, and every metric key the code
-# defines under these namespaces must appear in OBSERVABILITY.md.
-help=$($wmrd help)
-for needle in "--cycles" "wmrd predict" "--hw store-buffer|inval-queue|ooo" "wmrd capture"; do
-    if ! echo "$help" | grep -q -- "$needle"; then
-        echo "check.sh: wmrd help does not document \`$needle\`" >&2
-        exit 1
-    fi
-done
+# The design and experiment sections must exist, and every metric key
+# the code defines under these namespaces must appear in
+# OBSERVABILITY.md.
 if ! grep -q "^## 11\. Delay-set" DESIGN.md; then
     echo "check.sh: DESIGN.md is missing the §11 delay-set section" >&2
     exit 1

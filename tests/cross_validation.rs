@@ -9,11 +9,10 @@
 //! exhibits. These tests enforce that equivalence on the catalog and on
 //! random programs.
 
-use wmrd_core::{ops::OpAnalysis, PairingPolicy, PostMortem};
+use wmrd_core::{event_race_keys, op_race_keys, ops::OpAnalysis, PairingPolicy, PostMortem};
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RandomWeakSched, RunConfig};
 use wmrd_trace::{MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet};
-use wmrd_verify::{event_race_signatures, op_race_signatures, RaceSignature};
 
 fn traced_sc(program: &wmrd_sim::Program, seed: u64) -> (TraceSet, OpTrace) {
     let mut sink = MultiSink::new(
@@ -40,10 +39,9 @@ fn traced_weak(program: &wmrd_sim::Program, model: MemoryModel, seed: u64) -> (T
 fn signatures_agree(events: &TraceSet, ops: &OpTrace, context: &str) {
     for policy in [PairingPolicy::ByRole, PairingPolicy::AllSync] {
         let report = PostMortem::new(events).pairing(policy).analyze().unwrap();
-        let esigs: std::collections::HashSet<RaceSignature> =
-            event_race_signatures(&report.races, events);
+        let esigs = event_race_keys(&report.races, events);
         let analysis = OpAnalysis::analyze(ops, policy).unwrap();
-        let osigs = op_race_signatures(analysis.races(), ops);
+        let osigs = op_race_keys(analysis.races(), ops);
         assert_eq!(
             esigs, osigs,
             "{context} ({policy}): event-level and operation-level race signatures differ"

@@ -4,8 +4,10 @@
 
 use std::collections::BTreeSet;
 
+use wmrd_cli::run_cli;
 use wmrd_core::{event_race_keys, PairingPolicy, PostMortem, RaceKey};
-use wmrd_explore::{replay, run_campaign, CampaignSpec};
+use wmrd_explore::{replay, run_campaign, CampaignSpec, ExecSpec};
+use wmrd_predict::PredictOrder;
 use wmrd_progs::catalog;
 use wmrd_sim::{
     run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomSched, RandomWeakSched,
@@ -163,4 +165,64 @@ fn campaign_defaults_match_the_single_run_pipeline() {
     assert_eq!(spec.drain_probs, vec![0.3]);
     assert_eq!(spec.pairing, PairingPolicy::ByRole);
     assert_eq!(spec.fidelity, Fidelity::Conditioned);
+}
+
+/// `explore --predict` analyses the trace its campaign's point 0
+/// records: the one `replay` (and so `--repro`) re-executes on the
+/// campaign's own machine. Under `--model sc --hw inval-queue`, a run of
+/// lazy-publish-racy at seed 2 on the SC machine records a different
+/// schedule, one that observes the race point 0 only predicts.
+#[test]
+fn explore_predict_analyses_the_campaign_point_zero_trace() {
+    let entry = catalog::all().into_iter().find(|e| e.name == "lazy-publish-racy").unwrap();
+    let exec = ExecSpec {
+        hw: HwImpl::InvalQueue,
+        model: MemoryModel::Sc,
+        fidelity: Fidelity::Conditioned,
+        drain_prob: 0.3,
+        seed: 2,
+    };
+    let point0 =
+        replay(&entry.program, &exec, RunConfig::default(), PairingPolicy::ByRole).unwrap().trace;
+    let metrics = Metrics::enabled();
+    let expected = wmrd_predict::predict_with_metrics(
+        &point0,
+        entry.name,
+        PairingPolicy::ByRole,
+        PredictOrder::Wcp,
+        &metrics,
+    )
+    .unwrap();
+    assert_eq!(expected.predicted_only().count(), 1, "{}", expected.render());
+
+    let path = std::env::temp_dir()
+        .join(format!("wmrd-explore-predict-{}.json", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let args: Vec<String> = [
+        "explore",
+        entry.name,
+        "--model",
+        "sc",
+        "--hw",
+        "inval-queue",
+        "--seeds",
+        "2..3",
+        "--jobs",
+        "1",
+        "--predict",
+        "--metrics",
+        &path,
+    ]
+    .map(str::to_string)
+    .to_vec();
+    let out = run_cli(&args).unwrap();
+    assert!(out.contains("predicted race m[4] P0:Write × P1:Read"), "{out}");
+    let explored = std::fs::read_to_string(&path).unwrap();
+    let report = metrics.report();
+    for (key, value) in report.counters.iter().chain(&report.gauges) {
+        let line = format!("\"{key}\": {value}");
+        assert!(explored.contains(&line), "explore --predict lacks {line}:\n{explored}");
+    }
+    std::fs::remove_file(&path).ok();
 }

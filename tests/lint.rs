@@ -17,7 +17,7 @@
 //! WMRD_REGOLD=1 cargo test -p wmrd-xtests --test lint
 //! ```
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use wmrd_cli::{run_cli, CliError};
@@ -190,7 +190,7 @@ fn repaired_racy_entries_run_race_free_and_sc_on_every_backend() {
             rep.plan.render()
         );
         let samples = sample_sc(&rep.repaired, 0..60, RunConfig::default()).unwrap();
-        let sigs: HashSet<_> = sc_race_signatures(&samples, PairingPolicy::ByRole).unwrap();
+        let sigs: BTreeSet<_> = sc_race_signatures(&samples, PairingPolicy::ByRole).unwrap();
         for hw in HwImpl::ALL {
             let outcomes = check_condition_3_4_hw(
                 hw,
@@ -346,11 +346,13 @@ fn fig1b_example_classifies_weak_only_and_gains_no_fences() {
 /// their `weak-only` static classification.
 #[test]
 fn verify_repair_end_to_end() {
-    let out = run_cli(&argv("explore fig1a --verify-repair --seeds 0..8 --jobs 2")).unwrap();
+    let out = run_cli(&argv("explore fig1a --verify-repair --seeds 0..16 --jobs 2")).unwrap();
     assert!(out.contains("repair verification for fig1a"), "{out}");
     assert!(out.contains("2 sc-also, 0 weak-only"), "{out}");
     assert!(out.contains("0 race identities"), "{out}");
-    assert!(out.contains("condition 3.4 on ooo: 8/8 seed(s) clean"), "{out}");
+    for hw in HwImpl::ALL {
+        assert!(out.contains(&format!("condition 3.4 on {hw}: 16/16 seed(s) clean")), "{out}");
+    }
     assert!(out.contains("ablation (unrepaired, ooo raw):"), "{out}");
     assert!(out.contains("repair verified"), "{out}");
 

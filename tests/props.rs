@@ -720,7 +720,7 @@ fn ooo_locked_runs_match_sc_outcomes() {
 fn ooo_random_programs_satisfy_condition_3_4() {
     check("ooo_random_programs_satisfy_condition_3_4", 64, |g| {
         let prog_seed = g.range(0u64..16);
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         use wmrd_core::PairingPolicy;
         use wmrd_verify::theorems::{check_condition_3_4_hw, sc_race_signatures};
         use wmrd_verify::{enumerate_sc, EnumConfig};
@@ -734,7 +734,7 @@ fn ooo_random_programs_satisfy_condition_3_4() {
         };
         let program = generate::racy(&cfg);
         let sc = enumerate_sc(&program, &EnumConfig::default()).unwrap();
-        let sigs: HashSet<_> = sc_race_signatures(&sc.executions, PairingPolicy::ByRole).unwrap();
+        let sigs: BTreeSet<_> = sc_race_signatures(&sc.executions, PairingPolicy::ByRole).unwrap();
         let outcomes = check_condition_3_4_hw(
             wmrd_sim::HwImpl::Ooo,
             &program,

@@ -2,18 +2,17 @@
 //! the whole catalog, all four weak models, and random programs
 //! (experiments E5–E7 in asserted form).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
-use wmrd_core::{PairingPolicy, PostMortem};
+use wmrd_core::{PairingPolicy, PostMortem, RaceKey};
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{Fidelity, HwImpl, MemoryModel, RunConfig};
 use wmrd_verify::theorems::{check_condition_3_4_hw, check_theorem_4_1, check_theorem_4_2};
 use wmrd_verify::{
     enumerate_sc, is_sequentially_consistent, sample_sc, theorems::sc_race_signatures, EnumConfig,
-    RaceSignature,
 };
 
-fn sampled_sigs(program: &wmrd_sim::Program) -> HashSet<RaceSignature> {
+fn sampled_sigs(program: &wmrd_sim::Program) -> BTreeSet<RaceKey> {
     let samples = sample_sc(program, 0..60, RunConfig::uniform()).unwrap();
     sc_race_signatures(&samples, PairingPolicy::ByRole).unwrap()
 }
@@ -26,7 +25,7 @@ fn sampled_sigs(program: &wmrd_sim::Program) -> HashSet<RaceSignature> {
 #[test]
 fn condition_3_4_holds_across_catalog_and_models() {
     for entry in catalog::all() {
-        let sigs = if entry.racy { sampled_sigs(&entry.program) } else { HashSet::new() };
+        let sigs = if entry.racy { sampled_sigs(&entry.program) } else { BTreeSet::new() };
         for hw in HwImpl::ALL {
             for model in MemoryModel::WEAK {
                 let outcomes = check_condition_3_4_hw(
@@ -115,7 +114,7 @@ fn raw_hardware_breaks_the_guarantee() {
                 MemoryModel::Wo,
                 Fidelity::Raw,
                 [seed],
-                &HashSet::new(),
+                &BTreeSet::new(),
                 PairingPolicy::ByRole,
             )
             .unwrap();
