@@ -45,6 +45,8 @@
 mod error;
 mod linearize;
 mod oracle;
+#[cfg(test)]
+mod signature;
 pub mod theorems;
 mod weak_oracle;
 
