@@ -8,28 +8,19 @@
 //! machine between executions — the cheap path.
 //!
 //! The runner is deliberately weak-machine based: [`MemoryModel::Sc`]
-//! on either weak machine is bufferless (every write completes
-//! strongly), so one runner covers the full hardware-model matrix,
-//! including the sequentially consistent baseline, with a single
-//! scheduler interface.
+//! on every weak backend leaves nothing pending across a step (writes
+//! complete at once, reads see shared memory), so one runner covers the
+//! full hardware-model matrix, including the sequentially consistent
+//! baseline, with a single scheduler interface.
 
 use std::sync::Arc;
 
 use wmrd_trace::TraceSink;
 
-use crate::run::{drive_weak, WeakExec};
+use crate::run::WeakBackend;
 use crate::{
-    Fidelity, HwImpl, InvalMachine, MemoryModel, OooMachine, Program, RunConfig, RunOutcome,
-    SimError, WeakMachine, WeakScheduler,
+    Fidelity, HwImpl, MemoryModel, Program, RunConfig, RunOutcome, SimError, WeakScheduler,
 };
-
-/// Any weak machine, behind one face.
-#[derive(Debug, Clone)]
-enum Machine {
-    Weak(WeakMachine),
-    Inval(InvalMachine),
-    Ooo(OooMachine),
-}
 
 /// Runs one program repeatedly on one hardware configuration, reusing
 /// the machine across executions.
@@ -72,7 +63,7 @@ pub struct CampaignRunner {
     program: Arc<Program>,
     hw: HwImpl,
     config: RunConfig,
-    machine: Machine,
+    machine: WeakBackend,
 }
 
 impl CampaignRunner {
@@ -90,23 +81,7 @@ impl CampaignRunner {
         fidelity: Fidelity,
         config: RunConfig,
     ) -> Result<Self, SimError> {
-        let machine = match hw {
-            HwImpl::StoreBuffer => Machine::Weak(WeakMachine::new(
-                Arc::clone(&program),
-                model,
-                fidelity,
-                config.timing,
-            )?),
-            HwImpl::InvalQueue => Machine::Inval(InvalMachine::new(
-                Arc::clone(&program),
-                model,
-                fidelity,
-                config.timing,
-            )?),
-            HwImpl::Ooo => {
-                Machine::Ooo(OooMachine::new(Arc::clone(&program), model, fidelity, config.timing)?)
-            }
-        };
+        let machine = WeakBackend::new(hw, Arc::clone(&program), model, fidelity, config.timing)?;
         Ok(CampaignRunner { program, hw, config, machine })
     }
 
@@ -122,11 +97,7 @@ impl CampaignRunner {
 
     /// The memory model this runner simulates.
     pub fn model(&self) -> MemoryModel {
-        match &self.machine {
-            Machine::Weak(m) => m.model(),
-            Machine::Inval(m) => m.model(),
-            Machine::Ooo(m) => m.model(),
-        }
+        self.machine.state().model()
     }
 
     /// The per-execution budget and timing configuration.
@@ -157,20 +128,8 @@ impl CampaignRunner {
         scheduler: &mut dyn WeakScheduler,
         sink: &mut S,
     ) -> Result<RunOutcome, SimError> {
-        match &mut self.machine {
-            Machine::Weak(m) => {
-                m.exec_reset();
-                drive_weak(m, scheduler, sink, &self.config)
-            }
-            Machine::Inval(m) => {
-                m.exec_reset();
-                drive_weak(m, scheduler, sink, &self.config)
-            }
-            Machine::Ooo(m) => {
-                m.exec_reset();
-                drive_weak(m, scheduler, sink, &self.config)
-            }
-        }
+        self.machine.reset();
+        self.machine.drive(scheduler, sink, &self.config)
     }
 }
 

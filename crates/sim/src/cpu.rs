@@ -1,14 +1,16 @@
 //! Per-processor core state and the memory-free part of the interpreter.
 //!
-//! Both machines ([`ScMachine`](crate::ScMachine) and
-//! [`WeakMachine`](crate::WeakMachine)) share the same in-order core;
-//! they differ only in how memory operations behave. [`CoreState`]
-//! therefore implements everything that does not touch shared memory, and
-//! exposes [`CoreState::exec_local`] which either fully executes a local
-//! instruction or reports that the instruction needs the machine's memory
-//! system.
+//! Every machine shares this core: the in-order
+//! [`Machine`](crate::Machine) over any of its three memory systems, and
+//! the out-of-order pipeline ([`OooMachine`](crate::OooMachine)), whose
+//! reservation stations compute with the same [`AluOp`]. [`CoreState`]
+//! implements everything that does not touch shared memory, and exposes
+//! [`CoreState::exec_local`] which either fully executes a local
+//! instruction or reports that the instruction needs the machine's
+//! memory system; [`MemInstr`] decodes the latter into the shape the
+//! machines execute.
 
-use wmrd_trace::{Location, ProcId, Value};
+use wmrd_trace::{Location, ProcId, SyncRole, Value};
 
 use crate::{Addr, Instr, Operand, Reg, SimError};
 
@@ -23,6 +25,80 @@ pub struct CoreState {
     regs: [i64; NUM_REGS],
     pc: usize,
     halted: bool,
+}
+
+/// Register-only arithmetic: the one ALU of every machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum AluOp {
+    Mov,
+    Add,
+    Sub,
+    Mul,
+    CmpEq,
+    CmpLt,
+}
+
+impl AluOp {
+    /// Decodes a register-only instruction into its destination,
+    /// operation and operands (`Mov`'s second operand is unused).
+    pub(crate) fn decode(instr: &Instr) -> Option<(Reg, AluOp, Operand, Operand)> {
+        let (dst, op, a, b) = match *instr {
+            Instr::Mov { dst, src } => (dst, AluOp::Mov, src, Operand::Imm(0)),
+            Instr::Add { dst, a, b } => (dst, AluOp::Add, a, b),
+            Instr::Sub { dst, a, b } => (dst, AluOp::Sub, a, b),
+            Instr::Mul { dst, a, b } => (dst, AluOp::Mul, a, b),
+            Instr::CmpEq { dst, a, b } => (dst, AluOp::CmpEq, a, b),
+            Instr::CmpLt { dst, a, b } => (dst, AluOp::CmpLt, a, b),
+            _ => return None,
+        };
+        Some((dst, op, Operand::Reg(a), b))
+    }
+
+    /// Computes the operation on two operand values.
+    pub(crate) fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            AluOp::Mov => a,
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::CmpEq => i64::from(a == b),
+            AluOp::CmpLt => i64::from(a < b),
+        }
+    }
+}
+
+/// A memory instruction in the shape the machines execute it: `sync` is
+/// `None` for data accesses, else the synchronization role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MemInstr {
+    /// `Ld`, `LdAcq` or `LdSync`.
+    Load { dst: Reg, addr: Addr, sync: Option<SyncRole> },
+    /// `St`, `StRel`, `StSync`, or `Unset` (a release storing 0).
+    Store { src: Operand, addr: Addr, sync: Option<SyncRole> },
+    /// `Test&Set`: an acquire read and a plain sync write, atomically.
+    TestSet { dst: Reg, addr: Addr },
+    /// `Fence`: flush everything pending.
+    Fence,
+}
+
+impl MemInstr {
+    /// Decodes `instr`, or `None` if it is local.
+    pub(crate) fn decode(instr: &Instr) -> Option<MemInstr> {
+        let (acq, rel, plain) =
+            (Some(SyncRole::Acquire), Some(SyncRole::Release), Some(SyncRole::None));
+        Some(match *instr {
+            Instr::Ld { dst, addr } => MemInstr::Load { dst, addr, sync: None },
+            Instr::LdAcq { dst, addr } => MemInstr::Load { dst, addr, sync: acq },
+            Instr::LdSync { dst, addr } => MemInstr::Load { dst, addr, sync: plain },
+            Instr::St { src, addr } => MemInstr::Store { src, addr, sync: None },
+            Instr::StRel { src, addr } => MemInstr::Store { src, addr, sync: rel },
+            Instr::StSync { src, addr } => MemInstr::Store { src, addr, sync: plain },
+            Instr::Unset { addr } => MemInstr::Store { src: Operand::Imm(0), addr, sync: rel },
+            Instr::TestSet { dst, addr } => MemInstr::TestSet { dst, addr },
+            Instr::Fence => MemInstr::Fence,
+            _ => return None,
+        })
+    }
 }
 
 /// Result of attempting to execute an instruction locally.
@@ -118,23 +194,14 @@ impl CoreState {
             Instr::Li { dst, imm } => {
                 self.set_reg(dst, imm);
             }
-            Instr::Mov { dst, src } => {
-                self.set_reg(dst, self.reg(src));
-            }
-            Instr::Add { dst, a, b } => {
-                self.set_reg(dst, self.reg(a).wrapping_add(self.operand(b)));
-            }
-            Instr::Sub { dst, a, b } => {
-                self.set_reg(dst, self.reg(a).wrapping_sub(self.operand(b)));
-            }
-            Instr::Mul { dst, a, b } => {
-                self.set_reg(dst, self.reg(a).wrapping_mul(self.operand(b)));
-            }
-            Instr::CmpEq { dst, a, b } => {
-                self.set_reg(dst, i64::from(self.reg(a) == self.operand(b)));
-            }
-            Instr::CmpLt { dst, a, b } => {
-                self.set_reg(dst, i64::from(self.reg(a) < self.operand(b)));
+            Instr::Mov { .. }
+            | Instr::Add { .. }
+            | Instr::Sub { .. }
+            | Instr::Mul { .. }
+            | Instr::CmpEq { .. }
+            | Instr::CmpLt { .. } => {
+                let (dst, op, a, b) = AluOp::decode(instr).expect("register-only instruction");
+                self.set_reg(dst, op.apply(self.operand(a), self.operand(b)));
             }
             Instr::Jmp { target } => {
                 self.pc = target;

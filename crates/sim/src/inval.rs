@@ -1,14 +1,15 @@
-//! The second weak-hardware implementation: **invalidation queues**
+//! The second weak memory system: **invalidation queues**
 //! (reader-side staleness).
 //!
-//! Where [`WeakMachine`](crate::WeakMachine) delays a *write's*
-//! visibility in a store buffer, [`InvalMachine`] completes every write
-//! into shared memory immediately but lets *readers* keep stale cached
-//! copies: each write enqueues an invalidation at every other processor,
-//! and a processor's data reads are served from its local cache until
-//! the invalidation is *applied* (a scheduler [`Drain`] action, or a
-//! flush at a synchronization point). Synchronization operations always
-//! act on shared memory directly.
+//! Where [`StoreBuffers`](crate::StoreBuffers) delay a *write's*
+//! visibility, [`InvalQueues`] complete every write into shared memory
+//! immediately but let *readers* keep stale cached copies: each write
+//! enqueues an invalidation at every other processor, and a processor's
+//! data reads are served from its local cache until the invalidation is
+//! *applied* (a scheduler [`Drain`](crate::WeakAction::Drain) action, or
+//! a flush at a synchronization point). Synchronization operations always
+//! act on shared memory directly. [`InvalMachine`] is the one
+//! [`Machine`] over this memory system.
 //!
 //! Flush rules mirror the store-buffer machine's, on the reader side:
 //! WO/DRF0 apply all pending invalidations at every synchronization
@@ -31,15 +32,14 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
-use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value};
+use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, Value};
 
-use crate::cpu::LocalOutcome;
-use crate::machine::MemCell;
+use crate::machine::{MachineState, MemCell};
 use crate::{
-    CoreState, Fidelity, Instr, MemoryModel, Program, Reg, SimError, SimStats, StepEvent, Timing,
+    BufferedWrite, Fidelity, Machine, MemoryModel, MemorySystem, Program, SimError, Timing,
 };
 
 /// A pending invalidation: the named location's cached copy (if any) is
@@ -52,21 +52,124 @@ pub struct PendingInval {
     pub writer: OpId,
 }
 
-/// A multiprocessor with per-core caches and invalidation queues.
-#[derive(Debug, Clone)]
-pub struct InvalMachine {
-    program: Arc<Program>,
-    cores: Vec<CoreState>,
-    mem: Vec<MemCell>,
+/// Per-processor caches and invalidation queues.
+#[derive(Debug, Clone, Default)]
+pub struct InvalQueues {
     caches: Vec<HashMap<Location, MemCell>>,
     queues: Vec<Vec<PendingInval>>,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    cycles: Vec<u64>,
-    timing: Timing,
-    steps: u64,
-    stats: SimStats,
 }
+
+impl InvalQueues {
+    /// The pending invalidations of processor `pi`, oldest first.
+    pub fn queue(&self, pi: usize) -> &[PendingInval] {
+        self.queues.get(pi).map(|v| v.as_slice()).unwrap_or(&[])
+    }
+
+    /// Completes a write: shared memory and the writer's cache take the
+    /// new cell, and every other processor queues an invalidation.
+    fn write(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) {
+        st.mem[w.loc.index()] = w.cell();
+        self.caches[pi].insert(w.loc, w.cell());
+        for (qi, queue) in self.queues.iter_mut().enumerate() {
+            if qi != pi {
+                queue.push(PendingInval { loc: w.loc, writer: w.op });
+                st.stats.invalidations_queued += 1;
+            }
+        }
+    }
+}
+
+impl MemorySystem for InvalQueues {
+    fn new(procs: usize) -> Self {
+        InvalQueues { caches: vec![HashMap::new(); procs], queues: vec![Vec::new(); procs] }
+    }
+
+    fn clear(&mut self) {
+        self.caches.iter_mut().for_each(HashMap::clear);
+        self.queues.iter_mut().for_each(Vec::clear);
+    }
+
+    fn flushes_at(model: MemoryModel, kind: AccessKind, role: SyncRole) -> bool {
+        match kind {
+            AccessKind::Read => model.inval_flush_on_sync_read(role),
+            AccessKind::Write => model.inval_flush_on_sync_write(role),
+        }
+    }
+
+    fn load(&mut self, st: &mut MachineState, pi: usize, loc: Location) -> (MemCell, bool) {
+        if let Some(cached) = self.caches[pi].get(&loc) {
+            st.stats.cache_hits += 1;
+            if self.queues[pi].iter().any(|q| q.loc == loc) {
+                // Served from a copy that a queued invalidation has
+                // already declared stale.
+                st.stats.stale_reads += 1;
+            }
+            return (cached.clone(), true);
+        }
+        let fresh = st.mem[loc.index()].clone();
+        self.caches[pi].insert(loc, fresh.clone());
+        (fresh, false)
+    }
+
+    /// Writes complete into memory but do not stall the core for remote
+    /// acknowledgements.
+    fn store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) -> bool {
+        self.write(st, pi, w);
+        true
+    }
+
+    /// Sync reads are strong: always from shared memory.
+    fn sync_load(&self, st: &MachineState, _pi: usize, loc: Location) -> MemCell {
+        st.mem[loc.index()].clone()
+    }
+
+    fn sync_store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) {
+        self.write(st, pi, w);
+    }
+
+    fn flush(&mut self, _mem: &mut [MemCell], pi: usize) -> Option<usize> {
+        let n = self.queues[pi].len();
+        for entry in self.queues[pi].drain(..) {
+            self.caches[pi].remove(&entry.loc);
+        }
+        Some(n)
+    }
+
+    /// Any index is legal — invalidations commute.
+    fn drain(&mut self, _mem: &mut [MemCell], pi: usize, index: usize) -> bool {
+        if index >= self.queues[pi].len() {
+            return false;
+        }
+        let entry = self.queues[pi].remove(index);
+        self.caches[pi].remove(&entry.loc);
+        true
+    }
+
+    fn drainable(&self, pi: usize) -> Vec<usize> {
+        (0..self.queue(pi).len()).collect()
+    }
+
+    fn pending_len(&self, pi: usize) -> usize {
+        self.queue(pi).len()
+    }
+
+    fn hash_into(&self, h: &mut DefaultHasher, behavioral: bool) {
+        for (cache, queue) in self.caches.iter().zip(&self.queues) {
+            let mut entries: Vec<_> = cache.iter().collect();
+            entries.sort_by_key(|(l, _)| **l);
+            if behavioral {
+                entries.iter().for_each(|(l, c)| (l, c.value).hash(h));
+                queue.iter().for_each(|q| q.loc.hash(h));
+            } else {
+                entries.hash(h);
+                queue.hash(h);
+            }
+        }
+    }
+}
+
+/// The one machine over per-core caches with invalidation queues.
+pub type InvalMachine = Machine<InvalQueues>;
 
 impl InvalMachine {
     /// Creates a machine at the program's initial state.
@@ -81,355 +184,41 @@ impl InvalMachine {
         fidelity: Fidelity,
         timing: Timing,
     ) -> Result<Self, SimError> {
-        program.validate()?;
-        let n = program.num_procs();
-        let cores = (0..n).map(|i| CoreState::new(ProcId::new(i as u16))).collect();
-        let mem = program.initial_memory().into_iter().map(MemCell::initial).collect();
-        Ok(InvalMachine {
-            program,
-            cores,
-            mem,
-            caches: vec![HashMap::new(); n],
-            queues: vec![Vec::new(); n],
-            model,
-            fidelity,
-            cycles: vec![0; n],
-            timing,
-            steps: 0,
-            stats: SimStats::default(),
-        })
-    }
-
-    /// The memory model this machine implements.
-    pub fn model(&self) -> MemoryModel {
-        self.model
-    }
-
-    /// Whether the machine honours Condition 3.4.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Restores the machine to the program's initial state without
-    /// re-validating or re-cloning the program. Caches and queues are
-    /// discarded — the caller is abandoning the previous execution.
-    pub fn reset(&mut self) {
-        for core in &mut self.cores {
-            *core = CoreState::new(core.proc);
-        }
-        self.mem.clear();
-        self.mem.extend(self.program.initial_memory().into_iter().map(MemCell::initial));
-        self.caches.iter_mut().for_each(HashMap::clear);
-        self.queues.iter_mut().for_each(Vec::clear);
-        self.cycles.iter_mut().for_each(|c| *c = 0);
-        self.steps = 0;
-        self.stats = SimStats::default();
-    }
-
-    /// Per-processor accumulated cycles.
-    pub fn cycles(&self) -> &[u64] {
-        &self.cycles
-    }
-
-    /// Number of steps executed.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Deterministic execution statistics accumulated so far (not part of
-    /// the architectural state: fingerprints ignore it).
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Shared-memory values (writes complete immediately, so this is
-    /// also the settled state).
-    pub fn memory_values(&self) -> Vec<Value> {
-        self.mem.iter().map(|c| c.value).collect()
-    }
-
-    /// Processors that can still make progress.
-    pub fn runnable(&self) -> Vec<ProcId> {
-        self.cores.iter().filter(|c| !c.is_halted()).map(|c| c.proc).collect()
-    }
-
-    /// `true` once every processor has halted.
-    pub fn all_halted(&self) -> bool {
-        self.cores.iter().all(|c| c.is_halted())
+        Machine::build(program, model, fidelity, timing)
     }
 
     /// `true` iff no processor has pending invalidations.
     pub fn queues_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
+        self.pending_empty()
     }
 
     /// The pending invalidations of one processor, oldest first.
     pub fn queue(&self, proc: ProcId) -> &[PendingInval] {
-        self.queues.get(proc.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.memory_system().queue(proc.index())
     }
 
     /// The cached copy a processor currently holds for a location, if
     /// any (test/diagnostic helper).
     pub fn cached(&self, proc: ProcId, loc: Location) -> Option<Value> {
-        self.caches.get(proc.index())?.get(&loc).map(|c| c.value)
+        self.memory_system().caches.get(proc.index())?.get(&loc).map(|c| c.value)
     }
 
     /// Applies one pending invalidation (any index is legal —
-    /// invalidations commute).
+    /// invalidations commute); [`drain_one`](Machine::drain_one) by its
+    /// hardware name.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownProcessor`] / [`SimError::BadDrain`].
-    pub fn apply_one(&mut self, proc: ProcId, index: usize) -> Result<PendingInval, SimError> {
-        let queue = self.queues.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        if index >= queue.len() {
-            return Err(SimError::BadDrain { proc, index, len: queue.len() });
-        }
-        let entry = queue.remove(index);
-        self.caches[proc.index()].remove(&entry.loc);
-        self.stats.background_drains += 1;
-        Ok(entry)
-    }
-
-    /// Applies every pending invalidation of `proc`, charging
-    /// `drain_per_entry` cycles per entry (the stall at a flush point).
-    pub fn flush(&mut self, proc: ProcId) -> Result<usize, SimError> {
-        let queue = self.queues.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        let n = queue.len();
-        for entry in queue.drain(..) {
-            self.caches[proc.index()].remove(&entry.loc);
-        }
-        self.cycles[proc.index()] += self.timing.drain_per_entry * n as u64;
-        self.stats.sync_flushes += 1;
-        self.stats.flushed_entries += n as u64;
-        self.stats.flush_stall_cycles += self.timing.drain_per_entry * n as u64;
-        Ok(n)
-    }
-
-    /// A hash of the architectural state.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        self.mem.hash(&mut h);
-        for (cache, queue) in self.caches.iter().zip(&self.queues) {
-            let mut entries: Vec<_> = cache.iter().collect();
-            entries.sort_by_key(|(l, _)| **l);
-            entries.hash(&mut h);
-            queue.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    fn invalidate_others(&mut self, writer_proc: ProcId, loc: Location, writer: OpId) {
-        for (pi, queue) in self.queues.iter_mut().enumerate() {
-            if pi != writer_proc.index() {
-                queue.push(PendingInval { loc, writer });
-                self.stats.invalidations_queued += 1;
-            }
-        }
-    }
-
-    fn strong_write(&mut self, proc: ProcId, loc: Location, value: Value, op: OpId, sync: bool) {
-        let cell = MemCell { value, writer: Some(op), writer_sync: sync };
-        self.mem[loc.index()] = cell.clone();
-        self.caches[proc.index()].insert(loc, cell);
-        self.invalidate_others(proc, loc, op);
-    }
-
-    /// Executes one instruction on `proc`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`crate::ScMachine::step`].
-    pub fn step<S: TraceSink>(
-        &mut self,
-        proc: ProcId,
-        sink: &mut S,
-    ) -> Result<StepEvent, SimError> {
-        let core = self.cores.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        if core.is_halted() {
-            return Err(SimError::Halted(proc));
-        }
-        let instr = self
-            .program
-            .proc_code(proc)
-            .and_then(|code| code.get(core.pc()))
-            .copied()
-            .unwrap_or(Instr::Halt);
-        self.steps += 1;
-        let was_halt = matches!(instr, Instr::Halt);
-        match core.exec_local(&instr) {
-            LocalOutcome::Done => {
-                self.cycles[proc.index()] += self.timing.local_op;
-                return Ok(if was_halt { StepEvent::Halt } else { StepEvent::Local });
-            }
-            LocalOutcome::Halted => return Err(SimError::Halted(proc)),
-            LocalOutcome::NeedsMemory => {}
-        }
-        let num_locations = self.program.num_locations();
-        let pi = proc.index();
-        let event = match instr {
-            Instr::Ld { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                let (cell, hit) = match self.caches[pi].get(&loc) {
-                    Some(cached) => (cached.clone(), true),
-                    None => {
-                        let fresh = self.mem[loc.index()].clone();
-                        self.caches[pi].insert(loc, fresh.clone());
-                        (fresh, false)
-                    }
-                };
-                sink.data_access(proc, loc, AccessKind::Read, cell.value, cell.writer);
-                self.cores[pi].complete_load(dst, cell.value);
-                self.cycles[pi] +=
-                    if hit { self.timing.buffer_hit } else { self.timing.mem_access };
-                self.stats.data_reads += 1;
-                if hit {
-                    self.stats.cache_hits += 1;
-                    if self.queues[pi].iter().any(|q| q.loc == loc) {
-                        // Served from a copy that a queued invalidation
-                        // has already declared stale.
-                        self.stats.stale_reads += 1;
-                    }
-                }
-                StepEvent::Data
-            }
-            Instr::St { src, addr } => {
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
-                let id = sink.data_access(proc, loc, AccessKind::Write, value, None);
-                self.strong_write(proc, loc, value, id, false);
-                // Writes complete into memory but do not stall the core
-                // for remote acknowledgements.
-                self.cycles[pi] += self.timing.buffered_write;
-                self.stats.data_writes += 1;
-                StepEvent::Data
-            }
-            Instr::LdAcq { dst, addr } | Instr::LdSync { dst, addr } => {
-                let role = if matches!(instr, Instr::LdAcq { .. }) {
-                    SyncRole::Acquire
-                } else {
-                    SyncRole::None
-                };
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                if self.fidelity == Fidelity::Conditioned
-                    && self.model.inval_flush_on_sync_read(role)
-                {
-                    self.flush(proc)?;
-                }
-                // Sync reads are strong: always from shared memory.
-                let cell = self.mem[loc.index()].clone();
-                sink.sync_access(proc, loc, AccessKind::Read, role, cell.value, cell.sync_writer());
-                self.cores[pi].complete_load(dst, cell.value);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::StRel { src, addr } | Instr::StSync { src, addr } => {
-                let role = if matches!(instr, Instr::StRel { .. }) {
-                    SyncRole::Release
-                } else {
-                    SyncRole::None
-                };
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
-                let id = sink.sync_access(proc, loc, AccessKind::Write, role, value, None);
-                if self.fidelity == Fidelity::Conditioned
-                    && self.model.inval_flush_on_sync_write(role)
-                {
-                    self.flush(proc)?;
-                }
-                self.strong_write(proc, loc, value, id, true);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::TestSet { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                if self.fidelity == Fidelity::Conditioned
-                    && (self.model.inval_flush_on_sync_read(SyncRole::Acquire)
-                        || self.model.inval_flush_on_sync_write(SyncRole::None))
-                {
-                    self.flush(proc)?;
-                }
-                let old = self.mem[loc.index()].clone();
-                sink.sync_access(
-                    proc,
-                    loc,
-                    AccessKind::Read,
-                    SyncRole::Acquire,
-                    old.value,
-                    old.sync_writer(),
-                );
-                let set = Value::new(1);
-                let wid = sink.sync_access(proc, loc, AccessKind::Write, SyncRole::None, set, None);
-                self.strong_write(proc, loc, set, wid, true);
-                self.cores[pi].complete_load(dst, old.value);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 2;
-                StepEvent::Sync
-            }
-            Instr::Unset { addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                let value = Value::ZERO;
-                let id =
-                    sink.sync_access(proc, loc, AccessKind::Write, SyncRole::Release, value, None);
-                if self.fidelity == Fidelity::Conditioned
-                    && self.model.inval_flush_on_sync_write(SyncRole::Release)
-                {
-                    self.flush(proc)?;
-                }
-                self.strong_write(proc, loc, value, id, true);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::Fence => {
-                self.flush(proc)?;
-                self.cycles[pi] += self.timing.local_op;
-                StepEvent::Local
-            }
-            _ => unreachable!("exec_local handles all local instructions"),
-        };
-        self.cores[pi].advance_pc();
-        Ok(event)
-    }
-
-    /// Convenience: the value currently in a register of a core.
-    pub fn reg(&self, proc: ProcId, r: Reg) -> i64 {
-        self.cores.get(proc.index()).map_or(0, |c| c.reg(r))
-    }
-}
-
-impl crate::DrainView for InvalMachine {
-    fn runnable_procs(&self) -> Vec<ProcId> {
-        self.runnable()
-    }
-
-    fn drainable(&self, proc: ProcId) -> Vec<usize> {
-        (0..self.queue(proc).len()).collect()
-    }
-
-    fn pending_len(&self, proc: ProcId) -> usize {
-        self.queue(proc).len()
-    }
-
-    fn num_procs(&self) -> usize {
-        self.program.num_procs()
+    pub fn apply_one(&mut self, proc: ProcId, index: usize) -> Result<(), SimError> {
+        self.drain_one(proc, index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, Operand};
+    use crate::{Addr, Instr, Operand, Reg};
     use wmrd_trace::NullSink;
 
     fn l(a: u32) -> Location {

@@ -95,19 +95,17 @@ pub use asm::{parse_asm, write_asm, AsmError};
 pub use campaign::CampaignRunner;
 pub use cpu::{CoreState, NUM_REGS};
 pub use error::SimError;
-pub use inval::{InvalMachine, PendingInval};
+pub use inval::{InvalMachine, InvalQueues, PendingInval};
 pub use isa::{Addr, Instr, Operand, Reg};
-pub use machine::{MemCell, ScMachine, StepEvent};
+pub use machine::{Machine, MachineState, MemCell, MemorySystem, ScMachine, ScMemory, StepEvent};
 pub use model::{Fidelity, MemoryModel};
 pub use ooo::OooMachine;
 pub use program::Program;
-pub use run::{
-    run_inval, run_ooo, run_sc, run_sc_on, run_weak, run_weak_hw, HwImpl, RunConfig, RunOutcome,
-};
+pub use run::{run_sc, run_sc_on, run_weak, run_weak_hw, HwImpl, RunConfig, RunOutcome};
 pub use sched::{
     DrainView, FixedScript, RandomSched, RandomWeakSched, RoundRobin, Scheduler, WeakAction,
     WeakRoundRobin, WeakScheduler, WeakScript,
 };
 pub use stats::SimStats;
 pub use timing::Timing;
-pub use weak::{BufferedWrite, WeakMachine};
+pub use weak::{BufferedWrite, StoreBuffers, WeakMachine};

@@ -1,22 +1,39 @@
-//! The sequentially consistent reference machine.
+//! The one interpreter: in-order cores over a pluggable memory system.
 //!
-//! [`ScMachine`] executes a program as an interleaving of instructions,
-//! each of whose memory operations completes against shared memory before
-//! the next step — Lamport's definition realized operationally. Which
-//! interleaving occurs is decided entirely by the caller (one
-//! [`step`](ScMachine::step) call per choice), so on top of this one
-//! machine we build seeded random executions, scripted executions that
-//! reproduce the paper's figures, and the exhaustive SC-execution
-//! enumerator in `wmrd-verify`.
+//! [`Machine`] executes a program as an interleaving of instructions on
+//! [`CoreState`]'s interpreter. Everything a memory instruction does to
+//! shared memory goes through the machine's [`MemorySystem`], so one
+//! `step` serves every hardware style the paper's Theorem 3.5 ranges
+//! over:
+//!
+//! * [`ScMemory`] completes every access against shared memory before
+//!   the next step — Lamport's definition realized operationally. This
+//!   is [`ScMachine`], the SC reference.
+//! * [`StoreBuffers`](crate::StoreBuffers) delay data writes in
+//!   per-processor buffers ([`WeakMachine`](crate::WeakMachine)).
+//! * [`InvalQueues`](crate::InvalQueues) let readers keep stale cached
+//!   copies until queued invalidations apply
+//!   ([`InvalMachine`](crate::InvalMachine)).
+//!
+//! Which interleaving occurs is decided entirely by the caller (one
+//! [`step`](Machine::step) or [`drain_one`](Machine::drain_one) call per
+//! choice), so on top of this one machine we build seeded random
+//! executions, scripted executions that reproduce the paper's figures,
+//! and the exhaustive enumerators in `wmrd-verify`.
 
 use std::collections::hash_map::DefaultHasher;
+use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
-use wmrd_trace::{AccessKind, OpId, ProcId, SyncRole, TraceSink, Value};
+use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value};
 
-use crate::cpu::LocalOutcome;
-use crate::{CoreState, Instr, Program, Reg, SimError, SimStats, Timing};
+use crate::cpu::{LocalOutcome, MemInstr};
+use crate::{
+    Addr, BufferedWrite, CoreState, Fidelity, Instr, MemoryModel, Program, Reg, SimError, SimStats,
+    Timing,
+};
 
 /// One word of simulated shared memory.
 ///
@@ -39,6 +56,11 @@ impl MemCell {
         MemCell { value, writer: None, writer_sync: false }
     }
 
+    /// The cell a completed write leaves behind.
+    pub fn written(value: Value, op: OpId, sync: bool) -> Self {
+        MemCell { value, writer: Some(op), writer_sync: sync }
+    }
+
     /// The `observed_release` for a synchronization read of this cell:
     /// the writer, if it was a synchronization write.
     pub fn sync_writer(&self) -> Option<OpId> {
@@ -46,7 +68,7 @@ impl MemCell {
     }
 }
 
-/// What a [`ScMachine::step`] (or weak-machine step) did.
+/// What a [`Machine::step`] (or out-of-order step) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
     /// A local (register/branch/nop) instruction executed.
@@ -59,46 +81,53 @@ pub enum StepEvent {
     Halt,
 }
 
-/// The sequentially consistent machine.
+/// The state every machine shares: program, cores, shared memory, the
+/// configured model, cycles and statistics.
 ///
-/// Cloning is cheap-ish (the program is shared via [`Arc`]); the
-/// exhaustive enumerator clones machines at scheduling branch points.
+/// [`Machine`] and [`OooMachine`](crate::OooMachine) both dereference
+/// to it, so its accessors are theirs.
 #[derive(Debug, Clone)]
-pub struct ScMachine {
-    program: Arc<Program>,
-    cores: Vec<CoreState>,
-    mem: Vec<MemCell>,
-    cycles: Vec<u64>,
-    timing: Timing,
-    steps: u64,
-    stats: SimStats,
+pub struct MachineState {
+    pub(crate) program: Arc<Program>,
+    pub(crate) cores: Vec<CoreState>,
+    pub(crate) mem: Vec<MemCell>,
+    pub(crate) model: MemoryModel,
+    pub(crate) fidelity: Fidelity,
+    pub(crate) cycles: Vec<u64>,
+    pub(crate) timing: Timing,
+    pub(crate) steps: u64,
+    pub(crate) stats: SimStats,
 }
 
-impl ScMachine {
-    /// Creates a machine at the program's initial state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidProgram`] if the program fails
-    /// [`Program::validate`].
-    pub fn new(program: Arc<Program>, timing: Timing) -> Result<Self, SimError> {
+impl MachineState {
+    /// Validates `program` and builds its initial state.
+    pub(crate) fn new(
+        program: Arc<Program>,
+        model: MemoryModel,
+        fidelity: Fidelity,
+        timing: Timing,
+    ) -> Result<Self, SimError> {
         program.validate()?;
-        let cores =
-            (0..program.num_procs()).map(|i| CoreState::new(ProcId::new(i as u16))).collect();
+        let n = program.num_procs();
+        let cores = (0..n).map(|i| CoreState::new(ProcId::new(i as u16))).collect();
         let mem = program.initial_memory().into_iter().map(MemCell::initial).collect();
-        let cycles = vec![0; program.num_procs()];
-        Ok(ScMachine { program, cores, mem, cycles, timing, steps: 0, stats: SimStats::default() })
+        let stats = SimStats::default();
+        Ok(MachineState {
+            program,
+            cores,
+            mem,
+            model,
+            fidelity,
+            cycles: vec![0; n],
+            timing,
+            steps: 0,
+            stats,
+        })
     }
 
-    /// The program being executed.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Restores the machine to the program's initial state without
-    /// re-validating or re-cloning the program — the cheap path campaign
-    /// engines take between seeds instead of building a fresh machine.
-    pub fn reset(&mut self) {
+    /// Restores the program's initial state without re-validating or
+    /// re-cloning the program.
+    pub(crate) fn reset(&mut self) {
         for core in &mut self.cores {
             *core = CoreState::new(core.proc);
         }
@@ -107,6 +136,22 @@ impl ScMachine {
         self.cycles.iter_mut().for_each(|c| *c = 0);
         self.steps = 0;
         self.stats = SimStats::default();
+    }
+
+    /// The program being executed.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// The memory model this machine implements ([`MemoryModel::Sc`] on
+    /// the SC machine).
+    pub fn model(&self) -> MemoryModel {
+        self.model
+    }
+
+    /// Whether the machine honours Condition 3.4.
+    pub fn fidelity(&self) -> Fidelity {
+        self.fidelity
     }
 
     /// The state of one core.
@@ -130,27 +175,24 @@ impl ScMachine {
         &self.stats
     }
 
-    /// Current memory values.
+    /// Globally visible memory values (pending writes excluded).
     pub fn memory_values(&self) -> Vec<Value> {
         self.mem.iter().map(|c| c.value).collect()
     }
 
-    /// Current memory cells (values plus writer identities).
+    /// Globally visible memory cells (values plus writer identities).
     pub fn memory(&self) -> &[MemCell] {
         &self.mem
     }
 
-    /// Processors that can still make progress.
-    pub fn runnable(&self) -> Vec<ProcId> {
-        self.cores.iter().filter(|c| !c.is_halted()).map(|c| c.proc).collect()
-    }
-
-    /// `true` once every processor has halted.
+    /// `true` once every processor has halted (pending entries may
+    /// remain).
     pub fn all_halted(&self) -> bool {
         self.cores.iter().all(|c| c.is_halted())
     }
 
-    /// The next instruction a processor would execute (`None` if halted).
+    /// The next instruction a processor would execute (`None` if halted
+    /// or past the end of its code).
     pub fn next_instr(&self, proc: ProcId) -> Option<Instr> {
         let core = self.cores.get(proc.index())?;
         if core.is_halted() {
@@ -159,28 +201,287 @@ impl ScMachine {
         self.program.proc_code(proc)?.get(core.pc()).copied()
     }
 
-    /// A hash of the architectural state (cores + memory), used by the
-    /// enumerator to prune converged schedules.
+    /// Convenience: the value currently in a register of a core (returns
+    /// 0 for unknown processors).
+    pub fn reg(&self, proc: ProcId, r: Reg) -> i64 {
+        self.cores.get(proc.index()).map_or(0, |c| c.reg(r))
+    }
+
+    /// The instruction `proc` executes next; running off the end of its
+    /// code executes `Halt`.
+    pub(crate) fn fetch(&self, proc: ProcId) -> Result<Instr, SimError> {
+        let core = self.cores.get(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
+        if core.is_halted() {
+            return Err(SimError::Halted(proc));
+        }
+        let code = self.program.proc_code(proc);
+        Ok(code.and_then(|c| c.get(core.pc())).copied().unwrap_or(Instr::Halt))
+    }
+
+    /// Resolves `addr` against processor `pi`'s registers.
+    pub(crate) fn resolve(&self, pi: usize, addr: Addr) -> Result<Location, SimError> {
+        self.cores[pi].resolve_addr(addr, self.program.num_locations())
+    }
+
+    /// Charges processor `pi` for a flush stall of `n` entries.
+    pub(crate) fn charge_flush(&mut self, pi: usize, n: usize) {
+        let stall = self.timing.drain_per_entry * n as u64;
+        self.cycles[pi] += stall;
+        self.stats.sync_flushes += 1;
+        self.stats.flushed_entries += n as u64;
+        self.stats.flush_stall_cycles += stall;
+    }
+
+    fn hash_into(&self, h: &mut DefaultHasher, behavioral: bool) {
+        self.cores.hash(h);
+        if behavioral {
+            self.mem.iter().for_each(|c| c.value.hash(h));
+        } else {
+            self.mem.hash(h);
+        }
+    }
+}
+
+/// The memory side of a [`Machine`]: what reads observe, where writes
+/// go, and which entries are still pending.
+///
+/// The machine owns shared memory (in [`MachineState`]) and calls these
+/// hooks for every memory instruction; it charges cycles and counts the
+/// operation, flush and drain statistics itself. Processors are passed by
+/// index.
+pub trait MemorySystem: Clone + fmt::Debug {
+    /// An empty memory system for `procs` processors.
+    fn new(procs: usize) -> Self;
+    /// Discards every pending entry.
+    fn clear(&mut self);
+    /// `true` iff, with Condition 3.4 honoured under `model`, a
+    /// synchronization access of `kind` and `role` first flushes the
+    /// issuing processor's pending entries.
+    fn flushes_at(model: MemoryModel, kind: AccessKind, role: SyncRole) -> bool;
+    /// A data read of `loc` by `pi`: the cell it observes, and `true` if
+    /// it was served locally (a forward or cache hit) rather than from
+    /// shared memory.
+    fn load(&mut self, st: &mut MachineState, pi: usize, loc: Location) -> (MemCell, bool);
+    /// A data write by `pi`; `true` if the core does not stall for it.
+    fn store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) -> bool;
+    /// The cell a synchronization read of `loc` by `pi` observes.
+    fn sync_load(&self, st: &MachineState, pi: usize, loc: Location) -> MemCell;
+    /// A synchronization write by `pi`.
+    fn sync_store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite);
+    /// Completes every pending entry of `pi`, returning how many; `None`
+    /// if this memory system never holds any (nothing is then counted).
+    fn flush(&mut self, mem: &mut [MemCell], pi: usize) -> Option<usize>;
+    /// Completes pending entry `index` of `pi`; `false` (and no effect)
+    /// if it is out of range or may not complete yet.
+    fn drain(&mut self, mem: &mut [MemCell], pi: usize, index: usize) -> bool;
+    /// Indices of `pi`'s pending entries that may complete now.
+    fn drainable(&self, pi: usize) -> Vec<usize>;
+    /// Number of pending entries of `pi` (0 for unknown processors).
+    fn pending_len(&self, pi: usize) -> usize;
+    /// Hashes the pending state; `behavioral` leaves out operation
+    /// identities.
+    fn hash_into(&self, h: &mut DefaultHasher, behavioral: bool);
+}
+
+/// Sequentially consistent memory: nothing is ever pending.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScMemory;
+
+impl MemorySystem for ScMemory {
+    fn new(_procs: usize) -> Self {
+        ScMemory
+    }
+
+    fn clear(&mut self) {}
+
+    fn flushes_at(_model: MemoryModel, _kind: AccessKind, _role: SyncRole) -> bool {
+        false
+    }
+
+    fn load(&mut self, st: &mut MachineState, pi: usize, loc: Location) -> (MemCell, bool) {
+        (self.sync_load(st, pi, loc), false)
+    }
+
+    fn store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) -> bool {
+        self.sync_store(st, pi, w);
+        false
+    }
+
+    fn sync_load(&self, st: &MachineState, _pi: usize, loc: Location) -> MemCell {
+        st.mem[loc.index()].clone()
+    }
+
+    fn sync_store(&mut self, st: &mut MachineState, _pi: usize, w: BufferedWrite) {
+        st.mem[w.loc.index()] = w.cell();
+    }
+
+    fn flush(&mut self, _mem: &mut [MemCell], _pi: usize) -> Option<usize> {
+        None
+    }
+
+    fn drain(&mut self, _mem: &mut [MemCell], _pi: usize, _index: usize) -> bool {
+        false
+    }
+
+    fn drainable(&self, _pi: usize) -> Vec<usize> {
+        Vec::new()
+    }
+
+    fn pending_len(&self, _pi: usize) -> usize {
+        0
+    }
+
+    fn hash_into(&self, _h: &mut DefaultHasher, _behavioral: bool) {}
+}
+
+/// A multiprocessor of in-order cores over memory system `M`.
+///
+/// Cloning is cheap-ish (the program is shared via [`Arc`]); the
+/// exhaustive enumerators clone machines at scheduling branch points.
+/// The shared accessors (cycles, memory, registers, …) come from
+/// [`MachineState`].
+#[derive(Debug, Clone)]
+pub struct Machine<M> {
+    state: MachineState,
+    sys: M,
+}
+
+/// The sequentially consistent machine.
+pub type ScMachine = Machine<ScMemory>;
+
+impl<M> Deref for Machine<M> {
+    type Target = MachineState;
+
+    fn deref(&self) -> &MachineState {
+        &self.state
+    }
+}
+
+impl ScMachine {
+    /// Creates a machine at the program's initial state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidProgram`] if the program fails
+    /// [`Program::validate`].
+    pub fn new(program: Arc<Program>, timing: Timing) -> Result<Self, SimError> {
+        Machine::build(program, MemoryModel::Sc, Fidelity::Conditioned, timing)
+    }
+}
+
+impl<M: MemorySystem> Machine<M> {
+    /// Creates a machine over an empty `M` at the program's initial
+    /// state.
+    pub(crate) fn build(
+        program: Arc<Program>,
+        model: MemoryModel,
+        fidelity: Fidelity,
+        timing: Timing,
+    ) -> Result<Self, SimError> {
+        let state = MachineState::new(program, model, fidelity, timing)?;
+        let sys = M::new(state.cores.len());
+        Ok(Machine { state, sys })
+    }
+
+    /// The memory system.
+    pub fn memory_system(&self) -> &M {
+        &self.sys
+    }
+
+    /// Restores the machine to the program's initial state without
+    /// re-validating or re-cloning the program — the cheap path campaign
+    /// engines take between seeds. Pending entries are discarded, not
+    /// completed: the caller is abandoning the previous execution.
+    pub fn reset(&mut self) {
+        self.state.reset();
+        self.sys.clear();
+    }
+
+    /// Processors that can still make progress.
+    pub fn runnable(&self) -> Vec<ProcId> {
+        self.state.cores.iter().filter(|c| !c.is_halted()).map(|c| c.proc).collect()
+    }
+
+    /// `true` iff no processor has a pending entry.
+    pub fn pending_empty(&self) -> bool {
+        (0..self.state.cores.len()).all(|pi| self.sys.pending_len(pi) == 0)
+    }
+
+    /// A hash of the architectural state (cores, memory and pending
+    /// entries), used by the enumerators to prune converged schedules.
     pub fn fingerprint(&self) -> u64 {
+        self.hash(false)
+    }
+
+    /// A hash of the *behavioral* state: cores, memory values and pending
+    /// entries, ignoring writer identities. Two states with equal
+    /// behavioral fingerprints produce identical future values — a failed
+    /// `Test&Set` spin iteration returns to the same behavioral state
+    /// even though each iteration's write gets a fresh operation id. The
+    /// enumerators use this to bound spin-loop unrolling.
+    pub fn behavioral_fingerprint(&self) -> u64 {
+        self.hash(true)
+    }
+
+    fn hash(&self, behavioral: bool) -> u64 {
         let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        self.mem.hash(&mut h);
+        self.state.hash_into(&mut h, behavioral);
+        self.sys.hash_into(&mut h, behavioral);
         h.finish()
     }
 
-    /// A hash of the *behavioral* state: cores and memory values only,
-    /// ignoring writer identities. Two states with equal behavioral
-    /// fingerprints produce identical future values — a failed `Test&Set`
-    /// spin iteration returns to the same behavioral state even though
-    /// each iteration's write gets a fresh operation id. The enumerator
-    /// uses this to bound spin-loop unrolling.
-    pub fn behavioral_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        for cell in &self.mem {
-            cell.value.hash(&mut h);
+    /// Pending entries of `proc` that may legally complete *now*.
+    pub fn drainable_indices(&self, proc: ProcId) -> Vec<usize> {
+        self.sys.drainable(proc.index())
+    }
+
+    /// Completes one pending entry of `proc` in the background. Background
+    /// drains model the memory system working in parallel with the
+    /// cores, so they charge no cycles.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::UnknownProcessor`] for a bad `proc`.
+    /// * [`SimError::BadDrain`] if `index` is out of range or may not
+    ///   complete yet.
+    pub fn drain_one(&mut self, proc: ProcId, index: usize) -> Result<(), SimError> {
+        let pi = self.index(proc)?;
+        if !self.sys.drain(&mut self.state.mem, pi, index) {
+            return Err(SimError::BadDrain { proc, index, len: self.sys.pending_len(pi) });
         }
-        h.finish()
+        self.state.stats.background_drains += 1;
+        Ok(())
+    }
+
+    /// Completes every pending entry of `proc`, charging the core
+    /// `drain_per_entry` cycles per entry (the *stall* at a flush point,
+    /// unlike background [`drain_one`](Self::drain_one)). Returns the
+    /// number of entries completed; SC memory has none and counts no
+    /// flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownProcessor`] for a bad `proc`.
+    pub fn flush(&mut self, proc: ProcId) -> Result<usize, SimError> {
+        let pi = self.index(proc)?;
+        let Some(n) = self.sys.flush(&mut self.state.mem, pi) else { return Ok(0) };
+        self.state.charge_flush(pi, n);
+        Ok(n)
+    }
+
+    fn index(&self, proc: ProcId) -> Result<usize, SimError> {
+        let pi = proc.index();
+        if pi < self.state.cores.len() {
+            Ok(pi)
+        } else {
+            Err(SimError::UnknownProcessor(proc))
+        }
+    }
+
+    /// `true` iff a synchronization access of `kind` and `role` flushes
+    /// the issuing processor first.
+    fn flushes_at(&self, kind: AccessKind, role: SyncRole) -> bool {
+        self.state.fidelity == Fidelity::Conditioned && M::flushes_at(self.state.model, kind, role)
     }
 
     /// Executes one instruction on `proc`, reporting memory operations to
@@ -197,121 +498,107 @@ impl ScMachine {
         proc: ProcId,
         sink: &mut S,
     ) -> Result<StepEvent, SimError> {
-        let core = self.cores.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        if core.is_halted() {
-            return Err(SimError::Halted(proc));
-        }
-        let instr = self
-            .program
-            .proc_code(proc)
-            .and_then(|code| code.get(core.pc()))
-            .copied()
-            .unwrap_or(Instr::Halt);
-        self.steps += 1;
-        let was_halt = matches!(instr, Instr::Halt);
-        match core.exec_local(&instr) {
+        let instr = self.state.fetch(proc)?;
+        let pi = proc.index();
+        let st = &mut self.state;
+        st.steps += 1;
+        match st.cores[pi].exec_local(&instr) {
             LocalOutcome::Done => {
-                self.cycles[proc.index()] += self.timing.local_op;
-                return Ok(if was_halt { StepEvent::Halt } else { StepEvent::Local });
+                st.cycles[pi] += st.timing.local_op;
+                let halted = matches!(instr, Instr::Halt);
+                return Ok(if halted { StepEvent::Halt } else { StepEvent::Local });
             }
             LocalOutcome::Halted => return Err(SimError::Halted(proc)),
             LocalOutcome::NeedsMemory => {}
         }
-        let num_locations = self.program.num_locations();
-        let event = match instr {
-            Instr::Ld { dst, addr } => {
-                let loc = self.cores[proc.index()].resolve_addr(addr, num_locations)?;
-                let cell = self.mem[loc.index()].clone();
+        let op = MemInstr::decode(&instr).expect("exec_local handles all local instructions");
+        let (event, cost) = match op {
+            MemInstr::Load { dst, addr, sync: None } => {
+                let loc = self.state.resolve(pi, addr)?;
+                let (cell, local) = self.sys.load(&mut self.state, pi, loc);
                 sink.data_access(proc, loc, AccessKind::Read, cell.value, cell.writer);
-                self.cores[proc.index()].complete_load(dst, cell.value);
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.data_reads += 1;
-                StepEvent::Data
+                self.state.cores[pi].complete_load(dst, cell.value);
+                self.state.stats.data_reads += 1;
+                let t = &self.state.timing;
+                (StepEvent::Data, if local { t.buffer_hit } else { t.mem_access })
             }
-            Instr::St { src, addr } => {
-                let core = &self.cores[proc.index()];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
+            MemInstr::Store { src, addr, sync: None } => {
+                let loc = self.state.resolve(pi, addr)?;
+                let value = Value::new(self.state.cores[pi].operand(src));
                 let id = sink.data_access(proc, loc, AccessKind::Write, value, None);
-                self.mem[loc.index()] = MemCell { value, writer: Some(id), writer_sync: false };
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.data_writes += 1;
-                StepEvent::Data
+                let w = BufferedWrite { loc, value, op: id, sync: false };
+                let buffered = self.sys.store(&mut self.state, pi, w);
+                self.state.stats.data_writes += 1;
+                let t = &self.state.timing;
+                (StepEvent::Data, if buffered { t.buffered_write } else { t.mem_access })
             }
-            Instr::LdAcq { dst, addr } | Instr::LdSync { dst, addr } => {
-                let role = if matches!(instr, Instr::LdAcq { .. }) {
-                    SyncRole::Acquire
-                } else {
-                    SyncRole::None
-                };
-                let loc = self.cores[proc.index()].resolve_addr(addr, num_locations)?;
-                let cell = self.mem[loc.index()].clone();
+            MemInstr::Load { dst, addr, sync: Some(role) } => {
+                let loc = self.state.resolve(pi, addr)?;
+                if self.flushes_at(AccessKind::Read, role) {
+                    self.flush(proc)?;
+                }
+                let cell = self.sys.sync_load(&self.state, pi, loc);
                 sink.sync_access(proc, loc, AccessKind::Read, role, cell.value, cell.sync_writer());
-                self.cores[proc.index()].complete_load(dst, cell.value);
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
+                self.state.cores[pi].complete_load(dst, cell.value);
+                self.state.stats.sync_ops += 1;
+                (StepEvent::Sync, self.state.timing.mem_access)
             }
-            Instr::StRel { src, addr } | Instr::StSync { src, addr } => {
-                let role = if matches!(instr, Instr::StRel { .. }) {
-                    SyncRole::Release
-                } else {
-                    SyncRole::None
-                };
-                let core = &self.cores[proc.index()];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
+            MemInstr::Store { src, addr, sync: Some(role) } => {
+                let loc = self.state.resolve(pi, addr)?;
+                let value = Value::new(self.state.cores[pi].operand(src));
                 let id = sink.sync_access(proc, loc, AccessKind::Write, role, value, None);
-                self.mem[loc.index()] = MemCell { value, writer: Some(id), writer_sync: true };
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
+                if self.flushes_at(AccessKind::Write, role) {
+                    self.flush(proc)?;
+                }
+                let w = BufferedWrite { loc, value, op: id, sync: true };
+                self.sys.sync_store(&mut self.state, pi, w);
+                self.state.stats.sync_ops += 1;
+                (StepEvent::Sync, self.state.timing.mem_access)
             }
-            Instr::TestSet { dst, addr } => {
-                let loc = self.cores[proc.index()].resolve_addr(addr, num_locations)?;
-                let old = self.mem[loc.index()].clone();
-                sink.sync_access(
-                    proc,
-                    loc,
-                    AccessKind::Read,
-                    SyncRole::Acquire,
-                    old.value,
-                    old.sync_writer(),
-                );
+            MemInstr::TestSet { dst, addr } => {
+                let loc = self.state.resolve(pi, addr)?;
+                if self.flushes_at(AccessKind::Read, SyncRole::Acquire)
+                    || self.flushes_at(AccessKind::Write, SyncRole::None)
+                {
+                    self.flush(proc)?;
+                }
+                let old = self.sys.sync_load(&self.state, pi, loc);
+                let (read, acq) = (AccessKind::Read, SyncRole::Acquire);
+                sink.sync_access(proc, loc, read, acq, old.value, old.sync_writer());
                 let set = Value::new(1);
                 let wid = sink.sync_access(proc, loc, AccessKind::Write, SyncRole::None, set, None);
-                self.mem[loc.index()] =
-                    MemCell { value: set, writer: Some(wid), writer_sync: true };
-                self.cores[proc.index()].complete_load(dst, old.value);
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.sync_ops += 2;
-                StepEvent::Sync
+                let w = BufferedWrite { loc, value: set, op: wid, sync: true };
+                self.sys.sync_store(&mut self.state, pi, w);
+                self.state.cores[pi].complete_load(dst, old.value);
+                self.state.stats.sync_ops += 2;
+                (StepEvent::Sync, self.state.timing.mem_access)
             }
-            Instr::Unset { addr } => {
-                let loc = self.cores[proc.index()].resolve_addr(addr, num_locations)?;
-                let value = Value::ZERO;
-                let id =
-                    sink.sync_access(proc, loc, AccessKind::Write, SyncRole::Release, value, None);
-                self.mem[loc.index()] = MemCell { value, writer: Some(id), writer_sync: true };
-                self.cycles[proc.index()] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
+            MemInstr::Fence => {
+                self.flush(proc)?;
+                (StepEvent::Local, self.state.timing.local_op)
             }
-            Instr::Fence => {
-                // SC has nothing buffered; a fence is a local no-op.
-                self.cycles[proc.index()] += self.timing.local_op;
-                StepEvent::Local
-            }
-            _ => unreachable!("exec_local handles all local instructions"),
         };
-        self.cores[proc.index()].advance_pc();
+        self.state.cycles[pi] += cost;
+        self.state.cores[pi].advance_pc();
         Ok(event)
     }
+}
 
-    /// Convenience: the value currently in a register of a core (test
-    /// helper; returns 0 for unknown processors).
-    pub fn reg(&self, proc: ProcId, r: Reg) -> i64 {
-        self.cores.get(proc.index()).map_or(0, |c| c.reg(r))
+impl<M: MemorySystem> crate::DrainView for Machine<M> {
+    fn runnable_procs(&self) -> Vec<ProcId> {
+        self.runnable()
+    }
+
+    fn drainable(&self, proc: ProcId) -> Vec<usize> {
+        self.drainable_indices(proc)
+    }
+
+    fn pending_len(&self, proc: ProcId) -> usize {
+        self.sys.pending_len(proc.index())
+    }
+
+    fn num_procs(&self) -> usize {
+        self.state.cores.len()
     }
 }
 

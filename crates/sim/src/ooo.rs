@@ -5,8 +5,9 @@
 //! only writer-side reordering (store buffers) and
 //! [`InvalMachine`](crate::InvalMachine) only reader-side staleness
 //! (invalidation queues), this machine models the place real weak
-//! behaviour originates: a speculative out-of-order pipeline. Each core
-//! has
+//! behaviour originates: a speculative out-of-order pipeline. It shares
+//! the in-order machine's [`MachineState`], its core interpreter and ALU,
+//! and its [`StoreBuffers`]. Each core has
 //!
 //! * a **reorder buffer** (ROB) holding in-flight memory operations in
 //!   program order, retired strictly in order;
@@ -58,16 +59,16 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value};
 
-use crate::cpu::LocalOutcome;
-use crate::machine::MemCell;
-use crate::weak::BufferedWrite;
+use crate::cpu::{AluOp, LocalOutcome, MemInstr};
+use crate::machine::{MachineState, MemCell};
 use crate::{
-    CoreState, Fidelity, Instr, MemoryModel, Operand, Program, Reg, SimError, SimStats, StepEvent,
-    Timing,
+    BufferedWrite, CoreState, Fidelity, Instr, MemoryModel, MemorySystem, Operand, Program, Reg,
+    SimError, StepEvent, StoreBuffers, Timing,
 };
 
 /// Reorder-buffer capacity per core: the speculation window. A core
@@ -157,23 +158,12 @@ enum Src {
     Tag(u64),
 }
 
-/// Register-only operations a reservation station can hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum AluKind {
-    Mov,
-    Add,
-    Sub,
-    Mul,
-    CmpEq,
-    CmpLt,
-}
-
 /// A deferred register-only instruction waiting for operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Station {
     tag: u64,
     dst: Reg,
-    kind: AluKind,
+    kind: AluOp,
     a: Src,
     b: Src,
 }
@@ -196,14 +186,7 @@ impl Station {
         let (Src::Val(a), Src::Val(b)) = (self.a, self.b) else {
             unreachable!("station executed before operands arrived")
         };
-        match self.kind {
-            AluKind::Mov => a,
-            AluKind::Add => a.wrapping_add(b),
-            AluKind::Sub => a.wrapping_sub(b),
-            AluKind::Mul => a.wrapping_mul(b),
-            AluKind::CmpEq => i64::from(a == b),
-            AluKind::CmpLt => i64::from(a < b),
-        }
+        self.kind.apply(a, b)
     }
 }
 
@@ -228,21 +211,24 @@ enum PendingRef {
 /// A multiprocessor of speculative out-of-order pipelined cores,
 /// parameterized by weak memory model and fidelity to Condition 3.4.
 #[derive(Debug, Clone)]
+///
+/// The shared accessors (cycles, memory, registers, …) come from
+/// [`MachineState`].
 pub struct OooMachine {
-    program: Arc<Program>,
-    cores: Vec<CoreState>,
-    mem: Vec<MemCell>,
+    state: MachineState,
     robs: Vec<Vec<RobEntry>>,
     stations: Vec<Vec<Station>>,
     rats: Vec<[RegStatus; crate::NUM_REGS]>,
-    bufs: Vec<Vec<BufferedWrite>>,
+    bufs: StoreBuffers,
     serials: Vec<u64>,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    cycles: Vec<u64>,
-    timing: Timing,
-    steps: u64,
-    stats: SimStats,
+}
+
+impl Deref for OooMachine {
+    type Target = MachineState;
+
+    fn deref(&self) -> &MachineState {
+        &self.state
+    }
 }
 
 impl OooMachine {
@@ -262,41 +248,16 @@ impl OooMachine {
         fidelity: Fidelity,
         timing: Timing,
     ) -> Result<Self, SimError> {
-        program.validate()?;
-        let n = program.num_procs();
-        let cores = (0..n).map(|i| CoreState::new(ProcId::new(i as u16))).collect();
-        let mem = program.initial_memory().into_iter().map(MemCell::initial).collect();
+        let state = MachineState::new(program, model, fidelity, timing)?;
+        let n = state.cores.len();
         Ok(OooMachine {
-            program,
-            cores,
-            mem,
+            state,
             robs: vec![Vec::new(); n],
             stations: vec![Vec::new(); n],
             rats: vec![[RegStatus::Ready; crate::NUM_REGS]; n],
-            bufs: vec![Vec::new(); n],
+            bufs: StoreBuffers::new(n),
             serials: vec![0; n],
-            model,
-            fidelity,
-            cycles: vec![0; n],
-            timing,
-            steps: 0,
-            stats: SimStats::default(),
         })
-    }
-
-    /// The memory model this machine implements.
-    pub fn model(&self) -> MemoryModel {
-        self.model
-    }
-
-    /// Whether the machine honours Condition 3.4.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
     }
 
     /// Restores the machine to the program's initial state without
@@ -304,45 +265,12 @@ impl OooMachine {
     /// discarded, not drained — the caller is abandoning the previous
     /// execution.
     pub fn reset(&mut self) {
-        for core in &mut self.cores {
-            *core = CoreState::new(core.proc);
-        }
-        self.mem.clear();
-        self.mem.extend(self.program.initial_memory().into_iter().map(MemCell::initial));
+        self.state.reset();
         self.robs.iter_mut().for_each(Vec::clear);
         self.stations.iter_mut().for_each(Vec::clear);
         self.rats.iter_mut().for_each(|r| r.fill(RegStatus::Ready));
-        self.bufs.iter_mut().for_each(Vec::clear);
+        self.bufs.clear();
         self.serials.iter_mut().for_each(|s| *s = 0);
-        self.cycles.iter_mut().for_each(|c| *c = 0);
-        self.steps = 0;
-        self.stats = SimStats::default();
-    }
-
-    /// The state of one core.
-    pub fn core(&self, proc: ProcId) -> Option<&CoreState> {
-        self.cores.get(proc.index())
-    }
-
-    /// Per-processor accumulated cycles.
-    pub fn cycles(&self) -> &[u64] {
-        &self.cycles
-    }
-
-    /// Number of steps executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Deterministic execution statistics accumulated so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Globally visible memory values (speculative and buffered writes
-    /// excluded).
-    pub fn memory_values(&self) -> Vec<Value> {
-        self.mem.iter().map(|c| c.value).collect()
     }
 
     /// Memory values as every write *will* land once the pipelines and
@@ -350,10 +278,8 @@ impl OooMachine {
     /// buffers, then with in-flight ROB stores (youngest last).
     pub fn settled_memory_values(&self) -> Vec<Value> {
         let mut mem = self.memory_values();
-        for (buf, rob) in self.bufs.iter().zip(&self.robs) {
-            for w in buf {
-                mem[w.loc.index()] = w.value;
-            }
+        for (pi, rob) in self.robs.iter().enumerate() {
+            self.bufs.overlay(pi, &mut mem);
             for e in rob {
                 match e.op {
                     RobOp::Write { loc, value, .. } => mem[loc.index()] = value,
@@ -369,17 +295,12 @@ impl OooMachine {
     /// and not stalled on a pending operand, a full ROB, or full
     /// reservation stations.
     pub fn runnable(&self) -> Vec<ProcId> {
-        self.cores
+        self.state
+            .cores
             .iter()
             .filter(|c| !c.is_halted() && self.can_issue(c.proc))
             .map(|c| c.proc)
             .collect()
-    }
-
-    /// `true` once every processor has halted (pipelines may still hold
-    /// in-flight work; see [`pipelines_empty`](Self::pipelines_empty)).
-    pub fn all_halted(&self) -> bool {
-        self.cores.iter().all(|c| c.is_halted())
     }
 
     /// `true` iff no ROB entry, reservation station, or buffered write
@@ -387,21 +308,12 @@ impl OooMachine {
     pub fn pipelines_empty(&self) -> bool {
         self.robs.iter().all(Vec::is_empty)
             && self.stations.iter().all(Vec::is_empty)
-            && self.bufs.iter().all(Vec::is_empty)
-    }
-
-    /// The next instruction a processor would issue (`None` if halted).
-    pub fn next_instr(&self, proc: ProcId) -> Option<Instr> {
-        let core = self.cores.get(proc.index())?;
-        if core.is_halted() {
-            return None;
-        }
-        self.program.proc_code(proc)?.get(core.pc()).copied()
+            && (0..self.robs.len()).all(|pi| self.bufs.pending_len(pi) == 0)
     }
 
     /// The retired-but-undrained writes of one processor, oldest first.
     pub fn store_buffer(&self, proc: ProcId) -> &[BufferedWrite] {
-        self.bufs.get(proc.index()).map(|v| v.as_slice()).unwrap_or(&[])
+        self.bufs.buffer(proc.index())
     }
 
     /// Number of in-flight ROB entries for one processor.
@@ -414,21 +326,15 @@ impl OooMachine {
         self.robs.get(proc.index()).map_or(0, |rob| rob.iter().filter(|e| !e.complete()).count())
     }
 
-    /// Convenience: the value currently in a register of a core (test
-    /// helper; returns 0 for unknown processors).
-    pub fn reg(&self, proc: ProcId, r: Reg) -> i64 {
-        self.cores.get(proc.index()).map_or(0, |c| c.reg(r))
-    }
-
     /// A hash of the architectural + microarchitectural state.
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        self.mem.hash(&mut h);
+        self.state.cores.hash(&mut h);
+        self.state.mem.hash(&mut h);
         self.robs.hash(&mut h);
         self.stations.hash(&mut h);
         self.rats.hash(&mut h);
-        self.bufs.hash(&mut h);
+        self.bufs.hash_into(&mut h, false);
         h.finish()
     }
 
@@ -443,11 +349,7 @@ impl OooMachine {
                 }
             }
         }
-        if let Some(buf) = self.bufs.get(proc.index()) {
-            for i in 0..buf.len() {
-                refs.push(PendingRef::Buf(i));
-            }
-        }
+        refs.extend((0..self.bufs.pending_len(proc.index())).map(PendingRef::Buf));
         refs
     }
 
@@ -456,22 +358,19 @@ impl OooMachine {
     /// speculative window is what reorders them), and every store-buffer
     /// entry with no older same-location entry (coherence).
     pub fn drainable_indices(&self, proc: ProcId) -> Vec<usize> {
-        let Some(buf) = self.bufs.get(proc.index()) else { return Vec::new() };
-        let fills = self.pending_fills(proc);
-        let mut out: Vec<usize> = (0..fills).collect();
-        for (i, w) in buf.iter().enumerate() {
-            if buf[..i].iter().all(|e| e.loc != w.loc) {
-                out.push(fills + i);
-            }
+        if proc.index() >= self.robs.len() {
+            return Vec::new();
         }
-        out
+        let fills = self.pending_fills(proc);
+        let bufs = self.bufs.drainable(proc.index()).into_iter().map(|i| fills + i);
+        (0..fills).chain(bufs).collect()
     }
 
     /// Whether `proc` can issue its next instruction: every operand the
     /// front end needs (branch conditions, address bases, store data)
     /// is rename-table ready, and the pipeline has space.
     fn can_issue(&self, proc: ProcId) -> bool {
-        let Some(instr) = self.next_instr(proc) else { return true };
+        let Some(instr) = self.state.next_instr(proc) else { return true };
         let pi = proc.index();
         let ready = |r: Reg| self.rats[pi][r.index()] == RegStatus::Ready;
         let op_ready = |o: Operand| match o {
@@ -484,14 +383,17 @@ impl OooMachine {
         };
         let rob_space = self.robs[pi].len() < ROB_CAPACITY;
         let station_space = self.stations[pi].len() < STATION_CAPACITY;
+        if let Some((_, _, a, b)) = AluOp::decode(&instr) {
+            return (op_ready(a) && op_ready(b)) || station_space;
+        }
         match instr {
             Instr::Li { .. } | Instr::Jmp { .. } | Instr::Nop | Instr::Halt | Instr::Fence => true,
-            Instr::Mov { src, .. } => ready(src) || station_space,
-            Instr::Add { a, b, .. }
-            | Instr::Sub { a, b, .. }
-            | Instr::Mul { a, b, .. }
-            | Instr::CmpEq { a, b, .. }
-            | Instr::CmpLt { a, b, .. } => (ready(a) && op_ready(b)) || station_space,
+            Instr::Mov { .. }
+            | Instr::Add { .. }
+            | Instr::Sub { .. }
+            | Instr::Mul { .. }
+            | Instr::CmpEq { .. }
+            | Instr::CmpLt { .. } => unreachable!("decoded above"),
             Instr::Bz { cond, .. } | Instr::Bnz { cond, .. } => ready(cond),
             Instr::Ld { addr, .. } | Instr::LdAcq { addr, .. } | Instr::LdSync { addr, .. } => {
                 addr_ready(addr) && rob_space
@@ -524,19 +426,15 @@ impl OooMachine {
                 _ => {}
             }
         }
-        if let Some(w) = self.bufs[pi].iter().rev().find(|w| w.loc == loc) {
-            return (w.value, FillSrc::Resolved { writer: Some(w.op), writer_sync: w.sync }, true);
-        }
-        let cell = &self.mem[loc.index()];
-        (
-            cell.value,
-            FillSrc::Resolved { writer: cell.writer, writer_sync: cell.writer_sync },
-            false,
-        )
+        let forward = self.bufs.forward(pi, loc);
+        let from_forward = forward.is_some();
+        let cell = forward.unwrap_or_else(|| self.state.mem[loc.index()].clone());
+        let src = FillSrc::Resolved { writer: cell.writer, writer_sync: cell.writer_sync };
+        (cell.value, src, from_forward)
     }
 
     fn strong_write(&mut self, loc: Location, value: Value, op: OpId, sync: bool) {
-        self.mem[loc.index()] = MemCell { value, writer: Some(op), writer_sync: sync };
+        self.state.mem[loc.index()] = MemCell::written(value, op, sync);
     }
 
     /// Delivers a bypass value: wakes reservation stations waiting on
@@ -554,7 +452,7 @@ impl OooMachine {
                     let st = self.stations[pi].remove(i);
                     let result = st.compute();
                     if self.rats[pi][st.dst.index()] == RegStatus::Pending(st.tag) {
-                        self.cores[pi].set_reg(st.dst, result);
+                        self.state.cores[pi].set_reg(st.dst, result);
                         self.rats[pi][st.dst.index()] = RegStatus::Ready;
                     }
                     worklist.push((st.tag, result));
@@ -577,23 +475,23 @@ impl OooMachine {
             *fill = Some(Fill { value, src, from_forward });
         }
         if self.rats[pi][dst.index()] == RegStatus::Pending(tag) {
-            self.cores[pi].complete_load(dst, value);
+            self.state.cores[pi].complete_load(dst, value);
             self.rats[pi][dst.index()] = RegStatus::Ready;
         }
         self.deliver(pi, tag, value.get());
-        self.cycles[pi] +=
-            if from_forward { self.timing.buffer_hit } else { self.timing.mem_access };
-        self.stats.ooo_load_fills += 1;
+        self.state.cycles[pi] +=
+            if from_forward { self.state.timing.buffer_hit } else { self.state.timing.mem_access };
+        self.state.stats.ooo_load_fills += 1;
         if from_forward {
-            self.stats.ooo_forwards += 1;
+            self.state.stats.ooo_forwards += 1;
             if matches!(class, AccessClass::Data) {
-                self.stats.buffer_forwards += 1;
+                self.state.stats.buffer_forwards += 1;
             }
         } else if matches!(class, AccessClass::Data) && self.remote_pending_store(pi, loc) {
-            self.stats.stale_reads += 1;
+            self.state.stats.stale_reads += 1;
         }
         if matches!(class, AccessClass::Data) {
-            self.stats.data_reads += 1;
+            self.state.stats.data_reads += 1;
         }
     }
 
@@ -601,7 +499,7 @@ impl OooMachine {
     /// buffered write to `loc` (the read just performed is already
     /// outdated).
     fn remote_pending_store(&self, pi: usize, loc: Location) -> bool {
-        self.bufs.iter().enumerate().any(|(i, b)| i != pi && b.iter().any(|w| w.loc == loc))
+        self.bufs.remote_pending(pi, loc)
             || self.robs.iter().enumerate().any(|(i, rob)| {
                 i != pi
                     && rob.iter().any(|e| {
@@ -635,7 +533,7 @@ impl OooMachine {
         let pi = proc.index();
         while self.robs[pi].first().is_some_and(RobEntry::complete) {
             let entry = self.robs[pi].remove(0);
-            self.stats.ooo_retired += 1;
+            self.state.stats.ooo_retired += 1;
             match entry.op {
                 RobOp::Read { loc, class, fill, .. } => {
                     let fill = fill.expect("complete load has a fill");
@@ -671,8 +569,8 @@ impl OooMachine {
                     if strong {
                         self.strong_write(loc, value, id, sync);
                     } else {
-                        self.bufs[pi].push(BufferedWrite { loc, value, op: id, sync });
-                        self.stats.buffered_writes += 1;
+                        self.bufs.push(pi, BufferedWrite { loc, value, op: id, sync });
+                        self.state.stats.buffered_writes += 1;
                     }
                 }
                 RobOp::TestSet { loc, old, observed, strong } => {
@@ -686,8 +584,8 @@ impl OooMachine {
                     if strong {
                         self.strong_write(loc, set, wid, true);
                     } else {
-                        self.bufs[pi].push(BufferedWrite { loc, value: set, op: wid, sync: true });
-                        self.stats.buffered_writes += 1;
+                        self.bufs.push(pi, BufferedWrite { loc, value: set, op: wid, sync: true });
+                        self.state.stats.buffered_writes += 1;
                     }
                 }
             }
@@ -716,7 +614,7 @@ impl OooMachine {
         index: usize,
         sink: &mut dyn TraceSink,
     ) -> Result<(), SimError> {
-        if proc.index() >= self.cores.len() {
+        if proc.index() >= self.robs.len() {
             return Err(SimError::UnknownProcessor(proc));
         }
         let pending = self.pending(proc);
@@ -729,15 +627,10 @@ impl OooMachine {
                 self.retire_ready(proc, sink);
             }
             PendingRef::Buf(bi) => {
-                let pi = proc.index();
-                let w = self.bufs[pi][bi];
-                if self.bufs[pi][..bi].iter().any(|e| e.loc == w.loc) {
+                if !self.bufs.drain(&mut self.state.mem, proc.index(), bi) {
                     return Err(SimError::BadDrain { proc, index, len: pending.len() });
                 }
-                self.bufs[pi].remove(bi);
-                self.mem[w.loc.index()] =
-                    MemCell { value: w.value, writer: Some(w.op), writer_sync: w.sync };
-                self.stats.background_drains += 1;
+                self.state.stats.background_drains += 1;
             }
         }
         Ok(())
@@ -758,7 +651,7 @@ impl OooMachine {
         sink: &mut dyn TraceSink,
     ) -> Result<usize, SimError> {
         let pi = proc.index();
-        if pi >= self.cores.len() {
+        if pi >= self.robs.len() {
             return Err(SimError::UnknownProcessor(proc));
         }
         while let Some(pos) = self.robs[pi].iter().position(|e| !e.complete()) {
@@ -768,16 +661,9 @@ impl OooMachine {
         self.retire_ready(proc, sink);
         debug_assert!(self.robs[pi].is_empty(), "drained ROB must be empty");
         debug_assert!(self.stations[pi].is_empty(), "drained stations must be empty");
-        let n = self.bufs[pi].len();
-        for w in self.bufs[pi].drain(..) {
-            self.mem[w.loc.index()] =
-                MemCell { value: w.value, writer: Some(w.op), writer_sync: w.sync };
-        }
-        self.cycles[pi] += self.timing.drain_per_entry * n as u64;
-        self.stats.sync_flushes += 1;
-        self.stats.ooo_flushes += 1;
-        self.stats.flushed_entries += n as u64;
-        self.stats.flush_stall_cycles += self.timing.drain_per_entry * n as u64;
+        let n = self.bufs.flush(&mut self.state.mem, pi).unwrap_or(0);
+        self.state.charge_flush(pi, n);
+        self.state.stats.ooo_flushes += 1;
         Ok(n)
     }
 
@@ -811,12 +697,9 @@ impl OooMachine {
         proc: ProcId,
         sink: &mut S,
     ) -> Result<StepEvent, SimError> {
+        let instr = self.state.fetch(proc)?;
         let pi = proc.index();
-        let core = self.cores.get(pi).ok_or(SimError::UnknownProcessor(proc))?;
-        if core.is_halted() {
-            return Err(SimError::Halted(proc));
-        }
-        self.steps += 1;
+        self.state.steps += 1;
         if !self.can_issue(proc) {
             // Stalled front end: the step becomes pipeline progress.
             let pos = self.robs[pi]
@@ -827,178 +710,101 @@ impl OooMachine {
             self.retire_ready(proc, sink);
             return Ok(StepEvent::Local);
         }
-        let instr = self
-            .program
-            .proc_code(proc)
-            .and_then(|code| code.get(self.cores[pi].pc()))
-            .copied()
-            .unwrap_or(Instr::Halt);
-        let conditioned = self.fidelity == Fidelity::Conditioned;
-        let strong = self.model == MemoryModel::Sc;
-        let ready =
-            |rats: &[RegStatus; crate::NUM_REGS], r: Reg| rats[r.index()] == RegStatus::Ready;
-        let event = match instr {
-            // Register-only instructions: execute immediately when
-            // operands are ready, else rename the destination and wait
-            // in a reservation station.
-            Instr::Li { .. }
-            | Instr::Jmp { .. }
-            | Instr::Bz { .. }
-            | Instr::Bnz { .. }
-            | Instr::Nop
-            | Instr::Halt => {
-                let was_halt = matches!(instr, Instr::Halt);
-                match self.cores[pi].exec_local(&instr) {
-                    LocalOutcome::Done => {}
-                    _ => unreachable!("local instruction must complete locally"),
-                }
-                if let Instr::Li { dst, .. } = instr {
-                    self.rats[pi][dst.index()] = RegStatus::Ready;
-                }
-                self.cycles[pi] += self.timing.local_op;
-                return Ok(if was_halt { StepEvent::Halt } else { StepEvent::Local });
+        // Register-only instructions: execute immediately when operands
+        // are ready, else rename the destination and wait in a
+        // reservation station.
+        if let Some((dst, op, a, b)) = AluOp::decode(&instr) {
+            self.issue_alu(pi, dst, op, a, b);
+            return Ok(StepEvent::Local);
+        }
+        let Some(mem_instr) = MemInstr::decode(&instr) else {
+            let outcome = self.state.cores[pi].exec_local(&instr);
+            assert_eq!(outcome, LocalOutcome::Done, "local instruction must complete locally");
+            if let Instr::Li { dst, .. } = instr {
+                self.rats[pi][dst.index()] = RegStatus::Ready;
             }
-            Instr::Mov { dst, src } => {
-                self.issue_alu(pi, dst, AluKind::Mov, Operand::Reg(src), Operand::Imm(0));
-                return Ok(StepEvent::Local);
-            }
-            Instr::Add { dst, a, b } => {
-                self.issue_alu(pi, dst, AluKind::Add, Operand::Reg(a), b);
-                return Ok(StepEvent::Local);
-            }
-            Instr::Sub { dst, a, b } => {
-                self.issue_alu(pi, dst, AluKind::Sub, Operand::Reg(a), b);
-                return Ok(StepEvent::Local);
-            }
-            Instr::Mul { dst, a, b } => {
-                self.issue_alu(pi, dst, AluKind::Mul, Operand::Reg(a), b);
-                return Ok(StepEvent::Local);
-            }
-            Instr::CmpEq { dst, a, b } => {
-                self.issue_alu(pi, dst, AluKind::CmpEq, Operand::Reg(a), b);
-                return Ok(StepEvent::Local);
-            }
-            Instr::CmpLt { dst, a, b } => {
-                self.issue_alu(pi, dst, AluKind::CmpLt, Operand::Reg(a), b);
-                return Ok(StepEvent::Local);
-            }
-            Instr::Ld { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, self.program.num_locations())?;
-                if strong {
-                    let serial = self.serials[pi];
-                    let (value, src, from_forward) = self.visible_before(proc, loc, u64::MAX);
-                    self.push_rob(
-                        pi,
-                        RobOp::Read {
-                            dst,
-                            tag: serial,
-                            loc,
-                            class: AccessClass::Data,
-                            fill: Some(Fill { value, src, from_forward }),
-                        },
-                    );
-                    self.cores[pi].complete_load(dst, value);
-                    self.rats[pi][dst.index()] = RegStatus::Ready;
-                    self.cycles[pi] += self.timing.mem_access;
-                    self.stats.data_reads += 1;
-                } else {
-                    let serial = self.serials[pi];
-                    self.push_rob(
-                        pi,
-                        RobOp::Read { dst, tag: serial, loc, class: AccessClass::Data, fill: None },
-                    );
-                    self.rats[pi][dst.index()] = RegStatus::Pending(serial);
-                    self.cycles[pi] += self.timing.local_op;
-                }
-                StepEvent::Data
-            }
-            Instr::St { src, addr } => {
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, self.program.num_locations())?;
-                debug_assert!(match src {
-                    Operand::Reg(r) => ready(&self.rats[pi], r),
-                    Operand::Imm(_) => true,
-                });
-                let value = Value::new(core.operand(src));
-                self.push_rob(pi, RobOp::Write { loc, value, class: AccessClass::Data, strong });
-                self.cycles[pi] +=
-                    if strong { self.timing.mem_access } else { self.timing.buffered_write };
-                self.stats.data_writes += 1;
-                StepEvent::Data
-            }
-            Instr::LdAcq { dst, addr } | Instr::LdSync { dst, addr } => {
-                let role = if matches!(instr, Instr::LdAcq { .. }) {
-                    SyncRole::Acquire
-                } else {
-                    SyncRole::None
-                };
-                let loc = self.cores[pi].resolve_addr(addr, self.program.num_locations())?;
-                if conditioned || strong {
-                    if strong || self.model.sync_read_drains(role) {
+            self.state.cycles[pi] += self.state.timing.local_op;
+            return Ok(if instr == Instr::Halt { StepEvent::Halt } else { StepEvent::Local });
+        };
+        let conditioned = self.state.fidelity == Fidelity::Conditioned;
+        let strong = self.state.model == MemoryModel::Sc;
+        let t = self.state.timing;
+        let event = match mem_instr {
+            MemInstr::Load { dst, addr, sync } => {
+                let loc = self.state.resolve(pi, addr)?;
+                // SC binds every load at issue; Condition 3.4 binds sync
+                // loads at issue; everything else waits for a fill.
+                let bind_now = strong || (conditioned && sync.is_some());
+                if let Some(role) = sync {
+                    if bind_now && (strong || self.state.model.sync_read_drains(role)) {
                         self.drain_pipeline(proc, sink)?;
                     }
-                    let serial = self.serials[pi];
+                }
+                let class = sync.map_or(AccessClass::Data, AccessClass::Sync);
+                let tag = self.serials[pi];
+                if bind_now {
                     let (value, src, from_forward) = self.visible_before(proc, loc, u64::MAX);
-                    self.push_rob(
-                        pi,
-                        RobOp::Read {
-                            dst,
-                            tag: serial,
-                            loc,
-                            class: AccessClass::Sync(role),
-                            fill: Some(Fill { value, src, from_forward }),
-                        },
-                    );
-                    self.cores[pi].complete_load(dst, value);
+                    let fill = Some(Fill { value, src, from_forward });
+                    self.push_rob(pi, RobOp::Read { dst, tag, loc, class, fill });
+                    self.state.cores[pi].complete_load(dst, value);
                     self.rats[pi][dst.index()] = RegStatus::Ready;
                 } else {
-                    let serial = self.serials[pi];
-                    self.push_rob(
-                        pi,
-                        RobOp::Read {
-                            dst,
-                            tag: serial,
-                            loc,
-                            class: AccessClass::Sync(role),
-                            fill: None,
-                        },
-                    );
-                    self.rats[pi][dst.index()] = RegStatus::Pending(serial);
+                    self.push_rob(pi, RobOp::Read { dst, tag, loc, class, fill: None });
+                    self.rats[pi][dst.index()] = RegStatus::Pending(tag);
                 }
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::StRel { src, addr } | Instr::StSync { src, addr } => {
-                let role = if matches!(instr, Instr::StRel { .. }) {
-                    SyncRole::Release
-                } else {
-                    SyncRole::None
+                let cost = match sync {
+                    Some(_) => {
+                        self.state.stats.sync_ops += 1;
+                        t.mem_access
+                    }
+                    None if strong => {
+                        self.state.stats.data_reads += 1;
+                        t.mem_access
+                    }
+                    // A pending data load counts at its fill.
+                    None => t.local_op,
                 };
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, self.program.num_locations())?;
-                let value = Value::new(core.operand(src));
-                if conditioned || strong {
-                    // Retirement atomicity: a strong synchronization
-                    // write requires an empty pipeline so it is
-                    // globally ordered the moment it executes.
-                    self.drain_pipeline(proc, sink)?;
-                    self.push_rob(
-                        pi,
-                        RobOp::Write { loc, value, class: AccessClass::Sync(role), strong: true },
-                    );
+                self.state.cycles[pi] += cost;
+                if sync.is_some() {
+                    StepEvent::Sync
                 } else {
-                    self.push_rob(
-                        pi,
-                        RobOp::Write { loc, value, class: AccessClass::Sync(role), strong: false },
-                    );
+                    StepEvent::Data
                 }
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
             }
-            Instr::TestSet { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, self.program.num_locations())?;
+            MemInstr::Store { src, addr, sync } => {
+                let loc = self.state.resolve(pi, addr)?;
+                debug_assert!(match src {
+                    Operand::Reg(r) => self.rats[pi][r.index()] == RegStatus::Ready,
+                    Operand::Imm(_) => true,
+                });
+                let value = Value::new(self.state.cores[pi].operand(src));
+                let (class, strong, cost) = match sync {
+                    None => {
+                        self.state.stats.data_writes += 1;
+                        let cost = if strong { t.mem_access } else { t.buffered_write };
+                        (AccessClass::Data, strong, cost)
+                    }
+                    Some(role) => {
+                        if conditioned || strong {
+                            // Retirement atomicity: a strong synchronization
+                            // write requires an empty pipeline so it is
+                            // globally ordered the moment it executes.
+                            self.drain_pipeline(proc, sink)?;
+                        }
+                        self.state.stats.sync_ops += 1;
+                        (AccessClass::Sync(role), conditioned || strong, t.mem_access)
+                    }
+                };
+                self.push_rob(pi, RobOp::Write { loc, value, class, strong });
+                self.state.cycles[pi] += cost;
+                if sync.is_some() {
+                    StepEvent::Sync
+                } else {
+                    StepEvent::Data
+                }
+            }
+            MemInstr::TestSet { dst, addr } => {
+                let loc = self.state.resolve(pi, addr)?;
                 if conditioned || strong {
                     // The read-modify-write must be atomic against
                     // shared memory: drain so the write lands with the
@@ -1010,52 +816,21 @@ impl OooMachine {
                     pi,
                     RobOp::TestSet { loc, old, observed, strong: conditioned || strong },
                 );
-                self.cores[pi].complete_load(dst, old);
+                self.state.cores[pi].complete_load(dst, old);
                 self.rats[pi][dst.index()] = RegStatus::Ready;
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 2;
+                self.state.cycles[pi] += t.mem_access;
+                self.state.stats.sync_ops += 2;
                 StepEvent::Sync
             }
-            Instr::Unset { addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, self.program.num_locations())?;
-                let value = Value::ZERO;
-                if conditioned || strong {
-                    self.drain_pipeline(proc, sink)?;
-                    self.push_rob(
-                        pi,
-                        RobOp::Write {
-                            loc,
-                            value,
-                            class: AccessClass::Sync(SyncRole::Release),
-                            strong: true,
-                        },
-                    );
-                } else {
-                    self.push_rob(
-                        pi,
-                        RobOp::Write {
-                            loc,
-                            value,
-                            class: AccessClass::Sync(SyncRole::Release),
-                            strong: false,
-                        },
-                    );
-                }
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::Fence => {
+            MemInstr::Fence => {
                 // An explicit fence drains in both fidelities, exactly
                 // like the store-buffer machine.
                 self.drain_pipeline(proc, sink)?;
-                self.cycles[pi] += self.timing.local_op;
-                self.cores[pi].advance_pc();
-                self.retire_ready(proc, sink);
-                return Ok(StepEvent::Local);
+                self.state.cycles[pi] += t.local_op;
+                StepEvent::Local
             }
         };
-        self.cores[pi].advance_pc();
+        self.state.cores[pi].advance_pc();
         self.retire_ready(proc, sink);
         Ok(event)
     }
@@ -1063,7 +838,7 @@ impl OooMachine {
     /// Issues a register-only instruction: direct execution when every
     /// operand is ready, else a reservation-station entry with the
     /// destination renamed in the alias table.
-    fn issue_alu(&mut self, pi: usize, dst: Reg, kind: AluKind, a: Operand, b: Operand) {
+    fn issue_alu(&mut self, pi: usize, dst: Reg, kind: AluOp, a: Operand, b: Operand) {
         let src_of = |rats: &[RegStatus; crate::NUM_REGS], core: &CoreState, o: Operand| match o {
             Operand::Imm(v) => Src::Val(v),
             Operand::Reg(r) => match rats[r.index()] {
@@ -1071,19 +846,18 @@ impl OooMachine {
                 RegStatus::Pending(t) => Src::Tag(t),
             },
         };
-        let sa = src_of(&self.rats[pi], &self.cores[pi], a);
-        let sb = src_of(&self.rats[pi], &self.cores[pi], b);
-        self.cycles[pi] += self.timing.local_op;
+        let sa = src_of(&self.rats[pi], &self.state.cores[pi], a);
+        let sb = src_of(&self.rats[pi], &self.state.cores[pi], b);
+        self.state.cycles[pi] += self.state.timing.local_op;
         if let (Src::Val(va), Src::Val(vb)) = (sa, sb) {
-            let st = Station { tag: 0, dst, kind, a: Src::Val(va), b: Src::Val(vb) };
-            self.cores[pi].set_reg(dst, st.compute());
+            self.state.cores[pi].set_reg(dst, kind.apply(va, vb));
             self.rats[pi][dst.index()] = RegStatus::Ready;
         } else {
             let tag = self.next_serial(pi);
             self.stations[pi].push(Station { tag, dst, kind, a: sa, b: sb });
             self.rats[pi][dst.index()] = RegStatus::Pending(tag);
         }
-        self.cores[pi].advance_pc();
+        self.state.cores[pi].advance_pc();
     }
 }
 
@@ -1101,14 +875,14 @@ impl crate::DrainView for OooMachine {
     }
 
     fn num_procs(&self) -> usize {
-        self.program.num_procs()
+        self.robs.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, DrainView, NUM_REGS};
+    use crate::{Addr, DrainView, SimStats, NUM_REGS};
     use wmrd_trace::{NullSink, OpRecorder};
 
     fn l(a: u32) -> Location {

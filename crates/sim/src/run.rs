@@ -1,13 +1,15 @@
 //! High-level runners: program in, outcome out.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use wmrd_trace::{ProcId, TraceSink, Value};
 
 use crate::{
-    DrainView, Fidelity, InvalMachine, MemoryModel, OooMachine, Program, ScMachine, Scheduler,
-    SimError, SimStats, Timing, WeakAction, WeakMachine, WeakScheduler,
+    DrainView, Fidelity, InvalMachine, Machine, MachineState, MemoryModel, MemorySystem,
+    OooMachine, Program, ScMachine, Scheduler, SimError, SimStats, Timing, WeakAction, WeakMachine,
+    WeakScheduler,
 };
 
 /// Which weak-hardware implementation style to simulate.
@@ -157,12 +159,110 @@ pub fn run_sc_on<S: TraceSink>(
     sink: &mut S,
     config: RunConfig,
 ) -> Result<RunOutcome, SimError> {
+    drive(machine, &mut StepsOnly(scheduler), sink, &config)
+}
+
+/// A processor scheduler seen as a weak scheduler that never drains —
+/// all SC memory needs.
+struct StepsOnly<'a>(&'a mut dyn Scheduler);
+
+impl WeakScheduler for StepsOnly<'_> {
+    fn next(&mut self, machine: &dyn DrainView) -> Option<WeakAction> {
+        self.0.next(&machine.runnable_procs()).map(WeakAction::Step)
+    }
+}
+
+/// What the one driver loop needs of a machine: the in-order
+/// [`Machine`] over any memory system, or the out-of-order pipeline.
+///
+/// Drain and flush take the sink because on the out-of-order machine
+/// completing a pending entry can retire reorder-buffer heads, which is
+/// where operations are recorded; the in-order machine ignores it.
+pub(crate) trait Exec: DrainView + Deref<Target = MachineState> {
+    /// Executes one instruction on `proc`.
+    fn exec_step<S: TraceSink>(&mut self, proc: ProcId, sink: &mut S) -> Result<(), SimError>;
+    /// Completes one pending entry (buffered write / invalidation /
+    /// load fill).
+    fn exec_drain<S: TraceSink>(
+        &mut self,
+        proc: ProcId,
+        index: usize,
+        sink: &mut S,
+    ) -> Result<(), SimError>;
+    /// Force-completes every pending entry of `proc`.
+    fn exec_flush<S: TraceSink>(&mut self, proc: ProcId, sink: &mut S) -> Result<(), SimError>;
+    /// `true` once nothing is pending anywhere.
+    fn exec_pending_empty(&self) -> bool;
+}
+
+impl<M: MemorySystem> Exec for Machine<M> {
+    fn exec_step<S: TraceSink>(&mut self, proc: ProcId, sink: &mut S) -> Result<(), SimError> {
+        self.step(proc, sink).map(|_| ())
+    }
+
+    fn exec_drain<S: TraceSink>(
+        &mut self,
+        proc: ProcId,
+        index: usize,
+        _: &mut S,
+    ) -> Result<(), SimError> {
+        self.drain_one(proc, index)
+    }
+
+    fn exec_flush<S: TraceSink>(&mut self, proc: ProcId, _: &mut S) -> Result<(), SimError> {
+        self.flush(proc).map(|_| ())
+    }
+
+    fn exec_pending_empty(&self) -> bool {
+        self.pending_empty()
+    }
+}
+
+impl Exec for OooMachine {
+    fn exec_step<S: TraceSink>(&mut self, proc: ProcId, sink: &mut S) -> Result<(), SimError> {
+        self.step(proc, sink).map(|_| ())
+    }
+
+    fn exec_drain<S: TraceSink>(
+        &mut self,
+        proc: ProcId,
+        index: usize,
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        self.complete_one(proc, index, sink)
+    }
+
+    fn exec_flush<S: TraceSink>(&mut self, proc: ProcId, sink: &mut S) -> Result<(), SimError> {
+        self.drain_pipeline(proc, sink).map(|_| ())
+    }
+
+    fn exec_pending_empty(&self) -> bool {
+        self.pipelines_empty()
+    }
+}
+
+/// The one driver loop: schedules step/drain actions until every
+/// processor halted and nothing is pending, force-flushing if the
+/// scheduler stops early, with both budgets checked before every action.
+pub(crate) fn drive<M: Exec, S: TraceSink>(
+    machine: &mut M,
+    scheduler: &mut dyn WeakScheduler,
+    sink: &mut S,
+    config: &RunConfig,
+) -> Result<RunOutcome, SimError> {
     let mut steps = 0u64;
-    while !machine.all_halted() {
-        check_budgets(steps, machine.cycles(), &config)?;
-        let runnable = machine.runnable();
-        let Some(pick) = scheduler.next(&runnable) else { break };
-        machine.step(pick, sink)?;
+    while !(machine.all_halted() && machine.exec_pending_empty()) {
+        check_budgets(steps, machine.cycles(), config)?;
+        match scheduler.next(&*machine) {
+            Some(WeakAction::Step(proc)) => machine.exec_step(proc, sink)?,
+            Some(WeakAction::Drain(proc, idx)) => machine.exec_drain(proc, idx, sink)?,
+            None => {
+                for i in 0..machine.num_procs() {
+                    machine.exec_flush(ProcId::new(i as u16), sink)?;
+                }
+                break;
+            }
+        }
         steps += 1;
     }
     Ok(RunOutcome {
@@ -174,208 +274,70 @@ pub fn run_sc_on<S: TraceSink>(
     })
 }
 
-/// Internal abstraction over the weak machines so a single driver
-/// loop serves every hardware style (and campaign engines can reuse a
-/// machine across seeds via [`WeakExec::exec_reset`]).
-///
-/// Drain and flush take the sink because on the out-of-order machine
-/// completing a pending entry can retire reorder-buffer heads, which is
-/// where operations are recorded; the buffer-only machines ignore it.
-pub(crate) trait WeakExec: DrainView {
-    /// Executes one instruction on `proc`.
-    fn exec_step(&mut self, proc: ProcId, sink: &mut dyn TraceSink) -> Result<(), SimError>;
-    /// Completes one pending entry (buffered write / invalidation /
-    /// load fill).
-    fn exec_drain(
-        &mut self,
-        proc: ProcId,
-        index: usize,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(), SimError>;
-    /// Force-completes every pending entry of `proc`.
-    fn exec_flush(&mut self, proc: ProcId, sink: &mut dyn TraceSink) -> Result<(), SimError>;
-    /// `true` once every processor halted and nothing is pending.
-    fn quiescent(&self) -> bool;
-    /// `true` once every processor halted (buffers may still be full).
-    fn exec_all_halted(&self) -> bool;
-    /// Per-processor accumulated cycles.
-    fn exec_cycles(&self) -> &[u64];
-    /// Settled (or, mid-run, shared) memory values.
-    fn exec_memory_values(&self) -> Vec<Value>;
-    /// Counters accumulated so far.
-    fn exec_stats(&self) -> SimStats;
-    /// Restores the program's initial state without rebuilding.
-    fn exec_reset(&mut self);
+/// Any weak machine, behind one face: what [`run_weak_hw`] builds and
+/// [`CampaignRunner`](crate::CampaignRunner) reuses.
+#[derive(Debug, Clone)]
+pub(crate) enum WeakBackend {
+    StoreBuffer(WeakMachine),
+    InvalQueue(InvalMachine),
+    Ooo(OooMachine),
 }
 
-impl WeakExec for WeakMachine {
-    fn exec_step(&mut self, proc: ProcId, mut sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.step(proc, &mut sink).map(|_| ())
-    }
-
-    fn exec_drain(
-        &mut self,
-        proc: ProcId,
-        index: usize,
-        _sink: &mut dyn TraceSink,
-    ) -> Result<(), SimError> {
-        self.drain_one(proc, index).map(|_| ())
-    }
-
-    fn exec_flush(&mut self, proc: ProcId, _sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.flush(proc).map(|_| ())
-    }
-
-    fn quiescent(&self) -> bool {
-        self.all_halted() && self.buffers_empty()
-    }
-
-    fn exec_all_halted(&self) -> bool {
-        self.all_halted()
-    }
-
-    fn exec_cycles(&self) -> &[u64] {
-        self.cycles()
-    }
-
-    fn exec_memory_values(&self) -> Vec<Value> {
-        self.memory_values()
-    }
-
-    fn exec_stats(&self) -> SimStats {
-        *self.stats()
-    }
-
-    fn exec_reset(&mut self) {
-        self.reset();
-    }
-}
-
-impl WeakExec for InvalMachine {
-    fn exec_step(&mut self, proc: ProcId, mut sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.step(proc, &mut sink).map(|_| ())
-    }
-
-    fn exec_drain(
-        &mut self,
-        proc: ProcId,
-        index: usize,
-        _sink: &mut dyn TraceSink,
-    ) -> Result<(), SimError> {
-        self.apply_one(proc, index).map(|_| ())
-    }
-
-    fn exec_flush(&mut self, proc: ProcId, _sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.flush(proc).map(|_| ())
-    }
-
-    fn quiescent(&self) -> bool {
-        self.all_halted() && self.queues_empty()
-    }
-
-    fn exec_all_halted(&self) -> bool {
-        self.all_halted()
-    }
-
-    fn exec_cycles(&self) -> &[u64] {
-        self.cycles()
-    }
-
-    fn exec_memory_values(&self) -> Vec<Value> {
-        self.memory_values()
-    }
-
-    fn exec_stats(&self) -> SimStats {
-        *self.stats()
-    }
-
-    fn exec_reset(&mut self) {
-        self.reset();
-    }
-}
-
-impl WeakExec for OooMachine {
-    fn exec_step(&mut self, proc: ProcId, mut sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.step(proc, &mut sink).map(|_| ())
-    }
-
-    fn exec_drain(
-        &mut self,
-        proc: ProcId,
-        index: usize,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(), SimError> {
-        self.complete_one(proc, index, sink)
-    }
-
-    fn exec_flush(&mut self, proc: ProcId, sink: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.drain_pipeline(proc, sink).map(|_| ())
-    }
-
-    fn quiescent(&self) -> bool {
-        self.all_halted() && self.pipelines_empty()
-    }
-
-    fn exec_all_halted(&self) -> bool {
-        self.all_halted()
-    }
-
-    fn exec_cycles(&self) -> &[u64] {
-        self.cycles()
-    }
-
-    fn exec_memory_values(&self) -> Vec<Value> {
-        self.memory_values()
-    }
-
-    fn exec_stats(&self) -> SimStats {
-        *self.stats()
-    }
-
-    fn exec_reset(&mut self) {
-        self.reset();
-    }
-}
-
-/// The one weak driver loop: schedules step/drain actions until the
-/// machine quiesces, force-flushing if the scheduler stops early, with
-/// both budgets checked before every action.
-pub(crate) fn drive_weak<M: WeakExec, S: TraceSink>(
-    machine: &mut M,
-    scheduler: &mut dyn WeakScheduler,
-    sink: &mut S,
-    config: &RunConfig,
-) -> Result<RunOutcome, SimError> {
-    let mut steps = 0u64;
-    while !machine.quiescent() {
-        check_budgets(steps, machine.exec_cycles(), config)?;
-        match scheduler.next(&*machine) {
-            Some(WeakAction::Step(proc)) => {
-                machine.exec_step(proc, sink)?;
+impl WeakBackend {
+    /// Builds (and validates) the machine for one hardware configuration.
+    pub(crate) fn new(
+        hw: HwImpl,
+        program: Arc<Program>,
+        model: MemoryModel,
+        fidelity: Fidelity,
+        timing: Timing,
+    ) -> Result<Self, SimError> {
+        Ok(match hw {
+            HwImpl::StoreBuffer => {
+                WeakBackend::StoreBuffer(WeakMachine::new(program, model, fidelity, timing)?)
             }
-            Some(WeakAction::Drain(proc, idx)) => {
-                machine.exec_drain(proc, idx, sink)?;
+            HwImpl::InvalQueue => {
+                WeakBackend::InvalQueue(InvalMachine::new(program, model, fidelity, timing)?)
             }
-            None => {
-                for i in 0..DrainView::num_procs(machine) {
-                    machine.exec_flush(ProcId::new(i as u16), sink)?;
-                }
-                break;
-            }
+            HwImpl::Ooo => WeakBackend::Ooo(OooMachine::new(program, model, fidelity, timing)?),
+        })
+    }
+
+    /// The shared machine state.
+    pub(crate) fn state(&self) -> &MachineState {
+        match self {
+            WeakBackend::StoreBuffer(m) => m,
+            WeakBackend::InvalQueue(m) => m,
+            WeakBackend::Ooo(m) => m,
         }
-        steps += 1;
     }
-    Ok(RunOutcome {
-        halted: machine.exec_all_halted(),
-        steps,
-        cycles: machine.exec_cycles().to_vec(),
-        final_memory: machine.exec_memory_values(),
-        stats: machine.exec_stats(),
-    })
+
+    /// Restores the program's initial state.
+    pub(crate) fn reset(&mut self) {
+        match self {
+            WeakBackend::StoreBuffer(m) => m.reset(),
+            WeakBackend::InvalQueue(m) => m.reset(),
+            WeakBackend::Ooo(m) => m.reset(),
+        }
+    }
+
+    /// Drives the machine to quiescence (see [`drive`]).
+    pub(crate) fn drive<S: TraceSink>(
+        &mut self,
+        scheduler: &mut dyn WeakScheduler,
+        sink: &mut S,
+        config: &RunConfig,
+    ) -> Result<RunOutcome, SimError> {
+        match self {
+            WeakBackend::StoreBuffer(m) => drive(m, scheduler, sink, config),
+            WeakBackend::InvalQueue(m) => drive(m, scheduler, sink, config),
+            WeakBackend::Ooo(m) => drive(m, scheduler, sink, config),
+        }
+    }
 }
 
-/// Runs `program` to quiescence (all halted, all buffers drained) on a
-/// weak machine.
+/// Runs `program` to quiescence (all halted, all buffers drained) on the
+/// store-buffer machine.
 ///
 /// If the scheduler stops early with writes still buffered, the runner
 /// force-flushes every processor so the final memory is settled.
@@ -392,56 +354,21 @@ pub fn run_weak<S: TraceSink>(
     sink: &mut S,
     config: RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    let mut machine = WeakMachine::new(Arc::new(program.clone()), model, fidelity, config.timing)?;
-    drive_weak(&mut machine, scheduler, sink, &config)
+    run_weak_hw(HwImpl::StoreBuffer, program, model, fidelity, scheduler, sink, config)
 }
 
-/// Runs `program` to quiescence on the invalidation-queue machine
-/// ([`InvalMachine`]); the weak scheduler's drain actions apply pending
-/// invalidations.
+/// Runs `program` to quiescence on the weak hardware style `hw`: the
+/// scheduler's drain actions drain buffered writes, apply queued
+/// invalidations, or complete pending load fills and store-buffer
+/// entries.
+///
+/// If the scheduler stops early with entries still pending, the runner
+/// force-flushes every processor so the final memory is settled.
 ///
 /// # Errors
 ///
 /// Propagates machine errors and returns [`SimError::StepLimit`] if the
 /// program does not quiesce within `config.max_steps` actions.
-pub fn run_inval<S: TraceSink>(
-    program: &Program,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    scheduler: &mut dyn WeakScheduler,
-    sink: &mut S,
-    config: RunConfig,
-) -> Result<RunOutcome, SimError> {
-    let mut machine = InvalMachine::new(Arc::new(program.clone()), model, fidelity, config.timing)?;
-    drive_weak(&mut machine, scheduler, sink, &config)
-}
-
-/// Runs `program` to quiescence on the speculative out-of-order
-/// pipeline machine ([`OooMachine`]); the weak scheduler's drain actions
-/// complete pending load fills and store-buffer entries.
-///
-/// # Errors
-///
-/// Propagates machine errors and returns [`SimError::StepLimit`] if the
-/// program does not quiesce within `config.max_steps` actions.
-pub fn run_ooo<S: TraceSink>(
-    program: &Program,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    scheduler: &mut dyn WeakScheduler,
-    sink: &mut S,
-    config: RunConfig,
-) -> Result<RunOutcome, SimError> {
-    let mut machine = OooMachine::new(Arc::new(program.clone()), model, fidelity, config.timing)?;
-    drive_weak(&mut machine, scheduler, sink, &config)
-}
-
-/// Dispatches to [`run_weak`], [`run_inval`], or [`run_ooo`] by
-/// implementation style.
-///
-/// # Errors
-///
-/// Same as the dispatched runner.
 pub fn run_weak_hw<S: TraceSink>(
     hw: HwImpl,
     program: &Program,
@@ -451,11 +378,8 @@ pub fn run_weak_hw<S: TraceSink>(
     sink: &mut S,
     config: RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    match hw {
-        HwImpl::StoreBuffer => run_weak(program, model, fidelity, scheduler, sink, config),
-        HwImpl::InvalQueue => run_inval(program, model, fidelity, scheduler, sink, config),
-        HwImpl::Ooo => run_ooo(program, model, fidelity, scheduler, sink, config),
-    }
+    let program = Arc::new(program.clone());
+    WeakBackend::new(hw, program, model, fidelity, config.timing)?.drive(scheduler, sink, &config)
 }
 
 #[cfg(test)]
@@ -753,7 +677,8 @@ mod tests {
     fn ooo_run_counts_pipeline_work() {
         let prog = handoff_program();
         let mut sink = NullSink::new();
-        let out = run_ooo(
+        let out = run_weak_hw(
+            HwImpl::Ooo,
             &prog,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -773,7 +698,8 @@ mod tests {
     fn inval_run_counts_invalidations() {
         let prog = handoff_program();
         let mut sink = NullSink::new();
-        let out = run_inval(
+        let out = run_weak_hw(
+            HwImpl::InvalQueue,
             &prog,
             MemoryModel::Wo,
             Fidelity::Conditioned,

@@ -1,13 +1,14 @@
-//! The weak-memory machine: store buffers drained out of order.
+//! The store-buffer memory system: writes drained out of order.
 //!
 //! [`WeakMachine`] is the workspace's model of the weak systems of
-//! Section 2.2. Each core has a **store buffer** holding its pending data
-//! writes. A buffered write becomes globally visible only when *drained* —
-//! and drains of different locations may happen in any order (weak
-//! ordering permits reordering data writes between synchronization
-//! points; per-location program order is preserved, as every real
-//! coherence protocol does). The issuing core always sees its own
-//! buffered writes (store-to-load forwarding).
+//! Section 2.2: the one [`Machine`] over [`StoreBuffers`]. Each core has
+//! a **store buffer** holding its pending data writes. A buffered write
+//! becomes globally visible only when *drained* — and drains of different
+//! locations may happen in any order (weak ordering permits reordering
+//! data writes between synchronization points; per-location program
+//! order is preserved, as every real coherence protocol does). The
+//! issuing core always sees its own buffered writes (store-to-load
+//! forwarding).
 //!
 //! With [`Fidelity::Conditioned`] (the default), synchronization
 //! operations execute strongly against shared memory and *flush* the
@@ -17,7 +18,8 @@
 //! consistency to every data-race-free execution and can violate
 //! sequential consistency only through data races — it obeys the paper's
 //! Condition 3.4 the same way the paper argues (Theorem 3.5) all
-//! practical WO/RCsc/DRF0/DRF1 implementations do.
+//! practical WO/RCsc/DRF0/DRF1 implementations do. Under
+//! [`MemoryModel::Sc`] data writes go straight to memory.
 //!
 //! With [`Fidelity::Raw`], synchronization writes are buffered like data
 //! writes and nothing flushes implicitly. This hypothetical hardware
@@ -26,24 +28,25 @@
 //! that dynamic race detection is meaningless without the condition.
 //!
 //! *Who decides when buffers drain?* The scheduler. Draining is an
-//! explicit action ([`WeakMachine::drain_one`]) so that scripted schedules
+//! explicit action ([`Machine::drain_one`]) so that scripted schedules
 //! can reproduce executions like the paper's Figure 2b, where `P1`'s
 //! write of `QEmpty` becomes visible *before* its program-order-earlier
 //! write of `Q`, letting `P2` read the stale queue entry `37`.
+//!
+//! The out-of-order pipeline ([`OooMachine`](crate::OooMachine)) keeps
+//! its retired stores in the same [`StoreBuffers`].
 
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
-use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value};
+use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, Value};
 
-use crate::cpu::LocalOutcome;
-use crate::machine::MemCell;
-use crate::{
-    CoreState, Fidelity, Instr, MemoryModel, Program, Reg, SimError, SimStats, StepEvent, Timing,
-};
+use crate::machine::{MachineState, MemCell};
+use crate::{Fidelity, Machine, MemoryModel, MemorySystem, Program, SimError, Timing};
 
-/// A write sitting in a store buffer, not yet globally visible.
+/// A write as a memory system receives it; in a store buffer, one not
+/// yet globally visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferedWrite {
     /// Target location.
@@ -58,27 +61,151 @@ pub struct BufferedWrite {
     pub sync: bool,
 }
 
-/// A multiprocessor with per-core store buffers, parameterized by weak
-/// memory model and fidelity to Condition 3.4.
-#[derive(Debug, Clone)]
-pub struct WeakMachine {
-    program: Arc<Program>,
-    cores: Vec<CoreState>,
-    mem: Vec<MemCell>,
-    bufs: Vec<Vec<BufferedWrite>>,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    cycles: Vec<u64>,
-    timing: Timing,
-    steps: u64,
-    stats: SimStats,
+impl BufferedWrite {
+    /// The memory cell this write leaves once visible.
+    pub fn cell(&self) -> MemCell {
+        MemCell::written(self.value, self.op, self.sync)
+    }
 }
+
+/// Per-processor store buffers.
+#[derive(Debug, Clone, Default)]
+pub struct StoreBuffers {
+    bufs: Vec<Vec<BufferedWrite>>,
+}
+
+impl StoreBuffers {
+    /// The pending writes of processor `pi`, oldest first.
+    pub fn buffer(&self, pi: usize) -> &[BufferedWrite] {
+        self.bufs.get(pi).map(|v| v.as_slice()).unwrap_or(&[])
+    }
+
+    /// Appends a write to `pi`'s buffer.
+    pub(crate) fn push(&mut self, pi: usize, w: BufferedWrite) {
+        self.bufs[pi].push(w);
+    }
+
+    /// `pi`'s newest buffered write to `loc` (store-to-load forwarding).
+    pub(crate) fn forward(&self, pi: usize, loc: Location) -> Option<MemCell> {
+        self.bufs[pi].iter().rev().find(|w| w.loc == loc).map(BufferedWrite::cell)
+    }
+
+    /// `true` iff a processor other than `pi` buffers a write to `loc`.
+    pub(crate) fn remote_pending(&self, pi: usize, loc: Location) -> bool {
+        self.bufs.iter().enumerate().any(|(i, b)| i != pi && b.iter().any(|w| w.loc == loc))
+    }
+
+    /// Overlays `pi`'s buffered writes, oldest first, onto `mem`.
+    pub(crate) fn overlay(&self, pi: usize, mem: &mut [Value]) {
+        for w in &self.bufs[pi] {
+            mem[w.loc.index()] = w.value;
+        }
+    }
+}
+
+impl MemorySystem for StoreBuffers {
+    fn new(procs: usize) -> Self {
+        StoreBuffers { bufs: vec![Vec::new(); procs] }
+    }
+
+    fn clear(&mut self) {
+        self.bufs.iter_mut().for_each(Vec::clear);
+    }
+
+    fn flushes_at(model: MemoryModel, kind: AccessKind, role: SyncRole) -> bool {
+        match kind {
+            AccessKind::Read => model.sync_read_drains(role),
+            AccessKind::Write => model.sync_write_drains(role),
+        }
+    }
+
+    fn load(&mut self, st: &mut MachineState, pi: usize, loc: Location) -> (MemCell, bool) {
+        if let Some(cell) = self.forward(pi, loc) {
+            st.stats.buffer_forwards += 1;
+            return (cell, true);
+        }
+        if self.remote_pending(pi, loc) {
+            // Another processor still buffers a write to this location:
+            // the value just read is already outdated.
+            st.stats.stale_reads += 1;
+        }
+        (st.mem[loc.index()].clone(), false)
+    }
+
+    fn store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) -> bool {
+        if st.model == MemoryModel::Sc {
+            st.mem[w.loc.index()] = w.cell();
+            return false;
+        }
+        self.push(pi, w);
+        st.stats.buffered_writes += 1;
+        true
+    }
+
+    fn sync_load(&self, st: &MachineState, pi: usize, loc: Location) -> MemCell {
+        self.forward(pi, loc).unwrap_or_else(|| st.mem[loc.index()].clone())
+    }
+
+    fn sync_store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) {
+        match st.fidelity {
+            Fidelity::Conditioned => st.mem[w.loc.index()] = w.cell(),
+            Fidelity::Raw => self.push(pi, w),
+        }
+    }
+
+    fn flush(&mut self, mem: &mut [MemCell], pi: usize) -> Option<usize> {
+        let buf = &mut self.bufs[pi];
+        let n = buf.len();
+        for w in buf.drain(..) {
+            mem[w.loc.index()] = w.cell();
+        }
+        Some(n)
+    }
+
+    /// An entry may drain only if no older entry targets the same
+    /// location (drains of the same location follow program order —
+    /// coherence).
+    fn drain(&mut self, mem: &mut [MemCell], pi: usize, index: usize) -> bool {
+        if !self.drainable(pi).contains(&index) {
+            return false;
+        }
+        let w = self.bufs[pi].remove(index);
+        mem[w.loc.index()] = w.cell();
+        true
+    }
+
+    fn drainable(&self, pi: usize) -> Vec<usize> {
+        let buf = self.buffer(pi);
+        buf.iter()
+            .enumerate()
+            .filter(|(i, w)| buf[..*i].iter().all(|e| e.loc != w.loc))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn pending_len(&self, pi: usize) -> usize {
+        self.buffer(pi).len()
+    }
+
+    fn hash_into(&self, h: &mut DefaultHasher, behavioral: bool) {
+        if !behavioral {
+            return self.bufs.hash(h);
+        }
+        for w in self.bufs.iter().flatten() {
+            (w.loc, w.value, w.sync).hash(h);
+        }
+    }
+}
+
+/// The one machine over per-core store buffers, parameterized by weak
+/// memory model and fidelity to Condition 3.4.
+pub type WeakMachine = Machine<StoreBuffers>;
 
 impl WeakMachine {
     /// Creates a machine at the program's initial state.
     ///
-    /// Passing [`MemoryModel::Sc`] is allowed and yields a bufferless
-    /// machine (handy for uniform model sweeps); the dedicated
+    /// Passing [`MemoryModel::Sc`] is allowed and yields a machine whose
+    /// data writes complete at once (handy for uniform model sweeps);
     /// [`ScMachine`](crate::ScMachine) is the canonical SC reference.
     ///
     /// # Errors
@@ -91,78 +218,17 @@ impl WeakMachine {
         fidelity: Fidelity,
         timing: Timing,
     ) -> Result<Self, SimError> {
-        program.validate()?;
-        let n = program.num_procs();
-        let cores = (0..n).map(|i| CoreState::new(ProcId::new(i as u16))).collect();
-        let mem = program.initial_memory().into_iter().map(MemCell::initial).collect();
-        Ok(WeakMachine {
-            program,
-            cores,
-            mem,
-            bufs: vec![Vec::new(); n],
-            model,
-            fidelity,
-            cycles: vec![0; n],
-            timing,
-            steps: 0,
-            stats: SimStats::default(),
-        })
+        Machine::build(program, model, fidelity, timing)
     }
 
-    /// The memory model this machine implements.
-    pub fn model(&self) -> MemoryModel {
-        self.model
+    /// The pending writes of one processor, oldest first.
+    pub fn buffer(&self, proc: ProcId) -> &[BufferedWrite] {
+        self.memory_system().buffer(proc.index())
     }
 
-    /// Whether the machine honours Condition 3.4.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Restores the machine to the program's initial state without
-    /// re-validating or re-cloning the program. Buffers are discarded,
-    /// not drained — the caller is abandoning the previous execution.
-    pub fn reset(&mut self) {
-        for core in &mut self.cores {
-            *core = CoreState::new(core.proc);
-        }
-        self.mem.clear();
-        self.mem.extend(self.program.initial_memory().into_iter().map(MemCell::initial));
-        self.bufs.iter_mut().for_each(Vec::clear);
-        self.cycles.iter_mut().for_each(|c| *c = 0);
-        self.steps = 0;
-        self.stats = SimStats::default();
-    }
-
-    /// The state of one core.
-    pub fn core(&self, proc: ProcId) -> Option<&CoreState> {
-        self.cores.get(proc.index())
-    }
-
-    /// Per-processor accumulated cycles.
-    pub fn cycles(&self) -> &[u64] {
-        &self.cycles
-    }
-
-    /// Number of steps executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Deterministic execution statistics accumulated so far (not part of
-    /// the architectural state: fingerprints ignore it).
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Globally visible memory values (buffered writes excluded).
-    pub fn memory_values(&self) -> Vec<Value> {
-        self.mem.iter().map(|c| c.value).collect()
+    /// `true` iff no store buffer holds a pending write.
+    pub fn buffers_empty(&self) -> bool {
+        self.pending_empty()
     }
 
     /// Memory values as each write *will* land once all buffers drain —
@@ -172,344 +238,17 @@ impl WeakMachine {
     /// they would for any drain interleaving).
     pub fn settled_memory_values(&self) -> Vec<Value> {
         let mut mem = self.memory_values();
-        for buf in &self.bufs {
-            for w in buf {
-                mem[w.loc.index()] = w.value;
-            }
+        for pi in 0..self.cores.len() {
+            self.memory_system().overlay(pi, &mut mem);
         }
         mem
-    }
-
-    /// Processors that can still make progress.
-    pub fn runnable(&self) -> Vec<ProcId> {
-        self.cores.iter().filter(|c| !c.is_halted()).map(|c| c.proc).collect()
-    }
-
-    /// `true` once every processor has halted (buffers may still hold
-    /// writes; see [`buffers_empty`](Self::buffers_empty)).
-    pub fn all_halted(&self) -> bool {
-        self.cores.iter().all(|c| c.is_halted())
-    }
-
-    /// `true` iff no store buffer holds a pending write.
-    pub fn buffers_empty(&self) -> bool {
-        self.bufs.iter().all(|b| b.is_empty())
-    }
-
-    /// The next instruction a processor would execute (`None` if
-    /// halted).
-    pub fn next_instr(&self, proc: ProcId) -> Option<Instr> {
-        let core = self.cores.get(proc.index())?;
-        if core.is_halted() {
-            return None;
-        }
-        self.program.proc_code(proc)?.get(core.pc()).copied()
-    }
-
-    /// The pending writes of one processor, oldest first.
-    pub fn buffer(&self, proc: ProcId) -> &[BufferedWrite] {
-        self.bufs.get(proc.index()).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Buffer entries of `proc` that may legally drain *now*: an entry may
-    /// drain only if no older entry targets the same location (drains of
-    /// the same location follow program order — coherence).
-    pub fn drainable_indices(&self, proc: ProcId) -> Vec<usize> {
-        let Some(buf) = self.bufs.get(proc.index()) else { return Vec::new() };
-        buf.iter()
-            .enumerate()
-            .filter(|(i, w)| buf[..*i].iter().all(|e| e.loc != w.loc))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Makes one buffered write of `proc` globally visible.
-    ///
-    /// Background drains model the memory system working in parallel with
-    /// the cores, so they charge no cycles to the core.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnknownProcessor`] for a bad `proc`.
-    /// * [`SimError::BadDrain`] if `index` is out of range or draining it
-    ///   would reorder same-location writes.
-    pub fn drain_one(&mut self, proc: ProcId, index: usize) -> Result<BufferedWrite, SimError> {
-        let buf = self.bufs.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        if index >= buf.len() {
-            return Err(SimError::BadDrain { proc, index, len: buf.len() });
-        }
-        let entry = buf[index];
-        if buf[..index].iter().any(|e| e.loc == entry.loc) {
-            return Err(SimError::BadDrain { proc, index, len: buf.len() });
-        }
-        buf.remove(index);
-        self.mem[entry.loc.index()] =
-            MemCell { value: entry.value, writer: Some(entry.op), writer_sync: entry.sync };
-        self.stats.background_drains += 1;
-        Ok(entry)
-    }
-
-    /// Drains `proc`'s entire buffer in program order, charging the core
-    /// `drain_per_entry` cycles per entry (this is the *stall* at a flush
-    /// point, unlike background [`drain_one`](Self::drain_one)).
-    pub fn flush(&mut self, proc: ProcId) -> Result<usize, SimError> {
-        let buf = self.bufs.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        let n = buf.len();
-        for entry in buf.drain(..) {
-            self.mem[entry.loc.index()] =
-                MemCell { value: entry.value, writer: Some(entry.op), writer_sync: entry.sync };
-        }
-        self.cycles[proc.index()] += self.timing.drain_per_entry * n as u64;
-        self.stats.sync_flushes += 1;
-        self.stats.flushed_entries += n as u64;
-        self.stats.flush_stall_cycles += self.timing.drain_per_entry * n as u64;
-        Ok(n)
-    }
-
-    /// A hash of the architectural state (cores + memory + buffers).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        self.mem.hash(&mut h);
-        self.bufs.hash(&mut h);
-        h.finish()
-    }
-
-    /// A hash of the *behavioral* state: cores, memory values, and
-    /// buffered (location, value, sync) entries — ignoring operation
-    /// identities, which change on every spin iteration. Two states with
-    /// equal behavioral fingerprints produce identical future values;
-    /// the exhaustive weak-execution enumerator uses this to bound
-    /// spin-loop unrolling (see `ScMachine::behavioral_fingerprint`).
-    pub fn behavioral_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.cores.hash(&mut h);
-        for cell in &self.mem {
-            cell.value.hash(&mut h);
-        }
-        for buf in &self.bufs {
-            for w in buf {
-                (w.loc, w.value, w.sync).hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    /// The value `proc` would read from `loc` right now, with the id of
-    /// the write it observes: own newest buffered write first, else global
-    /// memory.
-    fn visible(&self, proc: ProcId, loc: Location) -> (Value, Option<OpId>, bool, bool) {
-        if let Some(w) = self.bufs[proc.index()].iter().rev().find(|w| w.loc == loc) {
-            // (value, writer, writer_sync, from_buffer)
-            return (w.value, Some(w.op), w.sync, true);
-        }
-        let cell = &self.mem[loc.index()];
-        (cell.value, cell.writer, cell.writer_sync, false)
-    }
-
-    fn strong_write(&mut self, loc: Location, value: Value, op: OpId, sync: bool) {
-        self.mem[loc.index()] = MemCell { value, writer: Some(op), writer_sync: sync };
-    }
-
-    /// Executes one instruction on `proc`, reporting memory operations to
-    /// `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScMachine::step`](crate::ScMachine::step).
-    pub fn step<S: TraceSink>(
-        &mut self,
-        proc: ProcId,
-        sink: &mut S,
-    ) -> Result<StepEvent, SimError> {
-        let core = self.cores.get_mut(proc.index()).ok_or(SimError::UnknownProcessor(proc))?;
-        if core.is_halted() {
-            return Err(SimError::Halted(proc));
-        }
-        let instr = self
-            .program
-            .proc_code(proc)
-            .and_then(|code| code.get(core.pc()))
-            .copied()
-            .unwrap_or(Instr::Halt);
-        self.steps += 1;
-        let was_halt = matches!(instr, Instr::Halt);
-        match core.exec_local(&instr) {
-            LocalOutcome::Done => {
-                self.cycles[proc.index()] += self.timing.local_op;
-                return Ok(if was_halt { StepEvent::Halt } else { StepEvent::Local });
-            }
-            LocalOutcome::Halted => return Err(SimError::Halted(proc)),
-            LocalOutcome::NeedsMemory => {}
-        }
-        let num_locations = self.program.num_locations();
-        let pi = proc.index();
-        let event = match instr {
-            Instr::Ld { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                let (value, writer, _sync, from_buffer) = self.visible(proc, loc);
-                sink.data_access(proc, loc, AccessKind::Read, value, writer);
-                self.cores[pi].complete_load(dst, value);
-                self.cycles[pi] +=
-                    if from_buffer { self.timing.buffer_hit } else { self.timing.mem_access };
-                self.stats.data_reads += 1;
-                if from_buffer {
-                    self.stats.buffer_forwards += 1;
-                } else if self
-                    .bufs
-                    .iter()
-                    .enumerate()
-                    .any(|(i, b)| i != pi && b.iter().any(|w| w.loc == loc))
-                {
-                    // Another processor still buffers a write to this
-                    // location: the value just read is already outdated.
-                    self.stats.stale_reads += 1;
-                }
-                StepEvent::Data
-            }
-            Instr::St { src, addr } => {
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
-                let id = sink.data_access(proc, loc, AccessKind::Write, value, None);
-                if self.model == MemoryModel::Sc {
-                    self.strong_write(loc, value, id, false);
-                    self.cycles[pi] += self.timing.mem_access;
-                } else {
-                    self.bufs[pi].push(BufferedWrite { loc, value, op: id, sync: false });
-                    self.cycles[pi] += self.timing.buffered_write;
-                    self.stats.buffered_writes += 1;
-                }
-                self.stats.data_writes += 1;
-                StepEvent::Data
-            }
-            Instr::LdAcq { dst, addr } | Instr::LdSync { dst, addr } => {
-                let role = if matches!(instr, Instr::LdAcq { .. }) {
-                    SyncRole::Acquire
-                } else {
-                    SyncRole::None
-                };
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                if self.fidelity == Fidelity::Conditioned && self.model.sync_read_drains(role) {
-                    self.flush(proc)?;
-                }
-                let (value, writer, writer_sync, _) = self.visible(proc, loc);
-                let observed = writer.filter(|_| writer_sync);
-                sink.sync_access(proc, loc, AccessKind::Read, role, value, observed);
-                self.cores[pi].complete_load(dst, value);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::StRel { src, addr } | Instr::StSync { src, addr } => {
-                let role = if matches!(instr, Instr::StRel { .. }) {
-                    SyncRole::Release
-                } else {
-                    SyncRole::None
-                };
-                let core = &self.cores[pi];
-                let loc = core.resolve_addr(addr, num_locations)?;
-                let value = Value::new(core.operand(src));
-                let id = sink.sync_access(proc, loc, AccessKind::Write, role, value, None);
-                match self.fidelity {
-                    Fidelity::Conditioned => {
-                        if self.model.sync_write_drains(role) {
-                            self.flush(proc)?;
-                        }
-                        self.strong_write(loc, value, id, true);
-                    }
-                    Fidelity::Raw => {
-                        self.bufs[pi].push(BufferedWrite { loc, value, op: id, sync: true });
-                    }
-                }
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::TestSet { dst, addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                if self.fidelity == Fidelity::Conditioned
-                    && (self.model.sync_read_drains(SyncRole::Acquire)
-                        || self.model.sync_write_drains(SyncRole::None))
-                {
-                    self.flush(proc)?;
-                }
-                let (old, writer, writer_sync, _) = self.visible(proc, loc);
-                let observed = writer.filter(|_| writer_sync);
-                sink.sync_access(proc, loc, AccessKind::Read, SyncRole::Acquire, old, observed);
-                let set = Value::new(1);
-                let wid = sink.sync_access(proc, loc, AccessKind::Write, SyncRole::None, set, None);
-                match self.fidelity {
-                    Fidelity::Conditioned => self.strong_write(loc, set, wid, true),
-                    Fidelity::Raw => {
-                        self.bufs[pi].push(BufferedWrite { loc, value: set, op: wid, sync: true })
-                    }
-                }
-                self.cores[pi].complete_load(dst, old);
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 2;
-                StepEvent::Sync
-            }
-            Instr::Unset { addr } => {
-                let loc = self.cores[pi].resolve_addr(addr, num_locations)?;
-                let value = Value::ZERO;
-                let id =
-                    sink.sync_access(proc, loc, AccessKind::Write, SyncRole::Release, value, None);
-                match self.fidelity {
-                    Fidelity::Conditioned => {
-                        if self.model.sync_write_drains(SyncRole::Release) {
-                            self.flush(proc)?;
-                        }
-                        self.strong_write(loc, value, id, true);
-                    }
-                    Fidelity::Raw => {
-                        self.bufs[pi].push(BufferedWrite { loc, value, op: id, sync: true });
-                    }
-                }
-                self.cycles[pi] += self.timing.mem_access;
-                self.stats.sync_ops += 1;
-                StepEvent::Sync
-            }
-            Instr::Fence => {
-                self.flush(proc)?;
-                self.cycles[pi] += self.timing.local_op;
-                StepEvent::Local
-            }
-            _ => unreachable!("exec_local handles all local instructions"),
-        };
-        self.cores[pi].advance_pc();
-        Ok(event)
-    }
-
-    /// Convenience: the value currently in a register of a core (test
-    /// helper; returns 0 for unknown processors).
-    pub fn reg(&self, proc: ProcId, r: Reg) -> i64 {
-        self.cores.get(proc.index()).map_or(0, |c| c.reg(r))
-    }
-}
-
-impl crate::DrainView for WeakMachine {
-    fn runnable_procs(&self) -> Vec<ProcId> {
-        self.runnable()
-    }
-
-    fn drainable(&self, proc: ProcId) -> Vec<usize> {
-        self.drainable_indices(proc)
-    }
-
-    fn pending_len(&self, proc: ProcId) -> usize {
-        self.buffer(proc).len()
-    }
-
-    fn num_procs(&self) -> usize {
-        self.program.num_procs()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, Operand};
+    use crate::{Addr, Instr, Operand, Reg};
     use wmrd_trace::{NullSink, OpRecorder};
 
     fn l(a: u32) -> Location {

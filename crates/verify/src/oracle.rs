@@ -1,19 +1,22 @@
 //! Enumerating and sampling sequentially consistent executions.
 //!
-//! The enumerator drives [`ScMachine`] directly — no scheduler — doing
+//! The enumerator drives a machine directly — no scheduler — doing
 //! depth-first search over which processor performs its next *memory*
-//! operation. Register-only instructions touch no shared state, so they
-//! are executed eagerly in a fixed order (a sound partial-order
-//! reduction); the branching factor is the number of processors with a
-//! pending memory operation.
+//! operation (and, on weak memory, which pending entry drains next).
+//! Register-only instructions touch no shared state, so they are
+//! executed eagerly in a fixed order (a sound partial-order reduction);
+//! on [`ScMachine`] the branching factor is the number of processors
+//! with a pending memory operation.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use wmrd_sim::{Program, RandomSched, RunConfig, ScMachine, Scheduler, Timing};
-use wmrd_trace::{MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet, Value};
+use wmrd_sim::{
+    run_sc_on, Machine, MemorySystem, Program, RandomSched, RunConfig, ScMachine, Timing,
+};
+use wmrd_trace::{MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet, Value};
 
 use crate::VerifyError;
 
@@ -60,13 +63,19 @@ pub struct EnumResult {
 }
 
 #[derive(Clone)]
-struct Node {
-    machine: ScMachine,
+struct Node<M> {
+    machine: Machine<M>,
     sink: MultiSink<TraceBuilder, OpRecorder>,
     steps: u64,
     /// Behavioral states already visited along this path, with counts
     /// (for spin-unroll pruning).
-    visited: std::collections::HashMap<u64, u8>,
+    visited: HashMap<u64, u8>,
+}
+
+impl<M> std::fmt::Debug for Node<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Node(steps={})", self.steps)
+    }
 }
 
 fn ops_fingerprint(ops: &OpTrace) -> u64 {
@@ -77,9 +86,28 @@ fn ops_fingerprint(ops: &OpTrace) -> u64 {
     h.finish()
 }
 
-/// Runs a node's machines until every runnable processor's next
+fn recorders(program: &Program) -> MultiSink<TraceBuilder, OpRecorder> {
+    MultiSink::new(TraceBuilder::new(program.num_procs()), OpRecorder::new(program.num_procs()))
+}
+
+/// Adds the execution a finished sink recorded to `out`, unless an
+/// identical operation trace is already there.
+fn collect(
+    sink: MultiSink<TraceBuilder, OpRecorder>,
+    final_memory: Vec<Value>,
+    seen: &mut HashSet<u64>,
+    out: &mut Vec<ScExecution>,
+) {
+    let (builder, recorder) = sink.into_inner();
+    let ops = recorder.finish();
+    if seen.insert(ops_fingerprint(&ops)) {
+        out.push(ScExecution { ops, events: builder.finish(), final_memory });
+    }
+}
+
+/// Runs a node's machine until every runnable processor's next
 /// instruction is a memory operation (or it halts).
-fn advance_locals(node: &mut Node) -> Result<(), VerifyError> {
+fn advance_locals<M: MemorySystem>(node: &mut Node<M>) -> Result<(), VerifyError> {
     loop {
         let mut progressed = false;
         for proc in node.machine.runnable() {
@@ -98,25 +126,18 @@ fn advance_locals(node: &mut Node) -> Result<(), VerifyError> {
     }
 }
 
-/// Exhaustively enumerates the sequentially consistent executions of
-/// `program`, up to the budget.
-///
-/// # Errors
-///
-/// Returns [`VerifyError::Sim`] if the program is invalid or faults.
-/// Hitting the budget is *not* an error — it is reported through
-/// [`EnumResult::complete`].
-pub fn enumerate_sc(program: &Program, config: &EnumConfig) -> Result<EnumResult, VerifyError> {
-    let arc = Arc::new(program.clone());
-    let root = Node {
-        machine: ScMachine::new(Arc::clone(&arc), Timing::uniform())?,
-        sink: MultiSink::new(
-            TraceBuilder::new(program.num_procs()),
-            OpRecorder::new(program.num_procs()),
-        ),
-        steps: 0,
-        visited: std::collections::HashMap::new(),
-    };
+/// The one depth-first search over a machine's schedules, up to the
+/// budget. The choices at each point are "step some processor" and
+/// "drain some pending entry" (SC memory has none); register-only
+/// instructions execute eagerly in a fixed order (a sound partial-order
+/// reduction). Returns the distinct executions and whether the space
+/// was exhausted.
+pub(crate) fn search<M: MemorySystem>(
+    machine: Machine<M>,
+    config: &EnumConfig,
+) -> Result<(Vec<ScExecution>, bool), VerifyError> {
+    let root =
+        Node { sink: recorders(machine.program()), machine, steps: 0, visited: HashMap::new() };
     let mut stack = vec![root];
     let mut executions = Vec::new();
     let mut seen = HashSet::new();
@@ -129,16 +150,14 @@ pub fn enumerate_sc(program: &Program, config: &EnumConfig) -> Result<EnumResult
         }
         advance_locals(&mut node)?;
         let runnable = node.machine.runnable();
-        if runnable.is_empty() {
-            let (builder, recorder) = node.sink.into_inner();
-            let ops = recorder.finish();
-            if seen.insert(ops_fingerprint(&ops)) {
-                executions.push(ScExecution {
-                    ops,
-                    events: builder.finish(),
-                    final_memory: node.machine.memory_values(),
-                });
-            }
+        let mut drains: Vec<(ProcId, usize)> = Vec::new();
+        for pi in 0..node.machine.program().num_procs() {
+            let proc = ProcId::new(pi as u16);
+            drains.extend(node.machine.drainable_indices(proc).into_iter().map(|i| (proc, i)));
+        }
+        if runnable.is_empty() && drains.is_empty() {
+            let final_memory = node.machine.memory_values();
+            collect(node.sink, final_memory, &mut seen, &mut executions);
             continue;
         }
         if node.steps >= config.max_steps_per_path {
@@ -161,59 +180,55 @@ pub fn enumerate_sc(program: &Program, config: &EnumConfig) -> Result<EnumResult
             child.steps += 1;
             stack.push(child);
         }
+        for (proc, idx) in drains {
+            let mut child = node.clone();
+            child.machine.drain_one(proc, idx)?;
+            child.steps += 1;
+            stack.push(child);
+        }
     }
+    Ok((executions, complete))
+}
+
+/// Exhaustively enumerates the sequentially consistent executions of
+/// `program`, up to the budget.
+///
+/// # Errors
+///
+/// Returns [`VerifyError::Sim`] if the program is invalid or faults.
+/// Hitting the budget is *not* an error — it is reported through
+/// [`EnumResult::complete`].
+pub fn enumerate_sc(program: &Program, config: &EnumConfig) -> Result<EnumResult, VerifyError> {
+    let machine = ScMachine::new(Arc::new(program.clone()), Timing::uniform())?;
+    let (executions, complete) = search(machine, config)?;
     Ok(EnumResult { executions, complete })
 }
 
 /// Draws one SC execution per seed with a seeded random scheduler,
-/// deduplicated by operation trace.
+/// deduplicated by operation trace. Every draw runs through
+/// [`run_sc_on`] on one reused machine, so `run_config`'s step and
+/// cycle budgets bound each draw exactly as they bound
+/// [`run_sc`](wmrd_sim::run_sc).
 ///
 /// # Errors
 ///
 /// Returns [`VerifyError::Sim`] on simulator faults (including the step
-/// limit in `run_config`).
+/// and cycle limits in `run_config`).
 pub fn sample_sc(
     program: &Program,
     seeds: impl IntoIterator<Item = u64>,
     run_config: RunConfig,
 ) -> Result<Vec<ScExecution>, VerifyError> {
-    let arc = Arc::new(program.clone());
+    let mut machine = ScMachine::new(Arc::new(program.clone()), run_config.timing)?;
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for seed in seeds {
-        let mut machine = ScMachine::new(Arc::clone(&arc), run_config.timing)?;
-        let mut sink = MultiSink::new(
-            TraceBuilder::new(program.num_procs()),
-            OpRecorder::new(program.num_procs()),
-        );
-        let mut sched = RandomSched::new(seed);
-        let mut steps = 0u64;
-        while !machine.all_halted() {
-            if steps >= run_config.max_steps {
-                return Err(VerifyError::Sim(wmrd_sim::SimError::StepLimit(run_config.max_steps)));
-            }
-            let runnable = machine.runnable();
-            let Some(pick) = sched.next(&runnable) else { break };
-            machine.step(pick, &mut sink)?;
-            steps += 1;
-        }
-        let (builder, recorder) = sink.into_inner();
-        let ops = recorder.finish();
-        if seen.insert(ops_fingerprint(&ops)) {
-            out.push(ScExecution {
-                ops,
-                events: builder.finish(),
-                final_memory: machine.memory_values(),
-            });
-        }
+        machine.reset();
+        let mut sink = recorders(program);
+        run_sc_on(&mut machine, &mut RandomSched::new(seed), &mut sink, run_config)?;
+        collect(sink, machine.memory_values(), &mut seen, &mut out);
     }
     Ok(out)
-}
-
-impl std::fmt::Debug for Node {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Node(steps={})", self.steps)
-    }
 }
 
 /// Convenience: `ProcId` for index `i` (test helper used across this
@@ -228,8 +243,22 @@ mod tests {
     use super::*;
     use crate::is_sequentially_consistent;
     use wmrd_progs::catalog;
-    use wmrd_sim::{Addr, Instr, Reg};
-    use wmrd_trace::Location;
+    use wmrd_sim::{run_sc, Addr, Instr, Reg, SimError};
+    use wmrd_trace::{Location, NullSink};
+
+    /// The SC samples run through the same driver loop as `run_sc`, so a
+    /// cycle budget no execution fits in fails both the same way.
+    #[test]
+    fn sample_sc_honours_the_cycle_budget() {
+        let config = RunConfig::default().with_max_cycles(5);
+        for entry in catalog::all() {
+            let err = sample_sc(&entry.program, 0..1, config).unwrap_err();
+            assert!(matches!(err, VerifyError::Sim(SimError::CycleLimit(5))), "{}", entry.name);
+            let run =
+                run_sc(&entry.program, &mut RandomSched::new(0), &mut NullSink::new(), config);
+            assert!(matches!(run, Err(SimError::CycleLimit(5))), "{}", entry.name);
+        }
+    }
 
     #[test]
     fn enumerates_fig1a_completely() {

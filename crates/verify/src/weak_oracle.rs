@@ -4,21 +4,18 @@
 //! machine on a bounded program: at each point the choices are "step
 //! some processor" and "drain some buffered write" (any legally
 //! drainable entry — this is where weak ordering's write reordering
-//! enters the search space). Combined with [`enumerate_sc`]
-//! (crate::enumerate_sc), it upgrades the Condition 3.4 checks from
+//! enters the search space). Combined with
+//! [`enumerate_sc`](crate::enumerate_sc), it upgrades the Condition 3.4 checks from
 //! sampled to **exhaustive** on small programs: every weak execution is
 //! analyzed, race-free ones are proven sequentially consistent by the
 //! linearization oracle, and racy ones have their first partitions
 //! matched against the complete set of SC races.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use wmrd_sim::{Fidelity, MemoryModel, Program, Timing, WeakMachine};
-use wmrd_trace::{MultiSink, OpRecorder, ProcId, TraceBuilder};
 
+use crate::oracle::search;
 use crate::{EnumConfig, ScExecution, VerifyError};
 
 /// The result of a weak-execution enumeration.
@@ -31,28 +28,12 @@ pub struct WeakEnumResult {
     pub complete: bool,
 }
 
-#[derive(Clone)]
-struct Node {
-    machine: WeakMachine,
-    sink: MultiSink<TraceBuilder, OpRecorder>,
-    steps: u64,
-    visited: HashMap<u64, u8>,
-}
-
-fn ops_fingerprint(ops: &wmrd_trace::OpTrace) -> u64 {
-    let mut h = DefaultHasher::new();
-    for op in ops.iter() {
-        op.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Exhaustively enumerates the executions of `program` on the
 /// store-buffer weak machine under `model`/`fidelity`, up to the budget.
 ///
-/// Register-only instructions are executed eagerly (the same
-/// partial-order reduction the SC enumerator uses); the branch points
-/// are memory steps and buffer drains.
+/// This is the SC enumerator's search over a [`WeakMachine`]: register-only
+/// instructions are executed eagerly, and the branch points are memory
+/// steps and buffer drains.
 ///
 /// # Errors
 ///
@@ -63,87 +44,8 @@ pub fn enumerate_weak(
     fidelity: Fidelity,
     config: &EnumConfig,
 ) -> Result<WeakEnumResult, VerifyError> {
-    let arc = Arc::new(program.clone());
-    let root = Node {
-        machine: WeakMachine::new(Arc::clone(&arc), model, fidelity, Timing::uniform())?,
-        sink: MultiSink::new(
-            TraceBuilder::new(program.num_procs()),
-            OpRecorder::new(program.num_procs()),
-        ),
-        steps: 0,
-        visited: HashMap::new(),
-    };
-    let mut stack = vec![root];
-    let mut executions = Vec::new();
-    let mut seen = HashSet::new();
-    let mut complete = true;
-
-    while let Some(mut node) = stack.pop() {
-        if executions.len() >= config.max_executions {
-            complete = false;
-            break;
-        }
-        // Eagerly run local instructions of every runnable processor.
-        loop {
-            let mut progressed = false;
-            for proc in node.machine.runnable() {
-                while let Some(instr) = node.machine.next_instr(proc) {
-                    if instr.touches_memory() {
-                        break;
-                    }
-                    node.machine.step(proc, &mut node.sink)?;
-                    node.steps += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let runnable = node.machine.runnable();
-        let mut drains: Vec<(ProcId, usize)> = Vec::new();
-        for pi in 0..program.num_procs() {
-            let proc = ProcId::new(pi as u16);
-            for idx in node.machine.drainable_indices(proc) {
-                drains.push((proc, idx));
-            }
-        }
-        if runnable.is_empty() && drains.is_empty() {
-            let (builder, recorder) = node.sink.into_inner();
-            let ops = recorder.finish();
-            if seen.insert(ops_fingerprint(&ops)) {
-                executions.push(ScExecution {
-                    ops,
-                    events: builder.finish(),
-                    final_memory: node.machine.memory_values(),
-                });
-            }
-            continue;
-        }
-        if node.steps >= config.max_steps_per_path {
-            complete = false;
-            continue;
-        }
-        let bf = node.machine.behavioral_fingerprint();
-        let count = node.visited.entry(bf).or_insert(0);
-        *count += 1;
-        if *count > config.spin_unroll_limit {
-            complete = false;
-            continue;
-        }
-        for proc in runnable {
-            let mut child = node.clone();
-            child.machine.step(proc, &mut child.sink)?;
-            child.steps += 1;
-            stack.push(child);
-        }
-        for (proc, idx) in drains {
-            let mut child = node.clone();
-            child.machine.drain_one(proc, idx)?;
-            child.steps += 1;
-            stack.push(child);
-        }
-    }
+    let machine = WeakMachine::new(Arc::new(program.clone()), model, fidelity, Timing::uniform())?;
+    let (executions, complete) = search(machine, config)?;
     Ok(WeakEnumResult { executions, complete })
 }
 
@@ -155,6 +57,7 @@ mod tests {
     use std::collections::BTreeSet;
     use wmrd_core::{event_race_keys, PairingPolicy, PostMortem, RaceKey};
     use wmrd_progs::catalog;
+    use wmrd_trace::ProcId;
 
     fn small_config() -> EnumConfig {
         EnumConfig { max_executions: 50_000, max_steps_per_path: 300, spin_unroll_limit: 1 }

@@ -363,6 +363,17 @@ fn verify_repair_end_to_end() {
     assert!(out.contains("classified weak-only"), "raw ablation must hit:\n{out}");
 }
 
+/// `--cycle-budget` bounds every execution `--verify-repair` runs,
+/// including the SC reference samples: a budget no execution fits in is
+/// a cycle-limit error, never "repair verified".
+#[test]
+fn verify_repair_honours_the_cycle_budget() {
+    let cmd = "explore mutex-attempt-racy --verify-repair --cycle-budget 5 --seeds 0..4";
+    let err = run_cli(&argv(cmd)).unwrap_err();
+    let text = err.to_string();
+    assert!(text.contains("cycle limit of 5 exceeded"), "{text}");
+}
+
 /// Assembly parse errors surface through the CLI with the file name,
 /// line and column — the diagnostics a hand-written file needs.
 #[test]
