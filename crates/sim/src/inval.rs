@@ -66,9 +66,13 @@ impl InvalQueues {
     }
 
     /// Completes a write: shared memory and the writer's cache take the
-    /// new cell, and every other processor queues an invalidation.
+    /// new cell, and every other processor queues an invalidation. Under
+    /// [`MemoryModel::Sc`] nothing is cached, so nothing is queued.
     fn write(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) {
         st.mem[w.loc.index()] = w.cell();
+        if st.model == MemoryModel::Sc {
+            return;
+        }
         self.caches[pi].insert(w.loc, w.cell());
         for (qi, queue) in self.queues.iter_mut().enumerate() {
             if qi != pi {
@@ -96,7 +100,12 @@ impl MemorySystem for InvalQueues {
         }
     }
 
+    /// Under [`MemoryModel::Sc`] reads go to shared memory, as the store
+    /// buffer writes through under SC.
     fn load(&mut self, st: &mut MachineState, pi: usize, loc: Location) -> (MemCell, bool) {
+        if st.model == MemoryModel::Sc {
+            return (st.mem[loc.index()].clone(), false);
+        }
         if let Some(cached) = self.caches[pi].get(&loc) {
             st.stats.cache_hits += 1;
             if self.queues[pi].iter().any(|q| q.loc == loc) {
@@ -111,11 +120,11 @@ impl MemorySystem for InvalQueues {
         (fresh, false)
     }
 
-    /// Writes complete into memory but do not stall the core for remote
-    /// acknowledgements.
+    /// Writes complete into memory but, except under SC, do not stall
+    /// the core for remote acknowledgements.
     fn store(&mut self, st: &mut MachineState, pi: usize, w: BufferedWrite) -> bool {
         self.write(st, pi, w);
-        true
+        st.model != MemoryModel::Sc
     }
 
     /// Sync reads are strong: always from shared memory.

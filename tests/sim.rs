@@ -12,10 +12,10 @@
 
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{
-    run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomSched, RandomWeakSched,
-    RunConfig, RunOutcome, SimError, SimStats,
+    run_sc, run_weak_hw, Addr, Fidelity, HwImpl, Instr, MemoryModel, Program, RandomSched,
+    RandomWeakSched, Reg, RunConfig, RunOutcome, SimError, SimStats,
 };
-use wmrd_trace::{crc32, MultiSink, OpRecorder, ToJson, TraceBuilder};
+use wmrd_trace::{crc32, Location, MultiSink, OpRecorder, ToJson, TraceBuilder};
 
 type Sink = MultiSink<TraceBuilder, OpRecorder>;
 
@@ -131,4 +131,47 @@ fn sim_matrix_matches_golden() {
         "simulator matrix diverged (WMRD_REGOLD=1 regenerates):\n{}",
         diffs.join("\n")
     );
+}
+
+/// Data message passing: P0 writes `x` then `y`; P1 reads `x`, spins
+/// until it sees `y`, then reads `x` again.
+fn message_passing() -> Program {
+    let (x, y) = (Addr::Abs(Location::new(0)), Addr::Abs(Location::new(1)));
+    let mut prog = Program::new("data-mp", 2);
+    prog.push_proc(vec![
+        Instr::St { src: 1.into(), addr: x },
+        Instr::St { src: 1.into(), addr: y },
+        Instr::Halt,
+    ]);
+    prog.push_proc(vec![
+        Instr::Ld { dst: Reg::new(0), addr: x },
+        Instr::Ld { dst: Reg::new(1), addr: y }, // 1: spin
+        Instr::Bz { cond: Reg::new(1), target: 1 },
+        Instr::Ld { dst: Reg::new(2), addr: x },
+        Instr::Halt,
+    ]);
+    prog
+}
+
+/// `MemoryModel::Sc` means sequential consistency on every backend, racy
+/// programs included: the invalidation-queue machine reads shared memory
+/// and queues nothing, as the store buffer writes through.
+#[test]
+fn sc_model_is_sequentially_consistent_on_every_backend() {
+    let program = message_passing();
+    for hw in HwImpl::ALL {
+        for seed in 0..64 {
+            let mut sink = OpRecorder::new(program.num_procs());
+            let mut sched = RandomWeakSched::new(seed, 0.3);
+            let config = RunConfig::default();
+            let sc = MemoryModel::Sc;
+            run_weak_hw(hw, &program, sc, Fidelity::Conditioned, &mut sched, &mut sink, config)
+                .unwrap();
+            let ops = sink.finish();
+            assert!(
+                wmrd_verify::is_sequentially_consistent(&ops, &program.initial_memory()),
+                "{hw} seed {seed}: SC run is not sequentially consistent"
+            );
+        }
+    }
 }
