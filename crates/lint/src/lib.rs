@@ -135,7 +135,7 @@ pub fn analyze_cycles_with_metrics(
     cycles
 }
 
-/// [`repair`], timed under the `lint.repair.synthesis` phase with
+/// [`repair()`], timed under the `lint.repair.synthesis` phase with
 /// `lint.repair.*` counters recorded into `metrics`.
 pub fn repair_with_metrics(program: &Program, report: &LintReport, metrics: &Metrics) -> Repair {
     let result = metrics.time(metric_keys::LINT_REPAIR_SYNTHESIS, || repair(program, report));

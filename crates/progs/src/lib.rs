@@ -2,7 +2,7 @@
 //!
 //! Three layers:
 //!
-//! * [`ProcBuilder`]/[`asm`] — a tiny assembler with symbolic labels over
+//! * [`ProcBuilder`] — a tiny assembler with symbolic labels over
 //!   the `wmrd-sim` ISA, so programs read like the paper's pseudo-code.
 //! * [`catalog`] — the paper's example programs (Figures 1a, 1b and the
 //!   Figure 2 work queue with its missing-`Test&Set` bug), classic

@@ -6,30 +6,45 @@
 //! implementing sequential consistency (SC) or one of the weak models —
 //! weak ordering (WO), release consistency with SC synchronization
 //! (RCsc), data-race-free-0 (DRF0) and data-race-free-1 (DRF1). We do not
-//! have 1991 hardware, so we simulate it:
+//! have 1991 hardware, so we simulate it with one interpreter: a
+//! [`Machine`] of in-order cores ([`CoreState`]) over a pluggable
+//! [`MemorySystem`]. One `step` executes every instruction; the memory
+//! system decides what reads observe and where writes go. There are
+//! three memory systems:
 //!
-//! * [`ScMachine`] executes programs as an interleaving of memory
+//! * [`ScMemory`] completes every access against shared memory:
+//!   [`ScMachine`] executes programs as an interleaving of memory
 //!   operations — the classic SC reference machine. Its scheduler is
-//!   pluggable ([`Scheduler`]), which is what the model-checking oracle in
-//!   `wmrd-verify` uses to enumerate *all* SC executions of small
-//!   programs.
-//! * [`WeakMachine`] adds a per-processor **store buffer** for data writes
-//!   that may drain to shared memory out of order (weak ordering permits
-//!   reordering of data writes between synchronization points).
-//!   Synchronization operations execute strongly and *flush* the issuing
-//!   processor's buffer according to the model: WO and DRF0 flush at every
-//!   synchronization operation; RCsc and DRF1 flush only at **releases**
-//!   (exploiting the acquire/release distinction, which is exactly the
-//!   difference the paper describes in Section 2.2). Such an
-//!   implementation provides SC to data-race-free executions and can
-//!   violate SC only through data races — i.e. it obeys the paper's
-//!   Condition 3.4, as Theorem 3.5 argues all practical weak
-//!   implementations do.
-//! * The same machine with [`Fidelity::Raw`] *also buffers synchronization
-//!   writes and never flushes*: a deliberately broken "arbitrary weak
-//!   hardware" that violates Condition 3.4. It exists for the ablation
-//!   that shows why the condition matters (race-free programs can go
-//!   non-SC on it, making dynamic detection meaningless).
+//!   pluggable ([`Scheduler`]), and the model-checking oracle in
+//!   `wmrd-verify` drives it directly to enumerate *all* SC executions of
+//!   small programs.
+//! * [`StoreBuffers`] ([`WeakMachine`]) keep a per-processor **store
+//!   buffer** for data writes that may drain to shared memory out of order
+//!   (weak ordering permits reordering of data writes between
+//!   synchronization points). Synchronization operations execute strongly
+//!   and *flush* the issuing processor's buffer according to the model:
+//!   WO and DRF0 flush at every synchronization operation; RCsc and DRF1
+//!   flush only at **releases** (exploiting the acquire/release
+//!   distinction, which is exactly the difference the paper describes in
+//!   Section 2.2). Such an implementation provides SC to data-race-free
+//!   executions and can violate SC only through data races — i.e. it
+//!   obeys the paper's Condition 3.4, as Theorem 3.5 argues all practical
+//!   weak implementations do.
+//! * [`InvalQueues`] ([`InvalMachine`]) complete writes at once but let
+//!   readers keep stale cached copies until queued invalidations apply —
+//!   the same condition reached by a reader-side mechanism.
+//!
+//! A fourth backend, [`OooMachine`], keeps its own speculative
+//! out-of-order pipeline but shares the machines' state
+//! ([`MachineState`]), ALU and store buffers. [`run_sc`] and
+//! [`run_weak_hw`] drive any of them through one scheduling loop.
+//!
+//! With [`Fidelity::Raw`] the weak machines *also delay synchronization
+//! and never flush*: a deliberately broken "arbitrary weak hardware" that
+//! violates Condition 3.4. It exists for the ablation that shows why the
+//! condition matters (race-free programs can go non-SC on it, making
+//! dynamic detection meaningless). Under [`MemoryModel::Sc`] every weak
+//! backend leaves nothing pending and behaves sequentially consistently.
 //!
 //! Programs are written in a small RISC-like ISA ([`Instr`]) with ordinary
 //! loads/stores (data operations), `Test&Set`/`Unset` and acquire/release

@@ -115,14 +115,15 @@ impl Scheduler for FixedScript {
     }
 }
 
-/// One scheduling decision on a [`WeakMachine`].
+/// One scheduling decision on a weak machine (any [`DrainView`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeakAction {
     /// Execute the next instruction of a processor.
     Step(ProcId),
-    /// Make one buffered write globally visible (background drain). The
-    /// index addresses the processor's buffer; it must be drainable (see
-    /// [`WeakMachine::drainable_indices`]).
+    /// Complete one pending entry in the background: drain a buffered
+    /// write, apply an invalidation, or fill a load. The index addresses
+    /// the processor's pending entries; it must be drainable (see
+    /// [`DrainView::drainable`]).
     Drain(ProcId, usize),
 }
 

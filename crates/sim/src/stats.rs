@@ -1,8 +1,8 @@
 //! Deterministic per-run execution statistics.
 //!
-//! Every machine ([`ScMachine`](crate::ScMachine),
-//! [`WeakMachine`](crate::WeakMachine), [`InvalMachine`](crate::InvalMachine))
-//! keeps a [`SimStats`] alongside its architectural state. The counters are
+//! Every machine — the in-order [`Machine`](crate::Machine) over any memory
+//! system, and the [`OooMachine`](crate::OooMachine) — keeps a [`SimStats`]
+//! in its [`MachineState`](crate::MachineState). The counters are
 //! plain integers incremented on the machine's hot paths — they cost an add
 //! each, are always on, and depend only on the executed schedule, so a fixed
 //! program + scheduler seed always yields byte-identical statistics. The
@@ -41,10 +41,9 @@ pub struct SimStats {
     /// Data writes deferred into a store buffer rather than completed
     /// against shared memory.
     pub buffered_writes: u64,
-    /// Background drain actions: single buffered writes made visible
-    /// ([`drain_one`](crate::WeakMachine::drain_one)) or single
-    /// invalidations applied ([`apply_one`](crate::InvalMachine::apply_one))
-    /// without stalling the core.
+    /// Background drain actions ([`drain_one`](crate::Machine::drain_one)):
+    /// single buffered writes made visible or single invalidations
+    /// applied, without stalling the core.
     pub background_drains: u64,
     /// Full flushes of a store buffer or invalidation queue — the stalls at
     /// synchronization points demanded by the memory model, plus the

@@ -154,7 +154,7 @@ fn write_str(out: &mut String, s: &str) {
 /// Conversion into a [`Json`] value.
 ///
 /// Implemented explicitly, only for types that reach a JSON output:
-/// structs become objects keyed by field name (see [`impl_to_json!`]),
+/// structs become objects keyed by field name (see [`impl_to_json!`](crate::impl_to_json)),
 /// unit enum variants become their name, and identifier newtypes become
 /// their number.
 pub trait ToJson {

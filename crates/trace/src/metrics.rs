@@ -73,8 +73,8 @@ struct MetricsInner {
 /// the CLI simultaneously and [`Metrics::report`] sees everything.
 ///
 /// The default handle is **disabled**: every recording method returns
-/// immediately without locking or allocating. See the [module
-/// docs](self) for the full contract.
+/// immediately without locking or allocating. The full contract is
+/// documented at the top of this type's source module, `metrics.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<Mutex<MetricsInner>>>,

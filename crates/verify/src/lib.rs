@@ -1,7 +1,7 @@
 //! Model-checking oracle for the `wmrd` workspace.
 //!
 //! The paper proves its theorems formally (in the companion technical
-//! report [AHM91]); this crate validates the same statements empirically
+//! report \[AHM91\]); this crate validates the same statements empirically
 //! on concrete programs, standing in for those proofs:
 //!
 //! * [`enumerate_sc`] explores the sequentially consistent executions of

@@ -5,7 +5,8 @@
 #   sh scripts/check.sh
 #
 # It runs, in order: cargo fmt --check, clippy with warnings as errors,
-# the release build, a check that benchmark/ still builds against the
+# rustdoc with warnings as errors (broken intra-doc links fail), the
+# release build, a check that benchmark/ still builds against the
 # workspace, the benchmark smoke (every workload's per-operation
 # checks), cargo test, the SERVING.md protocol-verb gate, the
 # documentation gates (DESIGN.md and EXPERIMENTS.md sections, metric
@@ -26,6 +27,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== cargo build --release"
 cargo build --offline --release
