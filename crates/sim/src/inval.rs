@@ -53,7 +53,7 @@ pub struct PendingInval {
 }
 
 /// Per-processor caches and invalidation queues.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct InvalQueues {
     caches: Vec<HashMap<Location, MemCell>>,
     queues: Vec<Vec<PendingInval>>,
@@ -61,7 +61,7 @@ pub struct InvalQueues {
 
 impl InvalQueues {
     /// The pending invalidations of processor `pi`, oldest first.
-    pub fn queue(&self, pi: usize) -> &[PendingInval] {
+    pub(crate) fn queue(&self, pi: usize) -> &[PendingInval] {
         self.queues.get(pi).map(|v| v.as_slice()).unwrap_or(&[])
     }
 

@@ -57,7 +57,7 @@ impl MemCell {
     }
 
     /// The cell a completed write leaves behind.
-    pub fn written(value: Value, op: OpId, sync: bool) -> Self {
+    pub(crate) fn written(value: Value, op: OpId, sync: bool) -> Self {
         MemCell { value, writer: Some(op), writer_sync: sync }
     }
 
@@ -284,7 +284,7 @@ pub trait MemorySystem: Clone + fmt::Debug {
 }
 
 /// Sequentially consistent memory: nothing is ever pending.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone)]
 pub struct ScMemory;
 
 impl MemorySystem for ScMemory {
@@ -384,7 +384,7 @@ impl<M: MemorySystem> Machine<M> {
     }
 
     /// The memory system.
-    pub fn memory_system(&self) -> &M {
+    pub(crate) fn memory_system(&self) -> &M {
         &self.sys
     }
 
@@ -403,7 +403,7 @@ impl<M: MemorySystem> Machine<M> {
     }
 
     /// `true` iff no processor has a pending entry.
-    pub fn pending_empty(&self) -> bool {
+    pub(crate) fn pending_empty(&self) -> bool {
         (0..self.state.cores.len()).all(|pi| self.sys.pending_len(pi) == 0)
     }
 

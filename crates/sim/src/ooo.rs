@@ -308,7 +308,7 @@ impl OooMachine {
     pub fn pipelines_empty(&self) -> bool {
         self.robs.iter().all(Vec::is_empty)
             && self.stations.iter().all(Vec::is_empty)
-            && (0..self.robs.len()).all(|pi| self.bufs.pending_len(pi) == 0)
+            && (0..self.state.cores.len()).all(|pi| self.bufs.pending_len(pi) == 0)
     }
 
     /// The retired-but-undrained writes of one processor, oldest first.
@@ -358,7 +358,7 @@ impl OooMachine {
     /// speculative window is what reorders them), and every store-buffer
     /// entry with no older same-location entry (coherence).
     pub fn drainable_indices(&self, proc: ProcId) -> Vec<usize> {
-        if proc.index() >= self.robs.len() {
+        if proc.index() >= self.state.cores.len() {
             return Vec::new();
         }
         let fills = self.pending_fills(proc);
@@ -383,17 +383,14 @@ impl OooMachine {
         };
         let rob_space = self.robs[pi].len() < ROB_CAPACITY;
         let station_space = self.stations[pi].len() < STATION_CAPACITY;
-        if let Some((_, _, a, b)) = AluOp::decode(&instr) {
-            return (op_ready(a) && op_ready(b)) || station_space;
-        }
         match instr {
             Instr::Li { .. } | Instr::Jmp { .. } | Instr::Nop | Instr::Halt | Instr::Fence => true,
-            Instr::Mov { .. }
-            | Instr::Add { .. }
-            | Instr::Sub { .. }
-            | Instr::Mul { .. }
-            | Instr::CmpEq { .. }
-            | Instr::CmpLt { .. } => unreachable!("decoded above"),
+            Instr::Mov { src, .. } => ready(src) || station_space,
+            Instr::Add { a, b, .. }
+            | Instr::Sub { a, b, .. }
+            | Instr::Mul { a, b, .. }
+            | Instr::CmpEq { a, b, .. }
+            | Instr::CmpLt { a, b, .. } => (ready(a) && op_ready(b)) || station_space,
             Instr::Bz { cond, .. } | Instr::Bnz { cond, .. } => ready(cond),
             Instr::Ld { addr, .. } | Instr::LdAcq { addr, .. } | Instr::LdSync { addr, .. } => {
                 addr_ready(addr) && rob_space
@@ -614,7 +611,7 @@ impl OooMachine {
         index: usize,
         sink: &mut dyn TraceSink,
     ) -> Result<(), SimError> {
-        if proc.index() >= self.robs.len() {
+        if proc.index() >= self.state.cores.len() {
             return Err(SimError::UnknownProcessor(proc));
         }
         let pending = self.pending(proc);
@@ -651,7 +648,7 @@ impl OooMachine {
         sink: &mut dyn TraceSink,
     ) -> Result<usize, SimError> {
         let pi = proc.index();
-        if pi >= self.robs.len() {
+        if pi >= self.state.cores.len() {
             return Err(SimError::UnknownProcessor(proc));
         }
         while let Some(pos) = self.robs[pi].iter().position(|e| !e.complete()) {
@@ -875,7 +872,7 @@ impl crate::DrainView for OooMachine {
     }
 
     fn num_procs(&self) -> usize {
-        self.robs.len()
+        self.state.cores.len()
     }
 }
 

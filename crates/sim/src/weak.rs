@@ -63,20 +63,20 @@ pub struct BufferedWrite {
 
 impl BufferedWrite {
     /// The memory cell this write leaves once visible.
-    pub fn cell(&self) -> MemCell {
+    pub(crate) fn cell(&self) -> MemCell {
         MemCell::written(self.value, self.op, self.sync)
     }
 }
 
 /// Per-processor store buffers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StoreBuffers {
     bufs: Vec<Vec<BufferedWrite>>,
 }
 
 impl StoreBuffers {
     /// The pending writes of processor `pi`, oldest first.
-    pub fn buffer(&self, pi: usize) -> &[BufferedWrite] {
+    pub(crate) fn buffer(&self, pi: usize) -> &[BufferedWrite] {
         self.bufs.get(pi).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
