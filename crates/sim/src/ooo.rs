@@ -169,8 +169,12 @@ struct Station {
 }
 
 impl Station {
-    fn ready(&self) -> bool {
-        matches!(self.a, Src::Val(_)) && matches!(self.b, Src::Val(_))
+    /// Both operand values, once they have arrived.
+    fn operands(&self) -> Option<(i64, i64)> {
+        match (self.a, self.b) {
+            (Src::Val(a), Src::Val(b)) => Some((a, b)),
+            _ => None,
+        }
     }
 
     fn subst(&mut self, tag: u64, value: i64) {
@@ -180,13 +184,6 @@ impl Station {
         if self.b == Src::Tag(tag) {
             self.b = Src::Val(value);
         }
-    }
-
-    fn compute(&self) -> i64 {
-        let (Src::Val(a), Src::Val(b)) = (self.a, self.b) else {
-            unreachable!("station executed before operands arrived")
-        };
-        self.kind.apply(a, b)
     }
 }
 
@@ -445,9 +442,9 @@ impl OooMachine {
             }
             let mut i = 0;
             while i < self.stations[pi].len() {
-                if self.stations[pi][i].ready() {
+                if let Some((a, b)) = self.stations[pi][i].operands() {
                     let st = self.stations[pi].remove(i);
-                    let result = st.compute();
+                    let result = st.kind.apply(a, b);
                     if self.rats[pi][st.dst.index()] == RegStatus::Pending(st.tag) {
                         self.state.cores[pi].set_reg(st.dst, result);
                         self.rats[pi][st.dst.index()] = RegStatus::Ready;
