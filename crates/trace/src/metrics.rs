@@ -349,7 +349,7 @@ impl RunMetrics {
 /// The `explore.*` namespace is the campaign engine's vocabulary: one
 /// `RunMetrics` summarizes a whole campaign (thousands of executions),
 /// so its counters aggregate across seeds and its report merges cleanly
-/// into the `BENCH_*.json` trajectory alongside single-run reports.
+/// with single-run reports.
 pub mod keys {
     /// Counter: executions the campaign completed (one per point that
     /// quiesced or hit its budget).

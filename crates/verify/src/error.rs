@@ -3,7 +3,7 @@
 use std::fmt;
 
 use wmrd_core::AnalysisError;
-use wmrd_sim::SimError;
+use wmrd_sim::{HwImpl, SimError};
 
 /// Errors produced by enumeration and theorem checking.
 #[derive(Debug)]
@@ -19,6 +19,9 @@ pub enum VerifyError {
         /// Executions gathered before giving up.
         gathered: usize,
     },
+    /// The hardware style cannot be enumerated: only the buffer
+    /// machines expose their pending entries as schedule choices.
+    NotEnumerable(HwImpl),
 }
 
 impl fmt::Display for VerifyError {
@@ -29,6 +32,7 @@ impl fmt::Display for VerifyError {
             VerifyError::Incomplete { gathered } => {
                 write!(f, "enumeration incomplete after {gathered} executions")
             }
+            VerifyError::NotEnumerable(hw) => write!(f, "{hw} hardware cannot be enumerated"),
         }
     }
 }
@@ -38,7 +42,7 @@ impl std::error::Error for VerifyError {
         match self {
             VerifyError::Sim(e) => Some(e),
             VerifyError::Analysis(e) => Some(e),
-            VerifyError::Incomplete { .. } => None,
+            VerifyError::Incomplete { .. } | VerifyError::NotEnumerable(_) => None,
         }
     }
 }

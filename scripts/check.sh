@@ -12,7 +12,12 @@
 # documentation gates (DESIGN.md and EXPERIMENTS.md sections, metric
 # keys in OBSERVABILITY.md) and the explore crate's #[ignore] hygiene
 # gate. The CLI smokes (exit statuses, the --hw, lint, predict and
-# capture surfaces, the help text) are run_cli cases under cargo test.
+# capture surfaces, the help text) are run_cli cases under cargo test,
+# and so is the experiment record: tests/experiments.rs fails when a
+# paper expectation fails or a measured block of EXPERIMENTS.md differs
+# from the harness output. Its one regenerator is
+#
+#   WMRD_REGOLD=1 cargo test -p wmrd-xtests --test experiments
 #
 # CI and reviewers run exactly this; a clean exit here means the PR is
 # mergeable from the code-quality side. Everything builds with

@@ -98,8 +98,14 @@ fn ooo_races_lie_within_the_weak_enumeration() {
     for entry in [catalog::fig1a(), catalog::producer_consumer_racy(), catalog::fig1b()] {
         let mut admitted = BTreeSet::new();
         for model in [MemoryModel::Wo, MemoryModel::RCsc] {
-            let weak = enumerate_weak(&entry.program, model, Fidelity::Conditioned, &cfg)
-                .unwrap_or_else(|e| panic!("{}: enumeration failed: {e}", entry.name));
+            let weak = enumerate_weak(
+                &entry.program,
+                HwImpl::StoreBuffer,
+                model,
+                Fidelity::Conditioned,
+                &cfg,
+            )
+            .unwrap_or_else(|e| panic!("{}: enumeration failed: {e}", entry.name));
             for exec in &weak.executions {
                 admitted.extend(race_keys(&exec.events));
             }
