@@ -24,15 +24,8 @@ use crate::{fig2_weak_run, model_cycles, out, sc_run, weak_run, Harness};
 /// Lowercases `s` and maps every non-alphanumeric run to `-`, so
 /// workload names become stable metric-key segments.
 fn slug(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_matches('-').to_string()
+    let words = s.split(|c: char| !c.is_ascii_alphanumeric()).filter(|w| !w.is_empty());
+    words.collect::<Vec<_>>().join("-").to_ascii_lowercase()
 }
 
 fn analyze(trace: &TraceSet) -> RaceReport {
@@ -264,16 +257,7 @@ pub(crate) fn e6_theorem_4_2(h: &mut Harness) {
 pub(crate) fn e7_condition_3_4(h: &mut Harness) {
     out!(h, "=== E7: Condition 3.4 / Theorem 3.5 - conditioned weak machines obey it ===");
     out!(h, "20 catalog entries x seeds 0..5 per row");
-    out!(
-        h,
-        "{:<13} {:>5} {:>6} {:>9} {:>8} {:>7}",
-        "hardware",
-        "model",
-        "execs",
-        "racefree",
-        "cond-ok",
-        "scp-ok"
-    );
+    out!(h, "hardware      model  execs  racefree  cond-ok  scp-ok");
     let entries = catalog::all();
     let sigs: Vec<BTreeSet<RaceKey>> = entries
         .iter()
@@ -332,17 +316,7 @@ pub(crate) fn e7_condition_3_4(h: &mut Harness) {
 /// tracing is far smaller than per-operation tracing.
 pub(crate) fn e8_trace_overhead(h: &mut Harness) {
     out!(h, "=== E8: Section 5 - tracing overhead, SC vs weak, events vs operations ===");
-    out!(
-        h,
-        "{:<20} {:>6} {:>7} {:>10} {:>10} {:>9} {:>8}",
-        "workload",
-        "model",
-        "ops",
-        "op-bytes",
-        "ev-bytes",
-        "ev/op",
-        "ratio"
-    );
+    out!(h, "workload              model     ops   op-bytes   ev-bytes     ev/op    ratio");
     let cfg = generate::GenConfig {
         procs: 4,
         sections_per_proc: 12,
@@ -355,6 +329,7 @@ pub(crate) fn e8_trace_overhead(h: &mut Harness) {
         ("gen-sectioned(32/s)", generate::sectioned(&cfg)),
     ];
     for (name, program) in &workloads {
+        let mut bytes = vec![];
         for model in [MemoryModel::Sc, MemoryModel::Wo] {
             let run = if model == MemoryModel::Sc {
                 sc_run(program, 3)
@@ -379,6 +354,13 @@ pub(crate) fn e8_trace_overhead(h: &mut Harness) {
                 ev_bytes as f64 / ops as f64,
                 op_bytes as f64 / ev_bytes as f64
             );
+            bytes.push((ev_bytes, op_bytes));
+        }
+        // The sectioned program performs the same operations on both
+        // models, so the model must not change what its trace holds.
+        if name.starts_with("gen-sectioned") {
+            h.check(bytes[0] == bytes[1], "E8: gen-sectioned: SC and WO traces must be equal size");
+            h.check(bytes[0].0 < bytes[0].1, "E8: gen-sectioned: events must beat per-op tracing");
         }
     }
 }
@@ -451,16 +433,7 @@ pub(crate) fn e10_model_performance(h: &mut Harness) {
         ("gen-locked(4)", generate::locked(&gen(10, 8))),
         ("gen-overlap(4)", generate::overlap(&gen(6, 12))),
     ];
-    out!(
-        h,
-        "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}  (simulated cycles)",
-        "workload",
-        "SC",
-        "WO",
-        "RCsc",
-        "DRF0",
-        "DRF1"
-    );
+    out!(h, "workload                      SC        WO      RCsc      DRF0      DRF1  (simulated cycles)");
     for (name, program) in &workloads {
         let cycles: Vec<u64> = MemoryModel::ALL.iter().map(|&m| model_cycles(program, m)).collect();
         for (model, &c) in MemoryModel::ALL.iter().zip(&cycles) {
@@ -498,15 +471,7 @@ pub(crate) fn e11_exhaustive_weak_check(h: &mut Harness) {
     let cfg = EnumConfig { max_executions: 200_000, max_steps_per_path: 300, spin_unroll_limit: 1 };
     out!(
         h,
-        "{:<22} {:>12} {:>5} {:>9} {:>9} {:>9} {:>6} {:>6}",
-        "program",
-        "hardware",
-        "model",
-        "weak-exec",
-        "full",
-        "racefree",
-        "sc-ok",
-        "42-ok"
+        "program                    hardware model weak-exec      full  racefree  sc-ok  42-ok"
     );
     for entry in [catalog::fig1a(), catalog::producer_consumer(), catalog::producer_consumer_racy()]
     {
@@ -593,15 +558,7 @@ pub(crate) fn e18_repair(h: &mut Harness) {
     out!(h, "races: keys of a 64-seed WO campaign on all three backends, before -> after repair");
     out!(
         h,
-        "{:<24} {:>7} {:>7} {:>9} {:>6} {:>6} {:>12} {:>7}",
-        "entry",
-        "cycles",
-        "sc-also",
-        "weak-only",
-        "delays",
-        "fences",
-        "strengthened",
-        "races"
+        "entry                     cycles sc-also weak-only delays fences strengthened   races"
     );
     for entry in catalog::all() {
         let report = wmrd_lint::analyze(&entry.program);
@@ -687,16 +644,7 @@ pub(crate) fn a2_raw_hardware(h: &mut Harness) {
 /// A3 — ablation: event-level vs operation-level tracing cost.
 pub(crate) fn a3_trace_granularity(h: &mut Harness) {
     out!(h, "=== A3: ablation - event bit-vector tracing vs per-operation tracing ===");
-    out!(
-        h,
-        "{:<14} {:>8} {:>9} {:>12} {:>12} {:>7}",
-        "ops/section",
-        "ops",
-        "events",
-        "op-bytes",
-        "ev-bytes",
-        "ratio"
-    );
+    out!(h, "ops/section         ops    events     op-bytes     ev-bytes   ratio");
     let mut ratios = Vec::new();
     for ops_per_section in [4usize, 16, 64, 256] {
         let cfg = generate::GenConfig {

@@ -111,6 +111,21 @@ pub fn run_all(only: Option<&str>, metrics: &Metrics) -> Vec<Outcome> {
         .collect()
 }
 
+/// Runs the experiments `ids`, the ones that check one paper claim.
+///
+/// # Panics
+///
+/// Panics listing every failed expectation, or if an id names no
+/// experiment.
+pub fn assert_holds(ids: &[&str]) {
+    for &id in ids {
+        let outcomes = run_all(Some(id), &Metrics::disabled());
+        assert!(!outcomes.is_empty(), "no experiment `{id}`");
+        let failures: Vec<&String> = outcomes.iter().flat_map(|o| &o.failures).collect();
+        assert!(failures.is_empty(), "{id}: failed expectations:\n{failures:#?}");
+    }
+}
+
 /// The `experiments` command line: `[--only <id>] [--json <path>]`.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Args {
@@ -266,10 +281,6 @@ fn finish(
 /// Runs `program` on the SC machine with a seeded random scheduler.
 /// Traces do not depend on the timing model, so every run helper uses
 /// the uniform one.
-///
-/// # Panics
-///
-/// Panics if the program fails to run (experiment inputs are known-good).
 fn sc_run(program: &Program, seed: u64) -> TracedRun {
     let mut sink = dual_sink(program.num_procs());
     let outcome = run_sc(program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
@@ -279,10 +290,6 @@ fn sc_run(program: &Program, seed: u64) -> TracedRun {
 
 /// Runs `program` on the conditioned store-buffer machine with a seeded
 /// random scheduler.
-///
-/// # Panics
-///
-/// Panics if the program fails to run.
 fn weak_run(program: &Program, model: MemoryModel, seed: u64) -> TracedRun {
     let mut sink = dual_sink(program.num_procs());
     let mut sched = RandomWeakSched::new(seed, 0.3);
@@ -295,10 +302,6 @@ fn weak_run(program: &Program, model: MemoryModel, seed: u64) -> TracedRun {
 
 /// Runs the Figure 2 buggy work queue on WO with the scripted schedule
 /// that reproduces the paper's Figure 2b (stale dequeue).
-///
-/// # Panics
-///
-/// Panics if the scripted run fails.
 fn fig2_weak_run() -> TracedRun {
     let entry = catalog::work_queue_buggy();
     let mut sink = dual_sink(entry.program.num_procs());
@@ -317,10 +320,6 @@ fn fig2_weak_run() -> TracedRun {
 
 /// Deterministic cycle count of `program` under `model` (fair weak
 /// round-robin schedule, default timing).
-///
-/// # Panics
-///
-/// Panics if the program fails to run.
 fn model_cycles(program: &Program, model: MemoryModel) -> u64 {
     let mut sink = wmrd_trace::NullSink::new();
     run_weak(

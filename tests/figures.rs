@@ -1,165 +1,30 @@
-//! End-to-end reproduction of the paper's Figures 1–3 (experiments
-//! E1–E4), asserted rather than printed.
+//! The paper's Figures 1–3, one test per figure claim. Each runs the
+//! experiment of `wmrd-bench` that checks the claim (EXPERIMENTS.md E1–E4
+//! and E7) and fails on any of its failed expectations.
 
-use wmrd_core::{PostMortem, RaceKind};
-use wmrd_progs::catalog;
-use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RunConfig, WeakScript};
-use wmrd_trace::{EventId, MultiSink, OpRecorder, ProcId, TraceBuilder, Value};
+use wmrd_bench::assert_holds;
 
-fn p(i: u16) -> ProcId {
-    ProcId::new(i)
-}
-
-/// Figure 1a: the unsynchronized program exhibits a data race in every
-/// sequentially consistent execution.
 #[test]
 fn fig1a_races_under_every_schedule() {
-    let entry = catalog::fig1a();
-    for seed in 0..10 {
-        let mut sink = TraceBuilder::new(entry.program.num_procs());
-        run_sc(&entry.program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
-            .unwrap();
-        let report = PostMortem::new(&sink.finish()).analyze().unwrap();
-        assert!(!report.is_race_free(), "seed {seed}");
-        assert_eq!(report.partitions.first_indices().len(), 1, "seed {seed}");
-        let race = report.reported_races()[0];
-        assert_eq!(race.kind, RaceKind::DataData);
-        // The single event-level race covers both x and y.
-        let lay = catalog::fig1_layout();
-        assert!(race.locations.contains(lay.x) && race.locations.contains(lay.y));
-        // With a race present but first, the SCP still covers everything.
-        assert!(report.scp.covers_everything(), "seed {seed}");
-    }
+    assert_holds(&["e1"]);
 }
 
-/// Figure 1b: the Unset/Test&Set pairing orders the conflicting accesses
-/// in every execution, on SC and on every weak model.
 #[test]
 fn fig1b_race_free_everywhere() {
-    let entry = catalog::fig1b();
-    for seed in 0..10 {
-        let mut sink = TraceBuilder::new(entry.program.num_procs());
-        run_sc(&entry.program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
-            .unwrap();
-        let report = PostMortem::new(&sink.finish()).analyze().unwrap();
-        assert!(report.is_race_free(), "SC seed {seed}:\n{report}");
-        assert!(report.num_so1_edges >= 1, "pairing must be found");
-    }
-    for model in MemoryModel::WEAK {
-        for seed in 0..5 {
-            let mut sink = TraceBuilder::new(entry.program.num_procs());
-            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.3);
-            run_weak(
-                &entry.program,
-                model,
-                Fidelity::Conditioned,
-                &mut sched,
-                &mut sink,
-                RunConfig::uniform(),
-            )
-            .unwrap();
-            let report = PostMortem::new(&sink.finish()).analyze().unwrap();
-            assert!(report.is_race_free(), "{model} seed {seed}:\n{report}");
-        }
-    }
+    assert_holds(&["e2", "e7"]);
 }
 
-/// Figures 2b and 3: the scripted weak execution of the buggy work queue
-/// reproduces the stale dequeue; the analysis reports exactly one first
-/// partition (the queue races) and withholds the region races.
 #[test]
 fn fig2_and_fig3_structure() {
-    let entry = catalog::work_queue_buggy();
-    let lay = catalog::work_queue_layout();
-    let mut sink = MultiSink::new(
-        TraceBuilder::new(entry.program.num_procs()),
-        OpRecorder::new(entry.program.num_procs()),
-    );
-    let mut sched = WeakScript::new(catalog::work_queue_weak_script());
-    run_weak(
-        &entry.program,
-        MemoryModel::Wo,
-        Fidelity::Conditioned,
-        &mut sched,
-        &mut sink,
-        RunConfig::uniform(),
-    )
-    .unwrap();
-    let (builder, recorder) = sink.into_inner();
-    let trace = builder.finish();
-    let ops = recorder.finish();
-
-    // Figure 2b's anomaly: QEmpty new, Q stale.
-    let p2_ops = ops.proc_ops(p(1)).unwrap();
-    assert_eq!(p2_ops.iter().find(|o| o.loc == lay.q_empty).unwrap().value, Value::new(0));
-    assert_eq!(p2_ops.iter().find(|o| o.loc == lay.q).unwrap().value, Value::new(lay.stale_addr));
-
-    // Figure 3's structure.
-    let report = PostMortem::new(&trace).analyze().unwrap();
-    assert_eq!(report.partitions.len(), 2, "{report}");
-    assert_eq!(report.partitions.first_indices().len(), 1);
-    let first = report.first_partitions().next().unwrap();
-    let first_races: Vec<_> = first.races.iter().map(|&i| &report.races[i]).collect();
-    assert!(first_races
-        .iter()
-        .all(|r| r.locations.contains(lay.q) || r.locations.contains(lay.q_empty)));
-    // The withheld partition holds the region collisions between P2/P3.
-    let withheld = report.withheld_races();
-    assert_eq!(withheld.len(), 2);
-    for race in &withheld {
-        for loc in &race.locations {
-            assert!(loc.addr() >= lay.region_base, "withheld races are region races");
-        }
-    }
-    // The partition order: first precedes withheld, not vice versa.
-    let fi = report.partitions.first_indices()[0];
-    let other = (0..2).find(|&i| i != fi).unwrap();
-    assert!(report.partitions.precedes(fi, other));
-    assert!(!report.partitions.precedes(other, fi));
-
-    // The SCP ends before P2's region work and P3's phase-two work.
-    assert!(!report.scp.covers_everything());
-    assert!(report.scp.contains(EventId::new(p(0), 0)), "P1's enqueue is in the SCP");
-    assert!(report.scp.contains(EventId::new(p(1), 0)), "P2's dequeue reads are in the SCP");
-    let p2_boundary = report.scp.boundary(p(1)).unwrap();
-    assert!((1..3).contains(&p2_boundary), "P2's region work is outside");
+    assert_holds(&["e3", "e4"]);
 }
 
-/// The *fixed* work queue is race-free on every model.
 #[test]
 fn fixed_work_queue_is_race_free() {
-    let entry = catalog::work_queue_fixed();
-    for model in MemoryModel::WEAK {
-        for seed in 0..5 {
-            let mut sink = TraceBuilder::new(entry.program.num_procs());
-            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.3);
-            run_weak(
-                &entry.program,
-                model,
-                Fidelity::Conditioned,
-                &mut sched,
-                &mut sink,
-                RunConfig::uniform(),
-            )
-            .unwrap();
-            let report = PostMortem::new(&sink.finish()).analyze().unwrap();
-            assert!(report.is_race_free(), "{model} seed {seed}:\n{report}");
-        }
-    }
+    assert_holds(&["e7"]);
 }
 
-/// Theorem 4.1 on the figure executions: no first partitions ⟺ no data
-/// races.
 #[test]
 fn theorem_4_1_on_figures() {
-    use wmrd_verify::theorems::check_theorem_4_1;
-    for entry in catalog::all() {
-        for seed in 0..3 {
-            let mut sink = TraceBuilder::new(entry.program.num_procs());
-            run_sc(&entry.program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
-                .unwrap();
-            let report = PostMortem::new(&sink.finish()).analyze().unwrap();
-            assert!(check_theorem_4_1(&report), "{} seed {seed}", entry.name);
-        }
-    }
+    assert_holds(&["e5"]);
 }
