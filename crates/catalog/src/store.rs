@@ -299,23 +299,6 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Rebuilds a catalog from raw journal bytes, with the same
-    /// salvage semantics as [`Catalog::open`] but no file binding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CatalogError::Corrupt`] if the header is unusable.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CatalogError> {
-        let (records, salvage) = journal::decode(bytes)?;
-        let mut catalog = Catalog::in_memory();
-        for record in &records {
-            catalog.apply(record);
-        }
-        catalog.journal_bytes = salvage.bytes_used as u64;
-        catalog.salvage = Some(salvage);
-        Ok(catalog)
-    }
-
     /// Builds the journal record for one analyzed trace: its digest,
     /// its metadata, and its race identities with first-partition
     /// membership (the Theorem 4.1 split the report already computed).

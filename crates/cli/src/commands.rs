@@ -626,8 +626,12 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
     let mut runs_done = 0u64;
     let mut unique: BTreeSet<wmrd_core::RaceKey> = BTreeSet::new();
     metrics.time(metric_keys::CAPTURE_TOTAL, || -> Result<(), CliError> {
-        let mut client = match &opts.sink {
-            Some(to) => Some(Client::connect(&Endpoint::parse(to)?)?),
+        let mut sink = match &opts.sink {
+            Some(to) => {
+                let endpoint = Endpoint::parse(to)?;
+                let client = Client::connect(&endpoint)?;
+                Some((endpoint, client))
+            }
             None => None,
         };
         for w in selected {
@@ -677,23 +681,45 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
                     std::fs::write(&path, bytes).map_err(file_err(&path))?;
                     let _ = writeln!(out, "  wrote {path}");
                 }
-                if let Some(client) = client.as_mut() {
-                    let delivery = if opts.wmrs {
-                        let summary = deliver_wmrs(client, &capture, opts.chunk)?;
-                        delivered += 1;
-                        metrics.incr(metric_keys::CAPTURE_SUBMITTED);
-                        summary
+                if let Some((endpoint, client)) = sink.as_mut() {
+                    // A WMRS run is one session: its opening and the
+                    // FEEDs that completed races lead the summary.
+                    let mut summary = String::new();
+                    let reply = if opts.wmrs {
+                        let session = session_token(&format!(
+                            "capture-{}-{}",
+                            capture.name(),
+                            capture.seed()
+                        ));
+                        let meta = StreamMeta {
+                            program: Some(capture.name().to_string()),
+                            model: Some("capture".to_string()),
+                            seed: Some(capture.seed()),
+                        };
+                        let bytes = capture.to_wmrs()?;
+                        client.stream_session(&session, &meta, &bytes, opts.chunk, |reply| {
+                            if let Some(text) = shown_text(reply) {
+                                let _ = write!(summary, "{}; ", text.trim_end());
+                            }
+                        })?
                     } else {
-                        match client.submit(&trace.to_binary())? {
-                            Reply::Ok(payload) => {
-                                delivered += 1;
-                                metrics.incr(metric_keys::CAPTURE_SUBMITTED);
-                                String::from_utf8_lossy(&payload).trim_end().to_string()
-                            }
-                            Reply::Busy(message) => format!("BUSY ({message})"),
-                            Reply::Err { code, message } => {
-                                format!("REJECTED ({}: {message})", code.as_str())
-                            }
+                        client.submit(&trace.to_binary())?
+                    };
+                    if opts.wmrs && matches!(reply, Reply::Busy(_)) {
+                        // A CLOSE still BUSY after its retries leaves the
+                        // sealed session on this connection; the next run
+                        // opens its session on a fresh one.
+                        *client = Client::connect(endpoint)?;
+                    }
+                    let delivery = match reply {
+                        Reply::Ok(payload) => {
+                            delivered += 1;
+                            metrics.incr(metric_keys::CAPTURE_SUBMITTED);
+                            summary + String::from_utf8_lossy(&payload).trim_end()
+                        }
+                        Reply::Busy(message) => format!("BUSY ({message})"),
+                        Reply::Err { code, message } => {
+                            format!("REJECTED ({}: {message})", code.as_str())
                         }
                     };
                     let _ = writeln!(out, "  sink: {delivery}");
@@ -715,33 +741,6 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
     );
     opts.metrics.emit(&metrics, &mut out)?;
     Ok(out)
-}
-
-/// Streams one captured run to a daemon as a `STREAM`/`FEED`/`CLOSE`
-/// session of `WMRS` frames, returning the session's closing summary.
-fn deliver_wmrs(
-    client: &mut Client,
-    capture: &wmrd_capture::CaptureTrace,
-    chunk: usize,
-) -> Result<String, CliError> {
-    let bytes = capture.to_wmrs()?;
-    let session = session_token(&format!("capture-{}-{}", capture.name(), capture.seed()));
-    let meta = StreamMeta {
-        program: Some(capture.name().to_string()),
-        model: Some("capture".to_string()),
-        seed: Some(capture.seed()),
-    };
-    let mut summary = String::new();
-    let _ = write!(summary, "{}", client.stream_open(&session, &meta)?.into_text()?.trim_end());
-    for frame in bytes.chunks(chunk) {
-        let ack = client.stream_feed(frame)?.into_text()?;
-        if !ack.trim_end().ends_with("new=0") {
-            let _ = write!(summary, "; {}", ack.trim_end());
-        }
-    }
-    let closed = close_with_retries(client, |_| {})?.into_text()?;
-    let _ = write!(summary, "; {}", closed.trim_end());
-    Ok(summary)
 }
 
 /// Builds the campaign spec an `explore` invocation describes.
@@ -1079,29 +1078,17 @@ fn cmd_verify_repair(
 
 /// Bytes per `FEED` frame when `--sink` streams a racy execution.
 const SINK_CHUNK_BYTES: usize = 4096;
-/// `CLOSE` retries under a `BUSY` analysis queue before giving up.
-const CLOSE_RETRIES: usize = 5;
-/// Pause before each `CLOSE` retry.
-const CLOSE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
-
-/// Sends `CLOSE`, retrying while the daemon answers `BUSY`: its
-/// analysis queue is full, and the sealed session survives the refusal.
-/// `on_busy` sees each refusal that is retried; once the retries run
-/// out, the last `BUSY` is returned like any other reply.
-fn close_with_retries(
-    client: &mut Client,
-    mut on_busy: impl FnMut(&str),
-) -> Result<Reply, wmrd_serve::ServeError> {
-    for _ in 0..CLOSE_RETRIES {
-        match client.stream_close()? {
-            Reply::Busy(message) => {
-                on_busy(&message);
-                std::thread::sleep(CLOSE_BACKOFF);
-            }
-            reply => return Ok(reply),
+/// The text of an `OK` session reply worth showing: every reply except
+/// the `FEED` acknowledgements that completed no new race, which are
+/// progress noise (`new=0`).
+fn shown_text(reply: &Reply) -> Option<std::borrow::Cow<'_, str>> {
+    match reply {
+        Reply::Ok(payload) => {
+            let text = String::from_utf8_lossy(payload);
+            (!text.trim_end().ends_with("new=0")).then_some(text)
         }
+        _ => None,
     }
-    client.stream_close()
 }
 
 /// Makes a `STREAM` session token request-line-safe: the protocol
@@ -1181,18 +1168,7 @@ impl SinkObserver {
             exec.seed
         ));
         let mut client = Client::connect(&self.endpoint).ok()?;
-        match client.stream_open(&session, &meta).ok()? {
-            Reply::Ok(_) => {}
-            // No session slot (BUSY) or a protocol error: report it.
-            other => return Some(other),
-        }
-        for chunk in bytes.chunks(SINK_CHUNK_BYTES) {
-            match client.stream_feed(chunk).ok()? {
-                Reply::Ok(_) => {}
-                other => return Some(other),
-            }
-        }
-        close_with_retries(&mut client, |_| {}).ok()
+        client.stream_session(&session, &meta, &bytes, SINK_CHUNK_BYTES, |_| {}).ok()
     }
 
     fn summary(&self) -> String {
@@ -1296,26 +1272,26 @@ fn cmd_stream(opts: &StreamOpts) -> Result<String, CliError> {
 
     let mut out = String::new();
     let mut client = Client::connect(&endpoint)?;
-    let _ = write!(out, "{}", client.stream_open(&session, &meta)?.into_text()?);
-    let mut chunks = 0u64;
-    for chunk in bytes.chunks(opts.chunk) {
-        chunks += 1;
-        let ack = client.stream_feed(chunk)?.into_text()?;
-        // Quiet acknowledgements are progress noise; surface only the
-        // chunks that completed new races (their reply carries the
-        // race lines).
-        if !ack.trim_end().ends_with("new=0") {
-            let _ = write!(out, "{ack}");
-        }
-    }
-    let closed = close_with_retries(&mut client, |message| {
-        let _ = writeln!(out, "close refused busy ({message}); retrying");
-    })?
-    .into_text()?;
+    // The opening and the chunks that completed new races (their reply
+    // carries the race lines) are shown; a session that ends early or
+    // a CLOSE still BUSY after its retries fails the command.
+    let closed = client
+        .stream_session(&session, &meta, &bytes, opts.chunk, |reply| match reply {
+            Reply::Busy(message) => {
+                let _ = writeln!(out, "close refused busy ({message}); retrying");
+            }
+            reply => {
+                if let Some(text) = shown_text(reply) {
+                    out.push_str(&text);
+                }
+            }
+        })?
+        .into_text()?;
     let _ = write!(out, "{closed}");
     let _ = writeln!(
         out,
-        "streamed {records} operation(s) in {chunks} chunk(s) of at most {} bytes",
+        "streamed {records} operation(s) in {} chunk(s) of at most {} bytes",
+        bytes.len().div_ceil(opts.chunk),
         opts.chunk
     );
     Ok(out)
@@ -2127,6 +2103,33 @@ mod tests {
         run_cli(&argv(&format!("query --to {addr} shutdown"))).unwrap();
         let summary = daemon.join().unwrap();
         assert_eq!(summary.ingested, 1, "the CLOSEd stream was ingested");
+    }
+
+    /// A daemon that answers a WMRS session with `BUSY` gets the same
+    /// treatment as a `BUSY` `SUBMIT`: reported per run, never fatal.
+    #[test]
+    fn capture_reports_a_busy_wmrs_sink_and_carries_on() {
+        // No session slot (BUSY at STREAM), then no queue room (BUSY at
+        // every CLOSE retry, which leaves the sealed session behind).
+        for config in [
+            ServeConfig { max_streams: 0, ..ServeConfig::default() },
+            ServeConfig { queue_cap: 0, ..ServeConfig::default() },
+        ] {
+            let server = Server::bind(&Endpoint::parse("127.0.0.1:0").unwrap(), config).unwrap();
+            let addr = server.endpoint().to_string();
+            let daemon = std::thread::spawn(move || server.run().unwrap());
+
+            let out = run_cli(&argv(&format!(
+                "capture publish-racy --format wmrs --sink {addr} --runs 2"
+            )))
+            .unwrap();
+            assert_eq!(out.matches("sink: BUSY (").count(), 2, "{out}");
+            assert!(out.contains("0 delivered to sink"), "{out}");
+
+            run_cli(&argv(&format!("query --to {addr} shutdown"))).unwrap();
+            let summary = daemon.join().unwrap();
+            assert_eq!(summary.ingested, 0, "{summary}");
+        }
     }
 
     /// Where the shipped `.wmrd` examples live.

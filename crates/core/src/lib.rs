@@ -91,7 +91,7 @@ pub use identity::{event_race_keys, one_event_race_keys, op_race_keys, RaceKey, 
 pub use onthefly::{OnTheFly, OnTheFlyConfig, OnTheFlyRace};
 pub use pairing::{so1_edges, PairingPolicy, So1Edge};
 pub use partition::{partition_races, PartitionSet, RacePartition};
-pub use postmortem::{AnalysisOptions, PostMortem};
+pub use postmortem::PostMortem;
 pub use race::{detect_races, detect_races_in, DataRace, DetectStats, RaceKind};
 pub use report::RaceReport;
 pub use salvage::SalvageAnalysis;

@@ -7,13 +7,6 @@ use crate::{
     PairingPolicy, RaceReport,
 };
 
-/// Options for a post-mortem analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalysisOptions {
-    /// How `so1` pairing is derived (default: by acquire/release role).
-    pub pairing: PairingPolicy,
-}
-
 /// Post-mortem analysis builder.
 ///
 /// # Example
@@ -38,25 +31,20 @@ pub struct AnalysisOptions {
 #[derive(Debug)]
 pub struct PostMortem<'t> {
     trace: &'t TraceSet,
-    options: AnalysisOptions,
+    /// How `so1` pairing is derived (default: by acquire/release role).
+    pairing: PairingPolicy,
     metrics: Metrics,
 }
 
 impl<'t> PostMortem<'t> {
     /// Creates an analysis over `trace`.
     pub fn new(trace: &'t TraceSet) -> Self {
-        PostMortem { trace, options: AnalysisOptions::default(), metrics: Metrics::disabled() }
+        PostMortem { trace, pairing: PairingPolicy::default(), metrics: Metrics::disabled() }
     }
 
     /// Sets the pairing policy.
     pub fn pairing(mut self, pairing: PairingPolicy) -> Self {
-        self.options.pairing = pairing;
-        self
-    }
-
-    /// Sets all options at once.
-    pub fn options(mut self, options: AnalysisOptions) -> Self {
-        self.options = options;
+        self.pairing = pairing;
         self
     }
 
@@ -95,8 +83,7 @@ impl<'t> PostMortem<'t> {
     /// pairings.
     pub fn analyze(self) -> Result<RaceReport, AnalysisError> {
         let m = &self.metrics;
-        let hb =
-            m.time("analysis.hb_build", || HbGraph::build(self.trace, self.options.pairing))?;
+        let hb = m.time("analysis.hb_build", || HbGraph::build(self.trace, self.pairing))?;
         let (races, detect) = m.time("analysis.detect", || detect_races_in(self.trace, &hb));
         let aug = m.time("analysis.augment", || AugmentedGraph::build(&hb, &races));
         let partitions = m.time("analysis.partition", || partition_races(&aug, &races));
@@ -116,7 +103,7 @@ impl<'t> PostMortem<'t> {
         }
         Ok(RaceReport {
             meta: self.trace.meta.clone(),
-            pairing: self.options.pairing,
+            pairing: self.pairing,
             num_events: hb.num_events(),
             num_so1_edges: hb.so1().len(),
             races,
@@ -246,8 +233,7 @@ mod tests {
         let mut b = TraceBuilder::new(1);
         b.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
         let t = b.finish();
-        let opts = AnalysisOptions { pairing: PairingPolicy::AllSync };
-        let report = PostMortem::new(&t).options(opts).analyze().unwrap();
+        let report = PostMortem::new(&t).pairing(PairingPolicy::AllSync).analyze().unwrap();
         assert_eq!(report.pairing, PairingPolicy::AllSync);
     }
 }

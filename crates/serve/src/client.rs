@@ -4,13 +4,22 @@
 //! returned as [`Reply`] so callers can distinguish the typed `BUSY`
 //! backpressure signal from success and failure — a submitter that
 //! wants retry-with-backoff needs that distinction, and flattening it
-//! into an error would lose it.
+//! into an error would lose it. [`Client::stream_session`] is the one
+//! place that runs a whole `STREAM`/`FEED`/`CLOSE` session, `CLOSE`
+//! retries included.
 
 use std::io::Write;
+use std::time::Duration;
 
 use crate::endpoint::{Endpoint, Stream};
 use crate::protocol::{Reply, StreamMeta, MAX_PAYLOAD_BYTES};
 use crate::ServeError;
+
+/// `CLOSE` retries under a `BUSY` analysis queue before
+/// [`Client::stream_session`] gives up.
+const CLOSE_RETRIES: usize = 5;
+/// Pause before each `CLOSE` retry.
+const CLOSE_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A connected client.
 #[derive(Debug)]
@@ -108,24 +117,12 @@ impl Client {
     /// transport failures. `BUSY` (no session slot) comes back as the
     /// [`Reply`].
     pub fn stream_open(&mut self, name: &str, meta: &StreamMeta) -> Result<Reply, ServeError> {
-        let mut line = String::from("STREAM ");
-        if name.is_empty() || name.contains(['=', ' ', '\n']) {
-            return Err(ServeError::Protocol(format!(
-                "stream session name `{name}` must be non-empty and free of `=`, spaces, and newlines"
-            )));
-        }
-        line.push_str(name);
+        token("stream session name", name, false)?;
+        let mut line = format!("STREAM {name}");
         for (key, value) in [("program", &meta.program), ("model", &meta.model)] {
             if let Some(value) = value {
-                if value.contains([' ', '=', '\n']) {
-                    return Err(ServeError::Protocol(format!(
-                        "stream metadata value `{value}` for `{key}` must be free of spaces, `=`, and newlines"
-                    )));
-                }
-                line.push(' ');
-                line.push_str(key);
-                line.push('=');
-                line.push_str(value);
+                token(&format!("stream metadata `{key}`"), value, true)?;
+                line.push_str(&format!(" {key}={value}"));
             }
         }
         if let Some(seed) = meta.seed {
@@ -171,6 +168,55 @@ impl Client {
         self.request_line("CLOSE\n")
     }
 
+    /// Runs a whole streaming session on this connection: `STREAM
+    /// name`, then `bytes` in `FEED`s of at most `chunk` bytes, then
+    /// `CLOSE`. A `BUSY` answer to `CLOSE` (the analysis queue is full;
+    /// the sealed session survives it) is retried up to 5 times, 50 ms
+    /// apart.
+    ///
+    /// `on_reply` sees each reply that keeps the session going: the
+    /// `OK` to `STREAM` and to every `FEED`, and every `BUSY` to a
+    /// `CLOSE` that is about to be retried. The first other reply ends
+    /// the session and is returned: a refused `STREAM`, a failed
+    /// `FEED`, or the last answer to `CLOSE`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::stream_open`] and [`Client::stream_feed`]. A `BUSY`
+    /// or `ERR` reply is **not** an error here — it comes back as the
+    /// [`Reply`].
+    pub fn stream_session(
+        &mut self,
+        name: &str,
+        meta: &StreamMeta,
+        bytes: &[u8],
+        chunk: usize,
+        mut on_reply: impl FnMut(&Reply),
+    ) -> Result<Reply, ServeError> {
+        let opened = self.stream_open(name, meta)?;
+        if !matches!(opened, Reply::Ok(_)) {
+            return Ok(opened);
+        }
+        on_reply(&opened);
+        for frame in bytes.chunks(chunk.max(1)) {
+            let fed = self.stream_feed(frame)?;
+            if !matches!(fed, Reply::Ok(_)) {
+                return Ok(fed);
+            }
+            on_reply(&fed);
+        }
+        for _ in 0..CLOSE_RETRIES {
+            match self.stream_close()? {
+                busy @ Reply::Busy(_) => {
+                    on_reply(&busy);
+                    std::thread::sleep(CLOSE_BACKOFF);
+                }
+                reply => return Ok(reply),
+            }
+        }
+        self.stream_close()
+    }
+
     /// Asks the daemon to predictively re-analyze the retained trace
     /// with digest token `digest`, amending its catalog entry with the
     /// predicted race identities. `order` selects the partial order
@@ -183,18 +229,10 @@ impl Client {
     /// failures. A trace the daemon no longer retains comes back as a
     /// typed `ERR query` [`Reply`], not an `Err`.
     pub fn predict(&mut self, digest: &str, order: Option<&str>) -> Result<Reply, ServeError> {
-        if digest.is_empty() || digest.contains(['=', ' ', '\n']) {
-            return Err(ServeError::Protocol(format!(
-                "digest `{digest}` must be non-empty and free of `=`, spaces, and newlines"
-            )));
-        }
+        token("digest", digest, false)?;
         let mut line = format!("PREDICT {digest}");
         if let Some(order) = order {
-            if order.contains([' ', '=', '\n']) {
-                return Err(ServeError::Protocol(format!(
-                    "order `{order}` must be free of spaces, `=`, and newlines"
-                )));
-            }
+            token("order", order, true)?;
             line.push_str(&format!(" order={order}"));
         }
         line.push('\n');
@@ -206,4 +244,16 @@ impl Client {
         self.stream.flush()?;
         Reply::read_from(&mut self.stream)
     }
+}
+
+/// Checks that `value` can travel as one token of a request line: free
+/// of `=`, spaces and newlines, and non-empty unless `may_be_empty`.
+fn token(what: &str, value: &str, may_be_empty: bool) -> Result<(), ServeError> {
+    if (value.is_empty() && !may_be_empty) || value.contains(['=', ' ', '\n']) {
+        let rule = if may_be_empty { "" } else { "non-empty and " };
+        return Err(ServeError::Protocol(format!(
+            "{what} `{value}` must be {rule}free of `=`, spaces, and newlines"
+        )));
+    }
+    Ok(())
 }

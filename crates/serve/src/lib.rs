@@ -12,16 +12,17 @@
 //!
 //! The pieces:
 //!
-//! * [`Endpoint`]/[`Listener`]/[`Stream`] — one `<addr|unix:path>`
-//!   syntax over TCP and unix-domain transports;
+//! * [`Endpoint`] — one `<addr|unix:path>` syntax over TCP and
+//!   unix-domain transports;
 //! * [`Request`]/[`Reply`] — the length-prefixed line protocol, with
 //!   `BUSY` as a first-class backpressure reply and typed `ERR` codes;
-//! * [`JobQueue`] — the explicit capacity bound between acceptance and
-//!   analysis;
+//! * a bounded job queue — the explicit capacity bound between
+//!   acceptance and analysis;
 //! * [`Server`] — accept loop, per-connection handlers, worker pool,
 //!   graceful drain on `SHUTDOWN`/SIGTERM;
 //! * [`Client`] — the synchronous client used by `wmrd submit`,
-//!   `wmrd query`, and `wmrd explore --sink`.
+//!   `wmrd query`, `wmrd stream`, and the `--sink` of `wmrd capture`
+//!   and `wmrd explore`.
 //!
 //! Everything is std-only: no async runtime, no socket crates. The
 //! daemon's concurrency is plain threads over the same scoped-thread
@@ -44,11 +45,9 @@ mod server;
 mod stats;
 
 pub use client::Client;
-pub use endpoint::{Endpoint, Listener, Stream};
+pub use endpoint::Endpoint;
 pub use protocol::{ErrorCode, Reply, Request, StreamMeta};
-pub use queue::{JobQueue, PushRefused};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
-pub use stats::{LatencyWindow, ServeStats};
 
 use std::fmt;
 use std::io;

@@ -51,7 +51,7 @@ use crate::protocol::{
     read_exact_bounded, read_line_into, ErrorCode, LineStatus, Reply, Request, StreamMeta,
 };
 use crate::queue::{JobQueue, PushRefused};
-use crate::stats::ServeStats;
+use crate::stats::{self, LatencyWindow};
 use crate::ServeError;
 
 /// How often the accept loop polls for connections and shutdown.
@@ -215,7 +215,13 @@ impl RetainedTraces {
 struct Shared {
     queue: JobQueue<Job>,
     catalog: Mutex<Catalog>,
-    stats: ServeStats,
+    /// The daemon's one metrics record: every `serve.*`/`stream.*`
+    /// counter, recorded where it happens and reported by `STATS`.
+    metrics: Metrics,
+    /// Recent end-to-end analysis latencies.
+    latency: Mutex<LatencyWindow>,
+    /// Recent per-`FEED` ingest-to-detection latencies.
+    feed_latency: Mutex<LatencyWindow>,
     shutdown: AtomicBool,
     /// Streaming sessions currently open, bounded by
     /// [`ServeConfig::max_streams`].
@@ -286,7 +292,9 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_cap),
             catalog: Mutex::new(catalog),
-            stats: ServeStats::default(),
+            metrics: stats::serve_metrics(),
+            latency: Mutex::default(),
+            feed_latency: Mutex::default(),
             shutdown: AtomicBool::new(false),
             stream_open: AtomicUsize::new(0),
             retained: Mutex::new(RetainedTraces::new(config.retain_cap)),
@@ -347,22 +355,21 @@ impl Server {
                 let _ = w.join();
             }
 
+            let count = |key| shared.metrics.counter(key).unwrap_or(0);
             let catalog = shared.catalog.lock().unwrap_or_else(|e| e.into_inner());
             Ok(ServeSummary {
                 endpoint: shared.endpoint.to_string(),
-                submitted: ServeStats::get(&shared.stats.submitted),
-                ingested: ServeStats::get(&shared.stats.ingested),
-                deduped: ServeStats::get(&shared.stats.deduped),
-                rejected: ServeStats::get(&shared.stats.rejected),
-                busy: ServeStats::get(&shared.stats.busy),
-                queries: ServeStats::get(&shared.stats.queries),
-                stream_sessions: ServeStats::get(&shared.stats.stream_sessions),
-                stream_events: ServeStats::get(&shared.stats.stream_events),
-                stream_races: ServeStats::get(&shared.stats.stream_races),
-                stream_crosscheck_failures: ServeStats::get(
-                    &shared.stats.stream_crosscheck_failures,
-                ),
-                predictions: ServeStats::get(&shared.stats.predictions),
+                submitted: count(metric_keys::SERVE_SUBMITTED),
+                ingested: count(metric_keys::SERVE_INGESTED),
+                deduped: count(metric_keys::SERVE_DEDUPED),
+                rejected: count(metric_keys::SERVE_REJECTED),
+                busy: count(metric_keys::SERVE_BUSY),
+                queries: count(metric_keys::SERVE_QUERIES),
+                stream_sessions: count(metric_keys::STREAM_SESSIONS),
+                stream_events: count(metric_keys::STREAM_EVENTS),
+                stream_races: count(metric_keys::STREAM_RACES),
+                stream_crosscheck_failures: count(metric_keys::STREAM_CROSSCHECK_FAILURES),
+                predictions: count(metric_keys::SERVE_PREDICTIONS),
                 catalog: catalog.stats(),
             })
         });
@@ -384,12 +391,12 @@ fn worker_loop(shared: &Shared) {
             .unwrap_or_else(|_| {
                 Err((ErrorCode::Internal, "analysis panicked; submission contained".into()))
             });
-        shared.stats.record_latency(enqueued.elapsed().as_nanos() as u64);
-        match &result {
-            Ok((outcome, _)) if outcome.duplicate => ServeStats::incr(&shared.stats.deduped),
-            Ok(_) => ServeStats::incr(&shared.stats.ingested),
-            Err(_) => ServeStats::incr(&shared.stats.rejected),
-        }
+        stats::record(&shared.latency, enqueued.elapsed().as_nanos() as u64);
+        shared.metrics.incr(match &result {
+            Ok((outcome, _)) if outcome.duplicate => metric_keys::SERVE_DEDUPED,
+            Ok(_) => metric_keys::SERVE_INGESTED,
+            Err(_) => metric_keys::SERVE_REJECTED,
+        });
         let _ = reply.send(result);
     }
 }
@@ -471,30 +478,12 @@ fn dispatch(
     request: Request,
 ) -> Result<Dispatch, ()> {
     let reply = match request {
-        Request::Submit { len } => {
-            // The body is read under a generous timeout: stalling
-            // mid-upload desynchronizes the stream, so it forfeits
-            // the connection rather than blocking a drain forever.
-            let _ = stream.set_read_timeout(Some(BODY_TIMEOUT));
-            let body = read_exact_bounded(stream, len);
-            let _ = stream.set_read_timeout(Some(IDLE_POLL));
-            let body = body.map_err(|_| ())?;
-            submit(shared, &body)
-        }
+        Request::Submit { len } => submit(shared, &read_body(stream, len)?),
         Request::Stream { name, meta } => open_stream(shared, session, name, meta),
-        Request::Feed { len } => {
-            // Same body discipline as SUBMIT: the chunk is consumed
-            // even when no session is open, keeping the line protocol
-            // in sync so the error is reportable.
-            let _ = stream.set_read_timeout(Some(BODY_TIMEOUT));
-            let body = read_exact_bounded(stream, len);
-            let _ = stream.set_read_timeout(Some(IDLE_POLL));
-            let body = body.map_err(|_| ())?;
-            feed_stream(shared, session, &body)
-        }
+        Request::Feed { len } => feed_stream(shared, session, &read_body(stream, len)?),
         Request::Close => close_stream(shared, session),
         Request::Query(spec) => {
-            ServeStats::incr(&shared.stats.queries);
+            shared.metrics.incr(metric_keys::SERVE_QUERIES);
             match Query::parse_spec(&spec) {
                 Ok((query, json)) => {
                     let catalog = shared.catalog.lock().unwrap_or_else(|e| e.into_inner());
@@ -527,8 +516,19 @@ fn dispatch(
     Ok(Dispatch::Reply(reply))
 }
 
-/// Decodes (binary `WMRD` traces only) and enqueues one submission,
-/// translating queue refusal into the typed `BUSY` reply.
+/// Reads a `SUBMIT` or `FEED` body under a generous timeout: stalling
+/// mid-upload desynchronizes the stream, so it forfeits the connection
+/// (`Err`) rather than blocking a drain forever. A `FEED` chunk is
+/// consumed even when no session is open, keeping the line protocol in
+/// sync so the error is reportable.
+fn read_body(stream: &mut Stream, len: usize) -> Result<Vec<u8>, ()> {
+    let _ = stream.set_read_timeout(Some(BODY_TIMEOUT));
+    let body = read_exact_bounded(stream, len);
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    body.map_err(|_| ())
+}
+
+/// Decodes (binary `WMRD` traces only) and analyzes one submission.
 fn submit(shared: &Shared, body: &[u8]) -> Reply {
     let trace = match TraceSet::from_binary(body) {
         Ok(trace) => trace,
@@ -536,30 +536,13 @@ fn submit(shared: &Shared, body: &[u8]) -> Reply {
             // A rejection is still a submission answered with a verdict;
             // only BUSY refusals (the client retries) stay uncounted, so
             // `ingested + deduped + rejected <= submitted` holds.
-            ServeStats::incr(&shared.stats.submitted);
-            ServeStats::incr(&shared.stats.rejected);
+            shared.metrics.incr(metric_keys::SERVE_SUBMITTED);
+            shared.metrics.incr(metric_keys::SERVE_REJECTED);
             return Reply::Err { code: ErrorCode::Decode, message: e.to_string() };
         }
     };
-    let (tx, rx) = mpsc::channel();
-    let job = Job { trace, enqueued: Instant::now(), reply: tx };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushRefused::Busy) => {
-            ServeStats::incr(&shared.stats.busy);
-            return Reply::Busy(format!(
-                "analysis queue at capacity ({})",
-                shared.config.queue_cap
-            ));
-        }
-        Err(PushRefused::Closed) => {
-            ServeStats::incr(&shared.stats.busy);
-            return Reply::Busy("daemon draining".into());
-        }
-    }
-    ServeStats::incr(&shared.stats.submitted);
-    match rx.recv() {
-        Ok(Ok((outcome, _keys))) => {
+    match analyze_on_worker(shared, trace, "") {
+        Ok((outcome, _keys)) => {
             let verdict = if outcome.duplicate { "duplicate" } else { "ingested" };
             Reply::Ok(
                 format!(
@@ -569,8 +552,39 @@ fn submit(shared: &Shared, body: &[u8]) -> Reply {
                 .into_bytes(),
             )
         }
-        Ok(Err((code, message))) => Reply::Err { code, message },
-        Err(_) => Reply::Err { code: ErrorCode::Internal, message: "analysis worker lost".into() },
+        Err(reply) => reply,
+    }
+}
+
+/// The one hand-off from a connection handler to the worker pool, for
+/// `SUBMIT` and `CLOSE` alike: pushes the job, counts it as submitted,
+/// and waits for the verdict. A full or closed queue is refused with
+/// the typed `BUSY` reply (`retry` is appended to the full-queue
+/// message) and counted as busy; a failed analysis comes back as its
+/// `ERR` reply.
+fn analyze_on_worker(
+    shared: &Shared,
+    trace: TraceSet,
+    retry: &str,
+) -> Result<(IngestOutcome, BTreeSet<RaceKey>), Reply> {
+    let (tx, rx) = mpsc::channel();
+    let job = Job { trace, enqueued: Instant::now(), reply: tx };
+    if let Err(refused) = shared.queue.try_push(job) {
+        shared.metrics.incr(metric_keys::SERVE_BUSY);
+        return Err(Reply::Busy(match refused {
+            PushRefused::Busy => {
+                format!("analysis queue at capacity ({}){retry}", shared.config.queue_cap)
+            }
+            PushRefused::Closed => "daemon draining".into(),
+        }));
+    }
+    shared.metrics.incr(metric_keys::SERVE_SUBMITTED);
+    match rx.recv() {
+        Ok(Ok(done)) => Ok(done),
+        Ok(Err((code, message))) => Err(Reply::Err { code, message }),
+        Err(_) => {
+            Err(Reply::Err { code: ErrorCode::Internal, message: "analysis worker lost".into() })
+        }
     }
 }
 
@@ -580,16 +594,15 @@ fn submit(shared: &Shared, body: &[u8]) -> Reply {
 /// `CLOSE`. At most one session exists per connection; the global
 /// count is bounded by [`ServeConfig::max_streams`].
 struct StreamSession {
-    name: String,
-    meta: StreamMeta,
+    /// Provenance stamped on the trace when `CLOSE` seals it.
+    meta: TraceMeta,
     decoder: StreamDecoder,
     detector: StreamDetector,
-    /// Receives every decoded record; taken when `CLOSE` seals the
-    /// trace.
-    builder: Option<TraceBuilder>,
+    /// Receives every decoded record until `CLOSE` seals the trace.
+    builder: TraceBuilder,
     /// The sealed trace, stashed so a `CLOSE` that was refused with
     /// `BUSY` can be retried without resending anything.
-    finished: Option<TraceSet>,
+    sealed: Option<TraceSet>,
     /// Promotion count already flushed to the global
     /// `stream.epochs_promoted` counter.
     reported_promotions: u64,
@@ -615,18 +628,17 @@ fn open_stream(
         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < cap).then_some(n + 1))
         .is_ok();
     if !acquired {
-        ServeStats::incr(&shared.stats.stream_rejected);
+        shared.metrics.incr(metric_keys::STREAM_SESSIONS_REJECTED);
         return Reply::Busy(format!("stream sessions at capacity ({cap})"));
     }
-    ServeStats::incr(&shared.stats.stream_sessions);
+    shared.metrics.incr(metric_keys::STREAM_SESSIONS);
     let reply = Reply::Ok(format!("opened {name}\n").into_bytes());
     *session = Some(StreamSession {
-        name,
-        meta,
+        meta: TraceMeta { program: meta.program, model: meta.model, seed: meta.seed },
         decoder: StreamDecoder::new(),
         detector: StreamDetector::new(0, shared.config.pairing),
-        builder: Some(TraceBuilder::new(0)),
-        finished: None,
+        builder: TraceBuilder::new(0),
+        sealed: None,
         reported_promotions: 0,
     });
     reply
@@ -651,12 +663,12 @@ fn feed_stream(shared: &Shared, session: &mut Option<StreamSession>, body: &[u8]
             message: "FEED without an open stream session (send STREAM first)".into(),
         };
     };
-    let Some(builder) = s.builder.as_mut() else {
+    if s.sealed.is_some() {
         return Reply::Err {
             code: ErrorCode::Proto,
             message: "session already sealed by CLOSE; retry CLOSE".into(),
         };
-    };
+    }
     let started = Instant::now();
     let mut records = Vec::new();
     if let Err(e) = s.decoder.push(body, &mut records) {
@@ -665,17 +677,16 @@ fn feed_stream(shared: &Shared, session: &mut Option<StreamSession>, body: &[u8]
         return Reply::Err { code: ErrorCode::Decode, message };
     }
     for r in &records {
-        r.apply(builder);
+        r.apply(&mut s.builder);
     }
     let new = s.detector.feed(&records);
 
-    let stats = &shared.stats;
-    stats.stream_events.fetch_add(records.len() as u64, Ordering::Relaxed);
-    stats.stream_races.fetch_add(new.len() as u64, Ordering::Relaxed);
+    shared.metrics.add(metric_keys::STREAM_EVENTS, records.len() as u64);
+    shared.metrics.add(metric_keys::STREAM_RACES, new.len() as u64);
     let promoted = s.detector.promotions() - s.reported_promotions;
     s.reported_promotions = s.detector.promotions();
-    stats.stream_promotions.fetch_add(promoted, Ordering::Relaxed);
-    stats.record_feed_latency(started.elapsed().as_nanos() as u64);
+    shared.metrics.add(metric_keys::STREAM_EPOCHS_PROMOTED, promoted);
+    stats::record(&shared.feed_latency, started.elapsed().as_nanos() as u64);
 
     let mut payload = format!(
         "fed events={} races={} new={}\n",
@@ -702,80 +713,49 @@ fn close_stream(shared: &Shared, session: &mut Option<StreamSession>) -> Reply {
             message: "CLOSE without an open stream session".into(),
         };
     };
-    if s.finished.is_none() {
-        if let Err(e) = s.decoder.finish() {
-            let message = e.to_string();
-            discard_session(shared, session);
-            return Reply::Err { code: ErrorCode::Decode, message };
-        }
-        let Some(builder) = s.builder.take() else {
-            let message = format!("stream session `{}` lost its builder", s.name);
-            discard_session(shared, session);
-            return Reply::Err { code: ErrorCode::Internal, message };
-        };
-        let mut trace = builder.finish();
-        trace.meta = TraceMeta {
-            program: s.meta.program.clone(),
-            model: s.meta.model.clone(),
-            seed: s.meta.seed,
-        };
-        s.finished = Some(trace);
-    }
-    // Clone for the worker so a refused push can be retried from the
+    // The worker gets a copy so a refused push can be retried from the
     // stash; the session keeps the original.
-    let Some(trace) = s.finished.clone() else {
-        let message = format!("stream session `{}` lost its sealed trace", s.name);
-        discard_session(shared, session);
-        return Reply::Err { code: ErrorCode::Internal, message };
-    };
-    let (tx, rx) = mpsc::channel();
-    let job = Job { trace, enqueued: Instant::now(), reply: tx };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushRefused::Busy) => {
-            ServeStats::incr(&shared.stats.busy);
-            return Reply::Busy(format!(
-                "analysis queue at capacity ({}); retry CLOSE",
-                shared.config.queue_cap
-            ));
-        }
-        Err(PushRefused::Closed) => {
-            ServeStats::incr(&shared.stats.busy);
-            return Reply::Busy("daemon draining".into());
-        }
-    }
-    ServeStats::incr(&shared.stats.submitted);
-    let streamed: BTreeSet<RaceKey> = s.detector.race_keys().clone();
-    match rx.recv() {
-        Ok(Ok((outcome, postmortem))) => {
-            let matches = postmortem == streamed;
-            if !matches {
-                ServeStats::incr(&shared.stats.stream_crosscheck_failures);
+    let trace = match &s.sealed {
+        Some(trace) => trace.clone(),
+        None => {
+            if let Err(e) = s.decoder.finish() {
+                let message = e.to_string();
+                discard_session(shared, session);
+                return Reply::Err { code: ErrorCode::Decode, message };
             }
-            let verdict = if outcome.duplicate { "duplicate" } else { "ingested" };
-            let reply = Reply::Ok(
-                format!(
-                    "closed {} {verdict} races={} new={} streamed={} match={}\n",
-                    outcome.digest,
-                    outcome.races,
-                    outcome.new_races,
-                    streamed.len(),
-                    if matches { "yes" } else { "no" },
-                )
-                .into_bytes(),
-            );
-            discard_session(shared, session);
-            reply
+            let mut trace = std::mem::replace(&mut s.builder, TraceBuilder::new(0)).finish();
+            trace.meta = s.meta.clone();
+            s.sealed = Some(trace.clone());
+            trace
         }
-        Ok(Err((code, message))) => {
+    };
+    let (outcome, postmortem) = match analyze_on_worker(shared, trace, "; retry CLOSE") {
+        Ok(done) => done,
+        Err(busy @ Reply::Busy(_)) => return busy,
+        Err(reply) => {
             discard_session(shared, session);
-            Reply::Err { code, message }
+            return reply;
         }
-        Err(_) => {
-            discard_session(shared, session);
-            Reply::Err { code: ErrorCode::Internal, message: "analysis worker lost".into() }
-        }
+    };
+    let streamed = s.detector.race_keys();
+    let matches = postmortem == *streamed;
+    if !matches {
+        shared.metrics.incr(metric_keys::STREAM_CROSSCHECK_FAILURES);
     }
+    let verdict = if outcome.duplicate { "duplicate" } else { "ingested" };
+    let reply = Reply::Ok(
+        format!(
+            "closed {} {verdict} races={} new={} streamed={} match={}\n",
+            outcome.digest,
+            outcome.races,
+            outcome.new_races,
+            streamed.len(),
+            if matches { "yes" } else { "no" },
+        )
+        .into_bytes(),
+    );
+    discard_session(shared, session);
+    reply
 }
 
 /// Handles `PREDICT`: looks up the retained trace, runs the predictive
@@ -844,7 +824,7 @@ fn predict_retained(shared: &Shared, digest: &str, order: Option<&str>) -> Reply
             Err(e) => return Reply::Err { code: ErrorCode::Internal, message: e.to_string() },
         }
     };
-    ServeStats::incr(&shared.stats.predictions);
+    shared.metrics.incr(metric_keys::SERVE_PREDICTIONS);
     let mut payload = format!(
         "predicted {digest} order={order} keys={} observed={} predicted_only={} new={}\n",
         report.keys.len(),
@@ -860,41 +840,27 @@ fn predict_retained(shared: &Shared, digest: &str, order: Option<&str>) -> Reply
     Reply::Ok(payload.into_bytes())
 }
 
-/// Builds the `STATS` payload: a `RunMetrics` report carrying the
-/// `serve.*` and `catalog.*` vocabulary (see `OBSERVABILITY.md`).
+/// Builds the `STATS` payload: the daemon's metrics record plus the
+/// live gauges and the catalog's `catalog.*` vocabulary, as one
+/// `RunMetrics` report (see `OBSERVABILITY.md`).
 fn stats_payload(shared: &Shared) -> String {
-    let metrics = Metrics::enabled();
-    metrics.context("listen", &shared.endpoint);
-    let stats = &shared.stats;
-    metrics.add(metric_keys::SERVE_SUBMITTED, ServeStats::get(&stats.submitted));
-    metrics.add(metric_keys::SERVE_INGESTED, ServeStats::get(&stats.ingested));
-    metrics.add(metric_keys::SERVE_DEDUPED, ServeStats::get(&stats.deduped));
-    metrics.add(metric_keys::SERVE_REJECTED, ServeStats::get(&stats.rejected));
-    metrics.add(metric_keys::SERVE_BUSY, ServeStats::get(&stats.busy));
-    metrics.add(metric_keys::SERVE_QUERIES, ServeStats::get(&stats.queries));
-    metrics.set_gauge(metric_keys::SERVE_QUEUE_DEPTH, shared.queue.depth() as u64);
-    metrics.set_gauge(metric_keys::SERVE_QUEUE_CAP, shared.config.queue_cap as u64);
-    metrics.set_gauge(metric_keys::SERVE_WORKERS, shared.config.workers.max(1) as u64);
-    let (p50, p99) = stats.latency_percentiles();
-    metrics.set_gauge(metric_keys::SERVE_ANALYSIS_P50_NS, p50);
-    metrics.set_gauge(metric_keys::SERVE_ANALYSIS_P99_NS, p99);
-    metrics.add(metric_keys::SERVE_PREDICTIONS, ServeStats::get(&stats.predictions));
-    metrics.add(metric_keys::STREAM_SESSIONS, ServeStats::get(&stats.stream_sessions));
-    metrics.add(metric_keys::STREAM_SESSIONS_REJECTED, ServeStats::get(&stats.stream_rejected));
-    metrics.add(metric_keys::STREAM_EVENTS, ServeStats::get(&stats.stream_events));
-    metrics.add(metric_keys::STREAM_RACES, ServeStats::get(&stats.stream_races));
-    metrics.add(metric_keys::STREAM_EPOCHS_PROMOTED, ServeStats::get(&stats.stream_promotions));
-    metrics.add(
-        metric_keys::STREAM_CROSSCHECK_FAILURES,
-        ServeStats::get(&stats.stream_crosscheck_failures),
-    );
-    metrics.set_gauge(metric_keys::STREAM_OPEN, shared.stream_open.load(Ordering::SeqCst) as u64);
-    metrics.set_gauge(metric_keys::STREAM_CAP, shared.config.max_streams as u64);
-    let (fp50, fp99) = stats.feed_latency_percentiles();
-    metrics.set_gauge(metric_keys::STREAM_FEED_P50_NS, fp50);
-    metrics.set_gauge(metric_keys::STREAM_FEED_P99_NS, fp99);
-    shared.catalog.lock().unwrap_or_else(|e| e.into_inner()).record_into(&metrics);
-    metrics.report().to_json()
+    let live = Metrics::enabled();
+    live.context("listen", &shared.endpoint);
+    live.set_gauge(metric_keys::SERVE_QUEUE_DEPTH, shared.queue.depth() as u64);
+    live.set_gauge(metric_keys::SERVE_QUEUE_CAP, shared.config.queue_cap as u64);
+    live.set_gauge(metric_keys::SERVE_WORKERS, shared.config.workers.max(1) as u64);
+    let (p50, p99) = stats::percentiles(&shared.latency);
+    live.set_gauge(metric_keys::SERVE_ANALYSIS_P50_NS, p50);
+    live.set_gauge(metric_keys::SERVE_ANALYSIS_P99_NS, p99);
+    live.set_gauge(metric_keys::STREAM_OPEN, shared.stream_open.load(Ordering::SeqCst) as u64);
+    live.set_gauge(metric_keys::STREAM_CAP, shared.config.max_streams as u64);
+    let (fp50, fp99) = stats::percentiles(&shared.feed_latency);
+    live.set_gauge(metric_keys::STREAM_FEED_P50_NS, fp50);
+    live.set_gauge(metric_keys::STREAM_FEED_P99_NS, fp99);
+    shared.catalog.lock().unwrap_or_else(|e| e.into_inner()).record_into(&live);
+    let mut report = shared.metrics.report();
+    report.merge(&live.report());
+    report.to_json()
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {

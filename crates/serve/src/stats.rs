@@ -1,7 +1,8 @@
-//! Daemon counters and the analysis-latency window behind `STATS`.
+//! The daemon's metrics record and the latency windows behind `STATS`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use wmrd_trace::{metric_keys, Metrics};
 
 /// Samples kept in the latency ring; old samples are overwritten so
 /// percentiles track recent behavior with bounded memory.
@@ -41,77 +42,43 @@ impl LatencyWindow {
     }
 }
 
-/// Monotonic daemon counters (the `serve.*` vocabulary), shared
-/// lock-free between connection handlers and workers; only the
-/// latency window takes a lock, briefly.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// `SUBMIT` requests accepted for analysis.
-    pub submitted: AtomicU64,
-    /// Submissions that added a new trace to the catalog.
-    pub ingested: AtomicU64,
-    /// Submissions deduplicated by digest.
-    pub deduped: AtomicU64,
-    /// Submissions rejected with a typed error.
-    pub rejected: AtomicU64,
-    /// Submissions refused with `BUSY`.
-    pub busy: AtomicU64,
-    /// `QUERY` requests answered.
-    pub queries: AtomicU64,
-    /// Streaming sessions opened (`STREAM` accepted).
-    pub stream_sessions: AtomicU64,
-    /// Streaming sessions refused with `BUSY` (slot cap reached).
-    pub stream_rejected: AtomicU64,
-    /// Operations ingested through `FEED` chunks.
-    pub stream_events: AtomicU64,
-    /// Race identities first reported mid-stream.
-    pub stream_races: AtomicU64,
-    /// Locations promoted from the exclusive epoch fast path to the
-    /// shared table, summed over all sessions.
-    pub stream_promotions: AtomicU64,
-    /// Sessions whose streamed race keys disagreed with the post-mortem
-    /// analysis at `CLOSE` — any non-zero value is a detector bug.
-    pub stream_crosscheck_failures: AtomicU64,
-    /// `PREDICT` requests that completed a predictive re-analysis.
-    pub predictions: AtomicU64,
-    /// Recent end-to-end analysis latencies.
-    pub latency: Mutex<LatencyWindow>,
-    /// Recent per-`FEED` ingest-to-detection latencies.
-    pub feed_latency: Mutex<LatencyWindow>,
+/// The daemon's counters, all seeded at 0 when it binds so `STATS`
+/// lists every one of them before it is first touched.
+const COUNTERS: [&str; 13] = [
+    metric_keys::SERVE_SUBMITTED,
+    metric_keys::SERVE_INGESTED,
+    metric_keys::SERVE_DEDUPED,
+    metric_keys::SERVE_REJECTED,
+    metric_keys::SERVE_BUSY,
+    metric_keys::SERVE_QUERIES,
+    metric_keys::SERVE_PREDICTIONS,
+    metric_keys::STREAM_SESSIONS,
+    metric_keys::STREAM_SESSIONS_REJECTED,
+    metric_keys::STREAM_EVENTS,
+    metric_keys::STREAM_RACES,
+    metric_keys::STREAM_EPOCHS_PROMOTED,
+    metric_keys::STREAM_CROSSCHECK_FAILURES,
+];
+
+/// The daemon's one metrics record: an enabled [`Metrics`] holding
+/// every `serve.*`/`stream.*` counter at 0.
+pub fn serve_metrics() -> Metrics {
+    let metrics = Metrics::enabled();
+    for key in COUNTERS {
+        metrics.add(key, 0);
+    }
+    metrics
 }
 
-impl ServeStats {
-    /// Bumps a counter.
-    pub fn incr(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+/// (p50, p99) of a shared latency window, in nanoseconds.
+pub fn percentiles(window: &Mutex<LatencyWindow>) -> (u64, u64) {
+    let window = window.lock().unwrap_or_else(|e| e.into_inner());
+    (window.percentile(50), window.percentile(99))
+}
 
-    /// Reads a counter.
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Records one analysis latency.
-    pub fn record_latency(&self, nanos: u64) {
-        self.latency.lock().unwrap_or_else(|e| e.into_inner()).record(nanos);
-    }
-
-    /// (p50, p99) of the recent-latency window, in nanoseconds.
-    pub fn latency_percentiles(&self) -> (u64, u64) {
-        let window = self.latency.lock().unwrap_or_else(|e| e.into_inner());
-        (window.percentile(50), window.percentile(99))
-    }
-
-    /// Records one `FEED` chunk's ingest-to-detection latency.
-    pub fn record_feed_latency(&self, nanos: u64) {
-        self.feed_latency.lock().unwrap_or_else(|e| e.into_inner()).record(nanos);
-    }
-
-    /// (p50, p99) of the recent `FEED`-latency window, in nanoseconds.
-    pub fn feed_latency_percentiles(&self) -> (u64, u64) {
-        let window = self.feed_latency.lock().unwrap_or_else(|e| e.into_inner());
-        (window.percentile(50), window.percentile(99))
-    }
+/// Records one sample into a shared latency window.
+pub fn record(window: &Mutex<LatencyWindow>, nanos: u64) {
+    window.lock().unwrap_or_else(|e| e.into_inner()).record(nanos);
 }
 
 #[cfg(test)]
@@ -143,13 +110,14 @@ mod tests {
 
     #[test]
     fn stats_counters_accumulate() {
-        let s = ServeStats::default();
-        ServeStats::incr(&s.submitted);
-        ServeStats::incr(&s.submitted);
-        assert_eq!(ServeStats::get(&s.submitted), 2);
-        s.record_latency(10);
-        s.record_latency(20);
-        let (p50, p99) = s.latency_percentiles();
+        let s = serve_metrics();
+        s.incr(metric_keys::SERVE_SUBMITTED);
+        s.incr(metric_keys::SERVE_SUBMITTED);
+        assert_eq!(s.counter(metric_keys::SERVE_SUBMITTED), Some(2));
+        let latency = Mutex::new(LatencyWindow::default());
+        record(&latency, 10);
+        record(&latency, 20);
+        let (p50, p99) = percentiles(&latency);
         assert_eq!(p50, 10);
         assert_eq!(p99, 20);
     }

@@ -106,7 +106,7 @@ for section in E15 E16 E17 E18; do
         exit 1
     fi
 done
-keys=$(sed -n 's/^.*"\(\(lint\.cycles\|lint\.repair\|predict\|ooo\|capture\)\.[a-z_][a-z_]*\)".*$/\1/p' \
+keys=$(sed -n 's/^.*"\(\(lint\.cycles\|lint\.repair\|predict\|ooo\|capture\|serve\|stream\|catalog\)\.[a-z_0-9][a-z_0-9]*\)".*$/\1/p' \
     crates/trace/src/metrics.rs | sort -u)
 if [ -z "$keys" ]; then
     echo "check.sh: could not extract metric keys from crates/trace/src/metrics.rs" >&2
@@ -119,7 +119,7 @@ if [ -z "$analysis_keys" ]; then
     echo "check.sh: could not extract analysis.* keys from crates/core/src/postmortem.rs" >&2
     exit 1
 fi
-for key in $keys $analysis_keys serve.predictions; do
+for key in $keys $analysis_keys; do
     if ! grep -qF "$key" OBSERVABILITY.md; then
         echo "check.sh: metric key $key is not documented in OBSERVABILITY.md" >&2
         exit 1

@@ -397,6 +397,35 @@ fn stats_report_carries_the_serve_vocabulary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh daemon's first `STATS` lists every counter, each at 0: the
+/// daemon seeds its metrics record when it binds, so a counter nothing
+/// has touched yet is still reported.
+#[test]
+fn stats_of_a_fresh_daemon_lists_every_counter_at_zero() {
+    let dir = scratch("stats-fresh");
+    let (endpoint, join) = start(&dir, ServeConfig::default());
+    let json = Client::connect(&endpoint).unwrap().stats().unwrap().into_text().unwrap();
+    for key in [
+        "serve.submitted",
+        "serve.ingested",
+        "serve.deduped",
+        "serve.rejected",
+        "serve.busy",
+        "serve.queries",
+        "serve.predictions",
+        "stream.sessions",
+        "stream.sessions_rejected",
+        "stream.events",
+        "stream.races",
+        "stream.epochs_promoted",
+        "stream.crosscheck_failures",
+    ] {
+        assert!(json.contains(&format!("\"{key}\": 0")), "STATS report missing `{key}`:\n{json}");
+    }
+    drain(&endpoint, join);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Streaming sessions and whole-trace submissions interleave freely
 /// across concurrent connections, land in the same content-addressed
 /// catalog, and every `CLOSE` cross-check agrees with the post-mortem.
