@@ -674,11 +674,16 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
                 }
                 unique.extend(keys);
 
+                // The run's encoding, made once for both `--out` and `--sink`.
+                let bytes = match (opts.out.is_some() || sink.is_some(), opts.wmrs) {
+                    (false, _) => Vec::new(),
+                    (true, true) => capture.to_wmrs()?,
+                    (true, false) => trace.to_binary(),
+                };
                 if let Some(prefix) = &opts.out {
                     let ext = if opts.wmrs { "wmrs" } else { "trace" };
                     let path = format!("{prefix}-{}-{seed}.{ext}", w.name);
-                    let bytes = if opts.wmrs { capture.to_wmrs()? } else { trace.to_binary() };
-                    std::fs::write(&path, bytes).map_err(file_err(&path))?;
+                    std::fs::write(&path, &bytes).map_err(file_err(&path))?;
                     let _ = writeln!(out, "  wrote {path}");
                 }
                 if let Some((endpoint, client)) = sink.as_mut() {
@@ -696,14 +701,13 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
                             model: Some("capture".to_string()),
                             seed: Some(capture.seed()),
                         };
-                        let bytes = capture.to_wmrs()?;
                         client.stream_session(&session, &meta, &bytes, opts.chunk, |reply| {
                             if let Some(text) = shown_text(reply) {
                                 let _ = write!(summary, "{}; ", text.trim_end());
                             }
                         })?
                     } else {
-                        client.submit(&trace.to_binary())?
+                        client.submit(&bytes)?
                     };
                     if opts.wmrs && matches!(reply, Reply::Busy(_)) {
                         // A CLOSE still BUSY after its retries leaves the

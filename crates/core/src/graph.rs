@@ -12,7 +12,9 @@
 //! That is `O(V + C·P)` words for `V` events, `C` components and `P`
 //! processors, and `O((V + E)·P)` time. The same clocks give race
 //! detection its unit of work: the window of one chain's events left
-//! unordered with a given event, found by one binary search.
+//! unordered with a given event. Both ends of a window only grow as
+//! the event walks its own chain, so [`Windows`] tracks them with one
+//! forward cursor per chain, with no search.
 
 use std::fmt;
 
@@ -104,27 +106,16 @@ impl ChainOrder {
         }
     }
 
-    /// The events of chain `q` unordered with `a` in both directions:
-    /// indices `[lo, hi)`, empty when `lo ≥ hi`.
-    ///
-    /// `a`'s predecessors on `q` are the prefix below
-    /// `lo = clock(comp(a))[q]`. Its successors are a suffix, since the
-    /// clock row `clock(comp(b))[proc(a)]` only grows along a chain:
-    /// `hi` is the first `b` on `q` where it passes `index(a)`. On an
-    /// hb1 cycle the prefix and suffix overlap and the window is empty.
-    /// An unknown `a` is unordered with all of `q`; an unknown `q` has
-    /// no events.
-    pub(crate) fn window(&self, a: EventId, q: usize) -> (u32, u32) {
-        let (Some(&start), Some(&end)) = (self.offsets.get(q), self.offsets.get(q + 1)) else {
-            return (0, 0);
-        };
-        let Some(node) = self.node(a) else { return (0, end - start) };
-        let procs = self.num_chains();
-        let lo = self.clocks[self.comp_of[node as usize] as usize * procs + q];
-        let chain = &self.comp_of[start as usize..end as usize];
-        let hi =
-            chain.partition_point(|&c| self.clocks[c as usize * procs + a.proc.index()] <= a.index);
-        (lo, hi as u32)
+    /// The unordered windows of chain `p`'s events, for events visited
+    /// in chain order.
+    pub(crate) fn windows(&self, p: usize) -> Windows<'_> {
+        Windows { order: self, p, hi: vec![0; self.num_chains()] }
+    }
+
+    /// `clock(comp(node))[q]`: how many events of chain `q` have a path
+    /// into `node`.
+    fn clock(&self, node: u32, q: usize) -> u32 {
+        self.clocks[self.comp_of[node as usize] as usize * self.num_chains() + q]
     }
 
     /// Number of chains.
@@ -142,6 +133,49 @@ impl fmt::Debug for ChainOrder {
             self.num_chains(),
             self.num_components()
         )
+    }
+}
+
+/// The windows of one source chain `p` on every chain, walked with
+/// monotone cursors ([`ChainOrder::windows`]).
+///
+/// The events of chain `q` unordered with `a` (on `p`) in both
+/// directions are the indices `[lo, hi)`, empty when `lo ≥ hi`. `a`'s
+/// predecessors on `q` are the prefix below `lo = clock(comp(a))[q]`.
+/// Its successors are a suffix, since `clock(comp(b))[p]` only grows
+/// along `q`: `hi` is the first `b` on `q` where it passes `index(a)`.
+/// On an hb1 cycle the prefix and suffix overlap and the window is
+/// empty. Along `p` both ends only grow — every path into `a` also
+/// enters `a`'s successor, and a later `a` has a larger index for
+/// `hi` to pass — so `hi` is one cursor per `q` that only moves
+/// forward, and walking all of `p` against `q` costs
+/// `O(len(p) + len(q))`.
+#[derive(Debug)]
+pub(crate) struct Windows<'a> {
+    order: &'a ChainOrder,
+    p: usize,
+    /// `hi[q]`, as of the last event asked about.
+    hi: Vec<u32>,
+}
+
+impl Windows<'_> {
+    /// The window `[lo, hi)` of chain `q` unordered with the event at
+    /// `index` on `p`, which must be an event of `p`. Across calls for
+    /// one `q`, `index` must not decrease.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not a chain.
+    pub(crate) fn window(&mut self, index: u32, q: usize) -> (u32, u32) {
+        let order = self.order;
+        debug_assert!(index < order.offsets[self.p + 1] - order.offsets[self.p], "not on chain");
+        let lo = order.clock(order.offsets[self.p] + index, q);
+        let (start, len) = (order.offsets[q], order.offsets[q + 1] - order.offsets[q]);
+        let hi = &mut self.hi[q];
+        while *hi < len && order.clock(start + *hi, self.p) <= index {
+            *hi += 1;
+        }
+        (lo, *hi)
     }
 }
 

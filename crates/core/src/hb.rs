@@ -50,9 +50,29 @@ impl HbGraph {
         Self::over(trace, sync)
     }
 
+    /// Builds `(po ∪ sync)+` over the events of `self` from an explicit
+    /// list of synchronization edges, as
+    /// [`with_sync_edges`](Self::with_sync_edges) does over the trace
+    /// `self` was built from. That trace was validated when `self` was
+    /// built, so it is not validated again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::Trace`] for an edge endpoint that is not
+    /// an event of the trace.
+    pub fn with_edges(&self, sync: Vec<So1Edge>) -> Result<Self, AnalysisError> {
+        Self::over_chains(self.order.chain_lens(), sync)
+    }
+
     /// The shared constructor; `trace` is already validated.
     fn over(trace: &TraceSet, sync: Vec<So1Edge>) -> Result<Self, AnalysisError> {
-        let chains = trace.processors().iter().map(|proc_trace| proc_trace.len());
+        Self::over_chains(trace.processors().iter().map(|proc_trace| proc_trace.len()), sync)
+    }
+
+    fn over_chains(
+        chains: impl IntoIterator<Item = usize>,
+        sync: Vec<So1Edge>,
+    ) -> Result<Self, AnalysisError> {
         let edges = sync.iter().map(|edge| (edge.release, edge.acquire));
         let order = ChainOrder::new(chains, edges).map_err(TraceError::UnknownEvent)?;
         Ok(HbGraph { so1: sync, order })
@@ -244,9 +264,12 @@ mod tests {
         assert!(report.scp.covers_everything());
     }
 
+    /// Over the trace or over an order already built from it, an edge
+    /// endpoint outside the trace is an unknown event.
     #[test]
     fn sync_edges_must_name_events_of_the_trace() {
         let t = fig1b_trace();
+        let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
         let past_end = e(0, t.processors()[0].len() as u32);
         for (release, acquire, unknown) in [
             (past_end, e(1, 0), past_end),
@@ -254,11 +277,13 @@ mod tests {
             (e(5, 0), e(1, 0), e(5, 0)),
         ] {
             let edge = So1Edge { release, acquire, loc: l(9) };
-            match HbGraph::with_sync_edges(&t, vec![edge]) {
-                Err(AnalysisError::Trace(TraceError::UnknownEvent(bad))) => {
-                    assert_eq!(bad, unknown)
+            for built in [HbGraph::with_sync_edges(&t, vec![edge]), hb.with_edges(vec![edge])] {
+                match built {
+                    Err(AnalysisError::Trace(TraceError::UnknownEvent(bad))) => {
+                        assert_eq!(bad, unknown)
+                    }
+                    other => panic!("{release} -> {acquire}: expected UnknownEvent, got {other:?}"),
                 }
-                other => panic!("{release} -> {acquire}: expected UnknownEvent, got {other:?}"),
             }
         }
     }

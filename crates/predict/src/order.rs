@@ -156,7 +156,7 @@ impl PredictGraph {
                 }
             }
         }
-        let weak = HbGraph::with_sync_edges(trace, edges)?;
+        let weak = hb1.with_edges(edges)?;
         Ok(PredictGraph { hb1, weak: Some(weak), order, sections, kept, dropped })
     }
 

@@ -66,6 +66,17 @@ struct MetricsInner {
     phases_ns: BTreeMap<String, u64>,
 }
 
+/// Replaces the value `v` of `name` in `map` with `f(v)`, or inserts
+/// `name` as `absent`; only that first insert allocates the key.
+fn update(map: &mut BTreeMap<String, u64>, name: &str, absent: u64, f: impl FnOnce(u64) -> u64) {
+    match map.get_mut(name) {
+        Some(v) => *v = f(*v),
+        None => {
+            map.insert(name.to_string(), absent);
+        }
+    }
+}
+
 /// A cheap, cloneable handle for recording run observability data.
 ///
 /// Clones share the same underlying state (an enabled handle is an
@@ -101,7 +112,7 @@ impl Metrics {
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             let mut m = inner.lock().expect("metrics lock");
-            *m.counters.entry(name.to_string()).or_insert(0) += delta;
+            update(&mut m.counters, name, delta, |v| v + delta);
         }
     }
 
@@ -114,7 +125,7 @@ impl Metrics {
     pub fn set_gauge(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut m = inner.lock().expect("metrics lock");
-            m.gauges.insert(name.to_string(), value);
+            update(&mut m.gauges, name, value, |_| value);
         }
     }
 
@@ -123,8 +134,7 @@ impl Metrics {
     pub fn max_gauge(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut m = inner.lock().expect("metrics lock");
-            let g = m.gauges.entry(name.to_string()).or_insert(0);
-            *g = (*g).max(value);
+            update(&mut m.gauges, name, value, |g| g.max(value));
         }
     }
 
@@ -133,7 +143,7 @@ impl Metrics {
     pub fn min_gauge(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut m = inner.lock().expect("metrics lock");
-            m.gauges.entry(name.to_string()).and_modify(|g| *g = (*g).min(value)).or_insert(value);
+            update(&mut m.gauges, name, value, |g| g.min(value));
         }
     }
 
@@ -148,8 +158,7 @@ impl Metrics {
         let value = f();
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut m = inner.lock().expect("metrics lock");
-        let slot = m.phases_ns.entry(phase.to_string()).or_insert(0);
-        *slot = slot.saturating_add(elapsed);
+        update(&mut m.phases_ns, phase, elapsed, |ns| ns.saturating_add(elapsed));
         value
     }
 

@@ -318,8 +318,16 @@ impl TraceSet {
                 }
             }
         }
+        // One seen-flag per event, at the event's dense position:
+        // `offsets[p]` events precede processor `p`'s first.
+        let mut offsets = Vec::with_capacity(self.procs.len());
+        let mut total = 0;
+        for p in &self.procs {
+            offsets.push(total);
+            total += p.len();
+        }
+        let mut seen = vec![false; total];
         let mut last_seq = None;
-        let mut seen = std::collections::HashSet::new();
         for entry in &self.sync_order {
             if let Some(last) = last_seq {
                 if entry.global_seq <= last {
@@ -340,22 +348,20 @@ impl TraceSet {
                     entry.event
                 )));
             }
-            if !seen.insert(entry.event) {
+            let slot = &mut seen[offsets[entry.event.proc.index()] + entry.event.index as usize];
+            if std::mem::replace(slot, true) {
                 return Err(TraceError::Malformed(format!(
                     "sync event {} appears twice in sync order",
                     entry.event
                 )));
             }
         }
-        let sync_events = self.events().filter(|e| e.is_sync()).map(|e| e.id).collect::<Vec<_>>();
-        for id in sync_events {
-            if !seen.contains(&id) {
-                return Err(TraceError::Malformed(format!(
-                    "sync event {id} missing from sync order"
-                )));
+        match self.events().zip(seen).find(|(e, seen)| e.is_sync() && !seen) {
+            Some((e, _)) => {
+                Err(TraceError::Malformed(format!("sync event {} missing from sync order", e.id)))
             }
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Encodes to the compact binary format (version 2, checksummed).
@@ -1055,6 +1061,46 @@ mod tests {
         let mut t = sample();
         t.sync_order[0].event = EventId::new(ProcId::new(0), 99);
         assert!(t.validate().is_err());
+    }
+
+    /// The first violation wins, in sync-order order: an entry that
+    /// repeats an earlier one is reported before the sync event that
+    /// its repetition left out.
+    #[test]
+    fn validate_reports_duplicate_before_missing() {
+        let mut t = sample();
+        let first = t.sync_order[0];
+        t.sync_order[1] = SyncOrderEntry { global_seq: t.sync_order[1].global_seq, ..first };
+        assert_eq!(
+            t.validate().unwrap_err().to_string(),
+            "malformed trace: sync event P0.e1 appears twice in sync order"
+        );
+        t.sync_order.pop();
+        assert_eq!(
+            t.validate().unwrap_err().to_string(),
+            "malformed trace: sync event P1.e0 missing from sync order"
+        );
+    }
+
+    /// An unknown event is reported at its entry, ahead of a later
+    /// duplicate and of the sync events left out; unknown processors
+    /// and indices past a processor's end are both unknown.
+    #[test]
+    fn validate_reports_unknown_event_at_its_entry() {
+        for unknown in [EventId::new(ProcId::new(0), 99), EventId::new(ProcId::new(7), 0)] {
+            let mut t = sample();
+            let first = t.sync_order[0];
+            t.sync_order[0].event = unknown;
+            let seq = t.sync_order[1].global_seq;
+            t.sync_order[1] = SyncOrderEntry { global_seq: seq, ..first };
+            t.sync_order.push(SyncOrderEntry { global_seq: seq + 1, ..first });
+            assert!(matches!(t.validate(), Err(TraceError::UnknownEvent(e)) if e == unknown));
+            t.sync_order[0] = first;
+            assert_eq!(
+                t.validate().unwrap_err().to_string(),
+                "malformed trace: sync event P0.e1 appears twice in sync order"
+            );
+        }
     }
 
     #[test]
