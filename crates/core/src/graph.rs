@@ -109,7 +109,7 @@ impl ChainOrder {
     /// The unordered windows of chain `p`'s events, for events visited
     /// in chain order.
     pub(crate) fn windows(&self, p: usize) -> Windows<'_> {
-        Windows { order: self, p, hi: vec![0; self.num_chains()] }
+        Windows { order: self, p, last: vec![(u32::MAX, 0, 0); self.num_chains()] }
     }
 
     /// `clock(comp(node))[q]`: how many events of chain `q` have a path
@@ -149,13 +149,16 @@ impl fmt::Debug for ChainOrder {
 /// enters `a`'s successor, and a later `a` has a larger index for
 /// `hi` to pass — so `hi` is one cursor per `q` that only moves
 /// forward, and walking all of `p` against `q` costs
-/// `O(len(p) + len(q))`.
+/// `O(len(p) + len(q))`. Asking again for the same event and chain,
+/// as an event does once per location it shares with the chain, reads
+/// the last window back.
 #[derive(Debug)]
 pub(crate) struct Windows<'a> {
     order: &'a ChainOrder,
     p: usize,
-    /// `hi[q]`, as of the last event asked about.
-    hi: Vec<u32>,
+    /// `(index, lo, hi)` of the last window asked for on each chain;
+    /// no event has index `u32::MAX`.
+    last: Vec<(u32, u32, u32)>,
 }
 
 impl Windows<'_> {
@@ -169,13 +172,16 @@ impl Windows<'_> {
     pub(crate) fn window(&mut self, index: u32, q: usize) -> (u32, u32) {
         let order = self.order;
         debug_assert!(index < order.offsets[self.p + 1] - order.offsets[self.p], "not on chain");
-        let lo = order.clock(order.offsets[self.p] + index, q);
-        let (start, len) = (order.offsets[q], order.offsets[q + 1] - order.offsets[q]);
-        let hi = &mut self.hi[q];
-        while *hi < len && order.clock(start + *hi, self.p) <= index {
-            *hi += 1;
+        let (at, lo, hi) = &mut self.last[q];
+        if *at != index {
+            *at = index;
+            *lo = order.clock(order.offsets[self.p] + index, q);
+            let (start, len) = (order.offsets[q], order.offsets[q + 1] - order.offsets[q]);
+            while *hi < len && order.clock(start + *hi, self.p) <= index {
+                *hi += 1;
+            }
         }
-        (lo, *hi)
+        (*lo, *hi)
     }
 }
 

@@ -24,8 +24,8 @@ pub struct HbGraph {
 }
 
 impl HbGraph {
-    /// Builds the hb1 graph of `trace` under a pairing policy: its
-    /// [`so1_edges`] passed to [`with_sync_edges`](Self::with_sync_edges).
+    /// Builds the hb1 graph of `trace` under a pairing policy: `trace`
+    /// validated, then `(po ∪ so1)+` over its [`so1_edges`].
     ///
     /// # Errors
     ///
@@ -34,27 +34,14 @@ impl HbGraph {
     pub fn build(trace: &TraceSet, policy: PairingPolicy) -> Result<Self, AnalysisError> {
         trace.validate()?;
         let so1 = so1_edges(trace, policy)?;
-        Self::over(trace, so1)
-    }
-
-    /// Builds `(po ∪ sync)+` over `trace` from an explicit list of
-    /// synchronization edges — any subset of `so1`, or edges inside its
-    /// closure, gives an order no stronger than hb1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::Trace`] for invalid traces or an edge
-    /// endpoint that is not an event of `trace`.
-    pub fn with_sync_edges(trace: &TraceSet, sync: Vec<So1Edge>) -> Result<Self, AnalysisError> {
-        trace.validate()?;
-        Self::over(trace, sync)
+        Self::over_chains(trace.processors().iter().map(|proc_trace| proc_trace.len()), so1)
     }
 
     /// Builds `(po ∪ sync)+` over the events of `self` from an explicit
-    /// list of synchronization edges, as
-    /// [`with_sync_edges`](Self::with_sync_edges) does over the trace
-    /// `self` was built from. That trace was validated when `self` was
-    /// built, so it is not validated again.
+    /// list of synchronization edges — any subset of `so1`, or edges
+    /// inside its closure, gives an order no stronger than hb1, such as
+    /// WCP's weakened order. The trace `self` was built from was
+    /// validated when `self` was built, so it is not validated again.
     ///
     /// # Errors
     ///
@@ -64,11 +51,7 @@ impl HbGraph {
         Self::over_chains(self.order.chain_lens(), sync)
     }
 
-    /// The shared constructor; `trace` is already validated.
-    fn over(trace: &TraceSet, sync: Vec<So1Edge>) -> Result<Self, AnalysisError> {
-        Self::over_chains(trace.processors().iter().map(|proc_trace| proc_trace.len()), sync)
-    }
-
+    /// The shared constructor over chains of the given lengths.
     fn over_chains(
         chains: impl IntoIterator<Item = usize>,
         sync: Vec<So1Edge>,
@@ -264,8 +247,8 @@ mod tests {
         assert!(report.scp.covers_everything());
     }
 
-    /// Over the trace or over an order already built from it, an edge
-    /// endpoint outside the trace is an unknown event.
+    /// Over an order built from the trace, an edge endpoint outside the
+    /// trace is an unknown event.
     #[test]
     fn sync_edges_must_name_events_of_the_trace() {
         let t = fig1b_trace();
@@ -277,13 +260,11 @@ mod tests {
             (e(5, 0), e(1, 0), e(5, 0)),
         ] {
             let edge = So1Edge { release, acquire, loc: l(9) };
-            for built in [HbGraph::with_sync_edges(&t, vec![edge]), hb.with_edges(vec![edge])] {
-                match built {
-                    Err(AnalysisError::Trace(TraceError::UnknownEvent(bad))) => {
-                        assert_eq!(bad, unknown)
-                    }
-                    other => panic!("{release} -> {acquire}: expected UnknownEvent, got {other:?}"),
+            match hb.with_edges(vec![edge]) {
+                Err(AnalysisError::Trace(TraceError::UnknownEvent(bad))) => {
+                    assert_eq!(bad, unknown)
                 }
+                other => panic!("{release} -> {acquire}: expected UnknownEvent, got {other:?}"),
             }
         }
     }

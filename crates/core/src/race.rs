@@ -106,22 +106,10 @@ pub fn detect_races(trace: &TraceSet, hb: &HbGraph) -> Vec<DataRace> {
 /// per-location access lists they cut are followed by forward
 /// cursors, and the cost is `O(A·P + races)` for `A` accesses and `P`
 /// processors, however many conflicting pairs are ordered. `hb` must
-/// be an order over `trace`'s events ([`HbGraph::build`] or
-/// [`HbGraph::with_sync_edges`] of the same trace).
+/// be an order over `trace`'s events ([`HbGraph::build`] of the same
+/// trace, or [`HbGraph::with_edges`] of such an order).
 pub fn detect_races_in(trace: &TraceSet, hb: &HbGraph) -> (Vec<DataRace>, DetectStats) {
-    let mut accesses = Vec::new();
-    for event in trace.events() {
-        let access = |loc, write, sync| Access { event: event.id, loc, write, sync };
-        match &event.kind {
-            EventKind::Sync(s) => accesses.push(access(s.loc, s.kind.is_write(), true)),
-            EventKind::Computation(c) => {
-                accesses.extend(c.writes.iter().map(|loc| access(loc, true, false)));
-                let read_only = c.reads.iter().filter(|&loc| !c.writes.contains(loc));
-                accesses.extend(read_only.map(|loc| access(loc, false, false)));
-            }
-        }
-    }
-    let lists = AccessLists::new(accesses);
+    let lists = AccessLists::new(event_accesses(trace));
     let mut races = Vec::new();
     let sync_races = lists.sweep(hb.order(), |a, b| {
         let (Some(ea), Some(eb)) = (trace.event(a), trace.event(b)) else { return };
@@ -135,6 +123,24 @@ pub fn detect_races_in(trace: &TraceSet, hb: &HbGraph) -> (Vec<DataRace>, Detect
         sync_races,
     };
     (races, stats)
+}
+
+/// The accesses of `trace`'s events, each event's together, events in
+/// chain order, read from the borrowed READ/WRITE sets.
+fn event_accesses(trace: &TraceSet) -> Vec<Access> {
+    let mut accesses = Vec::new();
+    for event in trace.events() {
+        let access = |loc, write, sync| Access { event: event.id, loc, write, sync };
+        match &event.kind {
+            EventKind::Sync(s) => accesses.push(access(s.loc, s.kind.is_write(), true)),
+            EventKind::Computation(c) => {
+                accesses.extend(c.writes.iter().map(|loc| access(loc, true, false)));
+                let read_only = c.reads.iter().filter(|&loc| !c.writes.contains(loc));
+                accesses.extend(read_only.map(|loc| access(loc, false, false)));
+            }
+        }
+    }
+    accesses
 }
 
 /// One access of an event to one location: the unit the race sweep
@@ -156,26 +162,27 @@ const SYNC_READ: usize = 3;
 const CLASSES: usize = 4;
 
 /// The access lists of one execution, one per (location, chain, class)
-/// group, in a dense group table: group
-/// `g = (location · chains + chain) · 4 + class` lists the indices of
+/// group. Only the (location, chain) pairs some access has are kept,
+/// sorted by address and then chain, so each location's pairs form one
+/// row of the chains that access it and there are at most as many
+/// pairs as accesses. Group `g = pair · 4 + class` lists the indices of
 /// its events on their chain, ascending, as
-/// `indices[start[g]..start[g + 1]]`. Locations are numbered densely
-/// in address order.
+/// `indices[start[g]..start[g + 1]]`.
 #[derive(Debug)]
 pub(crate) struct AccessLists {
     /// The accesses grouped by event, events in chain order.
     by_event: Vec<Entry>,
-    chains: usize,
-    start: Vec<u32>,
+    pairs: Vec<Pair>,
+    start: Vec<usize>,
     indices: Vec<u32>,
 }
 
-/// An [`Access`] as the sweep keeps it: its location as the location's
-/// first group (chain 0, class 0).
+/// An [`Access`] as the sweep keeps it: its location as its own
+/// (location, chain) pair.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     event: EventId,
-    base: u32,
+    pair: usize,
     write: bool,
     sync: bool,
 }
@@ -184,50 +191,78 @@ impl Entry {
     fn class(self) -> usize {
         (self.sync as usize) << 1 | !self.write as usize
     }
+}
 
-    /// The group of this access's location on `chain` in `class`.
-    fn group(self, chain: usize, class: usize) -> usize {
-        self.base as usize + chain * CLASSES + class
-    }
+/// One (location, chain) pair: the chain's processor, and the end of
+/// the location's row of pairs.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    proc: ProcId,
+    row_end: usize,
 }
 
 impl AccessLists {
     /// Indexes `accesses`, which must list each event's accesses
     /// together, events in chain order.
     pub(crate) fn new(accesses: Vec<Access>) -> Self {
-        let chains = accesses.iter().map(|a| a.event.proc.index() + 1).max().unwrap_or(0);
         let mut addrs: Vec<u32> = accesses.iter().map(|a| a.loc.addr()).collect();
         addrs.sort_unstable();
         addrs.dedup();
-        let groups = addrs.len() * chains * CLASSES;
-        assert!(u32::try_from(groups).is_ok(), "{groups} access groups overflow the table");
-        let by_event: Vec<Entry> = accesses
+        // Until the pairs are known, an entry's `pair` is its
+        // location's number.
+        let mut by_event: Vec<Entry> = accesses
             .into_iter()
             .map(|a| {
-                let loc = addrs.binary_search(&a.loc.addr()).expect("collected above");
-                let base = (loc * chains * CLASSES) as u32;
-                Entry { event: a.event, base, write: a.write, sync: a.sync }
+                let pair = addrs.binary_search(&a.loc.addr()).expect("collected above");
+                Entry { event: a.event, pair, write: a.write, sync: a.sync }
             })
             .collect();
-        drop(addrs);
-        // A counting sort by group; events arrive in chain order, so
-        // each list comes out ascending.
-        let own_group = |e: &Entry| e.group(e.event.proc.index(), e.class());
-        let mut start = vec![0u32; groups + 1];
+        // Each location's row of the chains that access it, counted
+        // and then filled. Events arrive in chain order, so each row
+        // fills in ascending chain order.
+        let mut last: Vec<Option<ProcId>> = vec![None; addrs.len()];
+        let mut row_start = vec![0; addrs.len() + 1];
+        for entry in &by_event {
+            let proc = entry.event.proc;
+            if last[entry.pair].replace(proc) != Some(proc) {
+                row_start[entry.pair + 1] += 1;
+            }
+        }
+        for loc in 1..row_start.len() {
+            row_start[loc] += row_start[loc - 1];
+        }
+        let mut pairs = vec![Pair { proc: ProcId::new(0), row_end: 0 }; row_start[addrs.len()]];
+        let mut fill = row_start.clone();
+        last.fill(None);
+        for entry in &mut by_event {
+            let (loc, proc) = (entry.pair, entry.event.proc);
+            if last[loc].replace(proc) != Some(proc) {
+                pairs[fill[loc]] = Pair { proc, row_end: row_start[loc + 1] };
+                fill[loc] += 1;
+            }
+            entry.pair = fill[loc] - 1;
+        }
+        // A counting sort by group, `start[g]` serving as group `g`'s
+        // insertion point and then moved back one place. Events arrive
+        // in chain order, so each list comes out ascending.
+        let own_group = |e: &Entry| e.pair * CLASSES + e.class();
+        let groups = pairs.len() * CLASSES;
+        let mut start = vec![0; groups + 1];
         for entry in &by_event {
             start[own_group(entry) + 1] += 1;
         }
         for g in 1..start.len() {
             start[g] += start[g - 1];
         }
-        let mut next = start.clone();
         let mut indices = vec![0u32; by_event.len()];
         for entry in &by_event {
-            let slot = &mut next[own_group(entry)];
-            indices[*slot as usize] = entry.event.index;
+            let slot = &mut start[own_group(entry)];
+            indices[*slot] = entry.event.index;
             *slot += 1;
         }
-        AccessLists { by_event, chains, start, indices }
+        start.copy_within(0..groups, 1);
+        start[0] = 0;
+        AccessLists { by_event, pairs, start, indices }
     }
 
     /// Calls `race(a, b)` once for each conflicting pair with a data
@@ -237,12 +272,14 @@ impl AccessLists {
     /// window sizes: a sync event has one access, so each such pair is
     /// one list entry.
     ///
+    /// An access visits only the later chains in its location's row.
     /// Each list's `[lo, hi)` slice is kept by a `(start, end)` cursor
     /// that, like the window it follows, only moves forward while one
     /// source chain is walked; it restarts when the next chain begins.
     pub(crate) fn sweep(&self, order: &ChainOrder, mut race: impl FnMut(EventId, EventId)) -> u64 {
         let mut sync_pairs = 0;
-        let mut hits: Vec<u32> = Vec::new();
+        // The events racing with the current one.
+        let mut hits: Vec<EventId> = Vec::new();
         let mut cursors = Cursors::new(self.indices.len());
         for chain in self.by_event.chunk_by(|x, y| x.event.proc == y.event.proc) {
             let p = chain[0].event.proc.index();
@@ -250,34 +287,34 @@ impl AccessLists {
             let mut windows = order.windows(p);
             for accesses in chain.chunk_by(|x, y| x.event == y.event) {
                 let a = accesses[0].event;
-                for q in p + 1..self.chains {
-                    let (lo, hi) = windows.window(a.index, q);
-                    if lo >= hi {
-                        continue;
-                    }
-                    hits.clear();
-                    for &access in accesses {
-                        let classes: &[usize] = match access.write {
-                            true => &[DATA_WRITE, DATA_READ, SYNC_WRITE, SYNC_READ],
-                            false => &[DATA_WRITE, SYNC_WRITE],
-                        };
+                hits.clear();
+                for &access in accesses {
+                    let classes: &[usize] = match access.write {
+                        true => &[DATA_WRITE, DATA_READ, SYNC_WRITE, SYNC_READ],
+                        false => &[DATA_WRITE, SYNC_WRITE],
+                    };
+                    for pair in access.pair + 1..self.pairs[access.pair].row_end {
+                        let q = self.pairs[pair].proc;
+                        let (lo, hi) = windows.window(a.index, q.index());
+                        if lo >= hi {
+                            continue;
+                        }
                         for &class in classes {
-                            let g = access.group(q, class);
+                            let g = pair * CLASSES + class;
                             let list = (self.start[g], self.start[g + 1]);
                             let found = cursors.window(&self.indices, list, lo, hi);
                             if access.sync && class >= SYNC_WRITE {
                                 sync_pairs += found.len() as u64;
                             } else {
-                                hits.extend_from_slice(found);
+                                hits.extend(found.iter().map(|&index| EventId::new(q, index)));
                             }
                         }
                     }
-                    hits.sort_unstable();
-                    hits.dedup();
-                    let proc = ProcId::new(q as u16);
-                    for &index in &hits {
-                        race(a, EventId::new(proc, index));
-                    }
+                }
+                hits.sort_unstable();
+                hits.dedup();
+                for &b in &hits {
+                    race(a, b);
                 }
             }
         }
@@ -294,10 +331,12 @@ impl AccessLists {
         let add = |x: (u64, u64), y: (u64, u64)| (x.0 + y.0, x.1 + y.1);
         let len = |g: usize| (self.start[g + 1] - self.start[g]) as u64;
         let mut total = 0;
-        for row in (0..self.start.len() - 1).step_by(CLASSES * self.chains.max(1)) {
+        let mut row = 0;
+        while row < self.pairs.len() {
+            let row_end = self.pairs[row].row_end;
             // The counts on the location's earlier chains.
             let (mut data, mut sync) = ((0, 0), (0, 0));
-            for g in (row..row + CLASSES * self.chains).step_by(CLASSES) {
+            for g in (row * CLASSES..row_end * CLASSES).step_by(CLASSES) {
                 let data_here = (len(g + DATA_WRITE) + len(g + DATA_READ), len(g + DATA_READ));
                 let sync_here = (len(g + SYNC_WRITE) + len(g + SYNC_READ), len(g + SYNC_READ));
                 total += conflicting(data, data_here)
@@ -305,6 +344,7 @@ impl AccessLists {
                     + conflicting(sync, data_here);
                 (data, sync) = (add(data, data_here), add(sync, sync_here));
             }
+            row = row_end;
         }
         total
     }
@@ -313,10 +353,9 @@ impl AccessLists {
 /// The forward cursors of [`AccessLists::sweep`]: for each non-empty
 /// list `indices[first..end]`, kept at `first`, the `(start, end)`
 /// bounds of the slice last asked for, stamped with the source chain
-/// they were moved for. Keyed by position, they take `O(A)` words
-/// however sparse the group table is.
+/// they were moved for. Keyed by position, they take `O(A)` words.
 struct Cursors {
-    slots: Vec<(u32, u32, u32)>,
+    slots: Vec<(u32, usize, usize)>,
     source: u32,
 }
 
@@ -338,25 +377,25 @@ impl Cursors {
     fn window<'a>(
         &mut self,
         indices: &'a [u32],
-        (first, end): (u32, u32),
+        (first, end): (usize, usize),
         lo: u32,
         hi: u32,
     ) -> &'a [u32] {
         if first == end {
             return &[];
         }
-        let (source, start, stop) = &mut self.slots[first as usize];
+        let (source, start, stop) = &mut self.slots[first];
         if *source != self.source {
             (*source, *start, *stop) = (self.source, first, first);
         }
-        while *start < end && indices[*start as usize] < lo {
+        while *start < end && indices[*start] < lo {
             *start += 1;
         }
         *stop = (*stop).max(*start);
-        while *stop < end && indices[*stop as usize] < hi {
+        while *stop < end && indices[*stop] < hi {
             *stop += 1;
         }
-        &indices[*start as usize..*stop as usize]
+        &indices[*start..*stop]
     }
 }
 
@@ -572,6 +611,50 @@ mod tests {
         assert!(!races[0].involves(e(1, 5)));
     }
 
+    /// A sparse trace on the highest processor id: P0 reads 2,000
+    /// locations in each of two events split by a release, P65534
+    /// writes one of them, and the 65,533 processors between have no
+    /// events. The access lists keep one pair per (location, chain)
+    /// that occurs, not one per access and not one per declared
+    /// processor, so the table stays within four groups per access,
+    /// and both races are found.
+    #[test]
+    fn sparse_processors_keep_the_access_table_within_the_accesses() {
+        let last = u16::MAX - 1;
+        let mut b = TraceBuilder::new(usize::from(u16::MAX));
+        for run in 0..2 {
+            for addr in 0..2000 {
+                b.data_access(p(0), l(addr), AccessKind::Read, Value::ZERO, None);
+            }
+            if run == 0 {
+                b.sync_access(
+                    p(0),
+                    l(5000),
+                    AccessKind::Write,
+                    SyncRole::Release,
+                    Value::ZERO,
+                    None,
+                );
+            }
+        }
+        b.data_access(p(last), l(1234), AccessKind::Write, Value::new(1), None);
+        let t = b.finish();
+        let lists = AccessLists::new(event_accesses(&t));
+        assert_eq!(lists.indices.len(), 4002);
+        assert_eq!(lists.pairs.len(), 2002, "one pair per (location, chain) that occurs");
+        assert!(lists.start.len() <= CLASSES * lists.indices.len() + 1);
+        let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
+        let (races, stats) = detect_races_in(&t, &hb);
+        let race = |a| DataRace {
+            a,
+            b: e(last, 0),
+            locations: [l(1234)].into_iter().collect(),
+            kind: RaceKind::DataData,
+        };
+        assert_eq!(races, [race(e(0, 0)), race(e(0, 2))]);
+        assert_eq!(stats, DetectStats { candidate_pairs: 2, races: 2, sync_races: 0 });
+    }
+
     /// The all-pairs definition the window sweep must reproduce: every
     /// cross-processor conflicting pair, tested with `concurrent`.
     fn all_pairs(trace: &TraceSet, hb: &HbGraph) -> (Vec<DataRace>, DetectStats) {
@@ -713,11 +796,9 @@ mod tests {
             });
             let random_edges: Vec<So1Edge> = random_edges.collect();
             let hb1 = HbGraph::build(&trace, PairingPolicy::ByRole).unwrap();
-            let weakened = HbGraph::with_sync_edges(&trace, so1_subset(&mut rng, &hb1)).unwrap();
             let orders = [
-                hb1.with_edges(random_edges.clone()).unwrap(),
-                HbGraph::with_sync_edges(&trace, random_edges).unwrap(),
-                weakened,
+                hb1.with_edges(random_edges).unwrap(),
+                hb1.with_edges(so1_subset(&mut rng, &hb1)).unwrap(),
                 hb1,
             ];
             for hb in &orders {
