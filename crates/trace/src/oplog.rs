@@ -6,12 +6,17 @@
 //! operation-level traces: they are exact, they let us state the paper's
 //! definitions at the granularity they are written at, and they are the
 //! yardstick the event-level analysis is cross-validated against (and the
-//! baseline of the trace-size ablation, E8).
+//! baseline of the trace-size ablation, E8). They are analyzed as the
+//! *unfolded* event trace ([`OpTrace::to_event_trace`]): one event per
+//! operation, nothing folded, through the one event pipeline.
 
 // Decode paths must report malformed input, never panic on it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::{MemOp, OpId, ProcId, TraceError};
+use crate::{
+    ComputationEvent, EventKind, LocSet, MemOp, OpClass, OpId, ProcId, ProcessorTrace, SyncEvent,
+    SyncOrderEntry, TraceError, TraceMeta, TraceSet, TraceSink,
+};
 
 /// A full operation-level trace: every memory operation of every
 /// processor, in per-processor program order, plus the global issue
@@ -38,6 +43,77 @@ impl OpTrace {
     /// Iterates over the operations in global issue order.
     pub fn iter_issue_order(&self) -> impl Iterator<Item = &MemOp> {
         self.issue_order.iter().filter_map(|id| self.op(*id))
+    }
+
+    /// Feeds every operation to `sink` in issue order, so the sink
+    /// observes what it would have observed live: each processor's
+    /// operations arrive in program order and get the same ids.
+    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
+        for op in self.iter_issue_order() {
+            let (proc, loc, kind, value, observed) =
+                (op.id.proc, op.loc, op.kind, op.value, op.observed_write);
+            match op.class {
+                OpClass::Data => sink.data_access(proc, loc, kind, value, observed),
+                OpClass::Sync(role) => sink.sync_access(proc, loc, kind, role, value, observed),
+            };
+        }
+    }
+
+    /// The unfolded event trace: this execution as an event trace with
+    /// nothing folded, so the event pipeline analyzes it at the
+    /// granularity the paper's definitions are stated at.
+    ///
+    /// Each data operation is one computation event (`first_op` = its
+    /// id, `op_count` = 1) and each synchronization operation one sync
+    /// event, so event `(p, i)` is operation `(p, i)`. Sync events are
+    /// stamped and ordered in issue order. A sync read that observed a
+    /// recorded *data* write pairs with nothing: its `observed_release`
+    /// is `None`. A reference to an operation the trace never recorded
+    /// is kept, so pairing reports it as a dangling release.
+    // The parts are valid by construction: `push` numbers each
+    // processor's operations densely, and issue order lists each once.
+    #[allow(clippy::expect_used)]
+    pub fn to_event_trace(&self) -> TraceSet {
+        let mut procs: Vec<ProcessorTrace> =
+            (0..self.num_procs()).map(|pi| ProcessorTrace::new(ProcId::new(pi as u16))).collect();
+        let mut sync_order = Vec::new();
+        for op in self.iter_issue_order() {
+            let proc = &mut procs[op.id.proc.index()];
+            match op.class {
+                OpClass::Data => {
+                    let access: LocSet = [op.loc].into_iter().collect();
+                    let (reads, writes) = match op.kind.is_write() {
+                        true => (LocSet::new(), access),
+                        false => (access, LocSet::new()),
+                    };
+                    let first_op = op.id;
+                    proc.push(EventKind::Computation(ComputationEvent {
+                        reads,
+                        writes,
+                        first_op,
+                        op_count: 1,
+                    }));
+                }
+                OpClass::Sync(role) => {
+                    let global_seq = sync_order.len() as u64;
+                    let observed_release =
+                        op.observed_write.filter(|&w| !self.op(w).is_some_and(MemOp::is_data));
+                    let (loc, kind) = (op.loc, op.kind);
+                    let event = proc.push(EventKind::Sync(SyncEvent {
+                        op: op.id,
+                        loc,
+                        kind,
+                        role,
+                        value: op.value,
+                        global_seq,
+                        observed_release,
+                    }));
+                    sync_order.push(SyncOrderEntry { global_seq, event, loc, kind });
+                }
+            }
+        }
+        TraceSet::from_parts(TraceMeta::default(), procs, sync_order)
+            .expect("an operation trace unfolds into a valid event trace")
     }
 
     /// Number of processors.
@@ -104,7 +180,7 @@ crate::impl_to_json!(OpTrace { ops, issue_order });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessKind, Location, OpClass, Value};
+    use crate::{AccessKind, EventId, Location, SyncRole, Value};
 
     fn raw_op(loc: u32, kind: AccessKind) -> MemOp {
         MemOp {
@@ -176,5 +252,58 @@ mod tests {
         assert_eq!(t.issue_order(), &[a, b, c]);
         let locs: Vec<u32> = t.iter_issue_order().map(|o| o.loc.addr()).collect();
         assert_eq!(locs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn replay_feeds_issue_order_to_a_sink() {
+        let mut t = OpTrace::new(2);
+        t.push(ProcId::new(1), raw_op(0, AccessKind::Write)).unwrap();
+        let mut sync = raw_op(9, AccessKind::Write);
+        sync.class = OpClass::Sync(SyncRole::Release);
+        t.push(ProcId::new(0), sync).unwrap();
+        let mut read = raw_op(0, AccessKind::Read);
+        read.observed_write = Some(OpId::new(ProcId::new(1), 0));
+        t.push(ProcId::new(0), read).unwrap();
+        let mut copy = crate::OpRecorder::new(2);
+        t.replay(&mut copy);
+        assert_eq!(copy.finish(), t);
+    }
+
+    #[test]
+    fn unfolds_one_event_per_operation() {
+        let (p0, p1) = (ProcId::new(0), ProcId::new(1));
+        let mut t = OpTrace::new(2);
+        let w = t.push(p0, raw_op(0, AccessKind::Write)).unwrap();
+        t.push(p0, raw_op(1, AccessKind::Write)).unwrap();
+        let mut rel = raw_op(9, AccessKind::Write);
+        rel.class = OpClass::Sync(SyncRole::Release);
+        let rel = t.push(p0, rel).unwrap();
+        let mut acq = raw_op(9, AccessKind::Read);
+        acq.class = OpClass::Sync(SyncRole::Acquire);
+        acq.observed_write = Some(rel);
+        t.push(p1, acq.clone()).unwrap();
+        // A sync read of a data write's value, and one of an operation
+        // the trace never recorded.
+        acq.observed_write = Some(w);
+        t.push(p1, acq.clone()).unwrap();
+        acq.observed_write = Some(OpId::new(p1, 77));
+        t.push(p1, acq).unwrap();
+        t.push(p1, raw_op(0, AccessKind::Read)).unwrap();
+
+        let events = t.to_event_trace();
+        assert_eq!(events.num_events(), t.num_ops(), "nothing folded");
+        let computation = events.event(EventId::new(p0, 1)).unwrap().as_computation().unwrap();
+        assert_eq!((computation.first_op, computation.op_count), (OpId::new(p0, 1), 1));
+        assert!(computation.writes.contains(Location::new(1)) && computation.reads.is_empty());
+        let read = events.event(EventId::new(p1, 3)).unwrap().as_computation().unwrap();
+        assert!(read.reads.contains(Location::new(0)) && read.writes.is_empty());
+        let observed = |i| events.event(EventId::new(p1, i)).unwrap().as_sync().unwrap();
+        assert_eq!(observed(0).observed_release, Some(rel));
+        assert_eq!(observed(1).observed_release, None, "a data write pairs with nothing");
+        assert_eq!(observed(2).observed_release, Some(OpId::new(p1, 77)), "dangling is kept");
+        let order: Vec<_> = events.sync_order().iter().map(|e| e.event).collect();
+        let e = EventId::new;
+        assert_eq!(order, [e(p0, 2), e(p1, 0), e(p1, 1), e(p1, 2)], "issue order");
+        assert!(events.sync_order().iter().zip(0..).all(|(entry, n)| entry.global_seq == n));
     }
 }
