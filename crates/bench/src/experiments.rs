@@ -11,7 +11,7 @@ use wmrd_core::{
 use wmrd_explore::{run_campaign, CampaignSpec};
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{Fidelity, HwImpl, MemoryModel, Program};
-use wmrd_trace::{EventId, Metrics, ProcId, TraceSet, TraceSink};
+use wmrd_trace::{EventId, Metrics, ProcId, TraceSet};
 use wmrd_verify::theorems::{
     check_condition_3_4_hw, check_theorem_4_1, check_theorem_4_2, sc_race_signatures,
 };
@@ -386,12 +386,13 @@ pub(crate) fn e9_on_the_fly(h: &mut Harness) {
     out!(h, "post-mortem: {postmortem_races} data race(s); trace file {trace_bytes} bytes");
     out!(h, "{:>14} {:>8} {:>12} {:>13}", "history-limit", "races", "state-bytes", "dropped-reads");
     for limit in [None, Some(4), Some(2), Some(1)] {
-        // Replay the same execution through the on-the-fly detector.
+        // Replay the same execution through the on-the-fly detector, in
+        // issue order: what it would have observed live.
         let mut detector = OnTheFly::new(
             program.num_procs(),
             OnTheFlyConfig { read_history_limit: limit, ..OnTheFlyConfig::default() },
         );
-        replay(&run.ops, &mut detector);
+        run.ops.replay(&mut detector);
         let label = limit.map_or_else(|| "unbounded".to_string(), |l| l.to_string());
         let (races, bytes) = (detector.races().len(), detector.approx_memory_bytes());
         let key = format!("e9.limit_{label}");
@@ -399,21 +400,6 @@ pub(crate) fn e9_on_the_fly(h: &mut Harness) {
         h.metrics.set_gauge(&format!("{key}.state_bytes"), bytes as u64);
         h.metrics.set_gauge(&format!("{key}.dropped_reads"), detector.dropped_reads());
         out!(h, "{label:>14} {races:>8} {bytes:>12} {:>13}", detector.dropped_reads());
-    }
-}
-
-fn replay(ops: &wmrd_trace::OpTrace, sink: &mut dyn TraceSink) {
-    // Replay in the recorded global issue order, so the on-the-fly
-    // detector observes exactly what it would have observed live.
-    for op in ops.iter_issue_order() {
-        match op.class {
-            wmrd_trace::OpClass::Data => {
-                sink.data_access(op.id.proc, op.loc, op.kind, op.value, op.observed_write);
-            }
-            wmrd_trace::OpClass::Sync(role) => {
-                sink.sync_access(op.id.proc, op.loc, op.kind, role, op.value, op.observed_write);
-            }
-        }
     }
 }
 

@@ -17,9 +17,8 @@
 
 use std::collections::BTreeSet;
 
-use wmrd_trace::{AccessKind, Location, OpTrace, ProcId, TraceSet};
+use wmrd_trace::{AccessKind, Location, ProcId, TraceSet};
 
-use crate::ops::OpRace;
 use crate::DataRace;
 
 /// One side of a race identity.
@@ -57,20 +56,6 @@ impl RaceKey {
         let (a, b) = if x <= y { (x, y) } else { (y, x) };
         RaceKey { loc, a, b }
     }
-}
-
-/// Keys of the *data* races of an operation-level race list.
-pub fn op_race_keys(races: &[OpRace], trace: &OpTrace) -> BTreeSet<RaceKey> {
-    let mut out = BTreeSet::new();
-    for race in races {
-        let (Some(a), Some(b)) = (trace.op(race.a), trace.op(race.b)) else { continue };
-        out.insert(RaceKey::new(
-            race.loc,
-            SideKey { proc: a.id.proc, kind: a.kind, sync: a.is_sync() },
-            SideKey { proc: b.id.proc, kind: b.kind, sync: b.is_sync() },
-        ));
-    }
-    out
 }
 
 /// Keys of the *data* races of an event-level race list. An event race
@@ -125,7 +110,6 @@ pub fn one_event_race_keys(race: &DataRace, trace: &TraceSet) -> BTreeSet<RaceKe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::OpAnalysis;
     use crate::{detect_races, HbGraph, PairingPolicy};
     use wmrd_trace::{OpRecorder, TraceBuilder, TraceSink, Value};
 
@@ -215,12 +199,12 @@ mod tests {
         let event_trace = events.finish();
         let op_trace = ops.finish();
 
-        let hb = HbGraph::build(&event_trace, PairingPolicy::ByRole).unwrap();
-        let event_races = detect_races(&event_trace, &hb);
-        let esigs = event_race_keys(&event_races, &event_trace);
-
-        let analysis = OpAnalysis::analyze(&op_trace, PairingPolicy::ByRole).unwrap();
-        let osigs = op_race_keys(analysis.races(), &op_trace);
+        let keys = |t: &TraceSet| {
+            let hb = HbGraph::build(t, PairingPolicy::ByRole).unwrap();
+            event_race_keys(&detect_races(t, &hb), t)
+        };
+        let esigs = keys(&event_trace);
+        let osigs = keys(&op_trace.to_event_trace());
 
         assert_eq!(esigs, osigs);
         assert_eq!(esigs.len(), 1);

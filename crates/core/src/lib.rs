@@ -33,11 +33,14 @@
 //!   consistent prefix implied by Condition 3.4.
 //! * [`PostMortem`] — one-call driver producing a [`RaceReport`].
 //!
+//! The same pipeline analyzes an operation-level trace at the
+//! granularity the paper's definitions are stated at: its unfolded
+//! event trace ([`OpTrace::to_event_trace`](wmrd_trace::OpTrace::to_event_trace))
+//! has one event per operation, so event races are operation races.
 //! An [`OnTheFly`] vector-clock detector (the paper's Section 5
-//! comparison point and "future work"), its exact epoch-compressed
+//! comparison point and "future work") and its exact epoch-compressed
 //! streaming sibling ([`StreamDetector`], the engine behind the serving
-//! daemon's `STREAM` verb), and an exact operation-level analysis
-//! ([`ops`]) for cross-validation round out the crate.
+//! daemon's `STREAM` verb) round out the crate.
 //!
 //! # Example
 //!
@@ -71,7 +74,6 @@ mod graph;
 mod hb;
 mod identity;
 mod onthefly;
-pub mod ops;
 mod pairing;
 mod partition;
 mod postmortem;
@@ -87,7 +89,7 @@ pub use affects::AffectsOracle;
 pub use augmented::AugmentedGraph;
 pub use error::AnalysisError;
 pub use hb::HbGraph;
-pub use identity::{event_race_keys, one_event_race_keys, op_race_keys, RaceKey, SideKey};
+pub use identity::{event_race_keys, one_event_race_keys, RaceKey, SideKey};
 pub use onthefly::{OnTheFly, OnTheFlyConfig, OnTheFlyRace};
 pub use pairing::{so1_edges, PairingPolicy, So1Edge};
 pub use partition::{partition_races, PartitionSet, RacePartition};

@@ -117,8 +117,11 @@ impl<'t> PostMortem<'t> {
 mod tests {
     use super::*;
     use wmrd_trace::{
-        AccessKind, Location, OpId, ProcId, SyncRole, TraceBuilder, TraceSink, Value,
+        AccessKind, EventId, Location, MemOp, MultiSink, OpClass, OpId, OpRecorder, OpTrace,
+        ProcId, SyncRole, TraceBuilder, TraceSink, Value,
     };
+
+    use crate::{detect_races, AffectsOracle, DataRace, RaceKind};
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -235,5 +238,121 @@ mod tests {
         let t = b.finish();
         let report = PostMortem::new(&t).pairing(PairingPolicy::AllSync).analyze().unwrap();
         assert_eq!(report.pairing, PairingPolicy::AllSync);
+    }
+
+    /// hb1 and the races of an operation trace, unfolded: event `(p, i)`
+    /// is operation `(p, i)`.
+    fn unfolded(ops: &OpTrace) -> (TraceSet, HbGraph, Vec<DataRace>) {
+        let trace = ops.to_event_trace();
+        let hb = HbGraph::build(&trace, PairingPolicy::ByRole).unwrap();
+        let races = detect_races(&trace, &hb);
+        (trace, hb, races)
+    }
+
+    fn e(proc: u16, index: u32) -> EventId {
+        EventId::new(p(proc), index)
+    }
+
+    /// Figure 1a traced per operation: P0 writes x then y, P1 reads y
+    /// then x. Folded, each processor is one computation event and the
+    /// execution has one race; unfolded, it has both operation races.
+    #[test]
+    fn unfolded_fig1a_has_two_operation_races() {
+        let mut sink = MultiSink::new(TraceBuilder::new(2), OpRecorder::new(2));
+        sink.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
+        sink.data_access(p(0), l(1), AccessKind::Write, Value::new(1), None);
+        sink.data_access(p(1), l(1), AccessKind::Read, Value::ZERO, None);
+        sink.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
+        let (events, ops) = sink.into_inner();
+        let folded = PostMortem::new(&events.finish()).analyze().unwrap();
+        assert_eq!(folded.races.len(), 1);
+        let (trace, _, races) = unfolded(&ops.finish());
+        assert_eq!(trace.num_events(), 4);
+        let pairs: Vec<_> = races.iter().map(|r| (r.a, r.b, r.kind)).collect();
+        assert_eq!(
+            pairs,
+            [(e(0, 0), e(1, 1), RaceKind::DataData), (e(0, 1), e(1, 0), RaceKind::DataData)]
+        );
+    }
+
+    #[test]
+    fn unfolded_pairing_orders_operations() {
+        let mut r = OpRecorder::new(2);
+        r.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
+        let rel =
+            r.sync_access(p(0), l(9), AccessKind::Write, SyncRole::Release, Value::ZERO, None);
+        r.sync_access(p(1), l(9), AccessKind::Read, SyncRole::Acquire, Value::ZERO, Some(rel));
+        r.data_access(p(1), l(0), AccessKind::Read, Value::new(1), None);
+        let (_, hb, races) = unfolded(&r.finish());
+        assert_eq!(hb.so1().len(), 1);
+        assert!(races.is_empty());
+        assert!(hb.ordered(e(0, 0), e(1, 1)));
+        assert!(!hb.ordered(e(1, 1), e(0, 0)));
+    }
+
+    #[test]
+    fn unfolded_sync_read_of_a_data_write_pairs_with_nothing() {
+        let mut r = OpRecorder::new(2);
+        let w = r.data_access(p(0), l(9), AccessKind::Write, Value::new(1), None);
+        r.sync_access(p(1), l(9), AccessKind::Read, SyncRole::Acquire, Value::new(1), Some(w));
+        let (_, hb, races) = unfolded(&r.finish());
+        assert!(hb.so1().is_empty());
+        // And they race: a data-sync conflict, unordered.
+        assert_eq!(races.len(), 1);
+        assert_eq!(races[0].kind, RaceKind::DataSync);
+    }
+
+    #[test]
+    fn unfolded_unaffected_races_are_the_first_ones() {
+        let mut r = OpRecorder::new(2);
+        // Race 1 on x, then (no pairing) race 2 on y.
+        r.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
+        r.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
+        r.data_access(p(0), l(1), AccessKind::Write, Value::new(1), None);
+        r.data_access(p(1), l(1), AccessKind::Read, Value::ZERO, None);
+        let (_, hb, races) = unfolded(&r.finish());
+        assert_eq!(races.len(), 2);
+        let aug = AugmentedGraph::build(&hb, &races);
+        let oracle = AffectsOracle::new(&aug, &races);
+        let unaffected = oracle.unaffected_data_races();
+        assert_eq!(unaffected.len(), 1, "the x race is the only first race");
+        assert!(races[unaffected[0]].locations.contains(l(0)));
+        assert!(oracle.affects_race(unaffected[0], 1 - unaffected[0]));
+    }
+
+    #[test]
+    fn unfolded_race_affects_its_po_successors() {
+        let mut r = OpRecorder::new(2);
+        r.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
+        r.data_access(p(0), l(1), AccessKind::Write, Value::new(1), None);
+        r.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
+        let (_, hb, races) = unfolded(&r.finish());
+        assert_eq!(races.len(), 1);
+        let aug = AugmentedGraph::build(&hb, &races);
+        let oracle = AffectsOracle::new(&aug, &races);
+        assert!(oracle.affects_event(0, e(0, 0)), "involves");
+        assert!(oracle.affects_event(0, e(0, 1)), "po successor");
+        assert!(!oracle.affects_event(0, e(9, 0)), "unknown operation unaffected");
+    }
+
+    #[test]
+    fn unfolded_dangling_observed_write_is_error() {
+        let mut ops = OpTrace::new(1);
+        ops.push(
+            p(0),
+            MemOp {
+                id: OpId::new(p(0), 0),
+                loc: l(9),
+                kind: AccessKind::Read,
+                class: OpClass::Sync(SyncRole::Acquire),
+                value: Value::ZERO,
+                observed_write: Some(OpId::new(p(0), 77)),
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            PostMortem::new(&ops.to_event_trace()).analyze(),
+            Err(AnalysisError::DanglingRelease { .. })
+        ));
     }
 }

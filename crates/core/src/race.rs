@@ -778,10 +778,10 @@ mod tests {
     /// cyclic: the same races in the same order (locations and kinds
     /// included), the same `candidate_pairs` and `sync_races`, and
     /// each window agreeing with `concurrent` for every (event, chain).
-    /// The operation level runs the same sweep over its own order. Then
-    /// the same on simulated lock-heavy `generate::racy` traces (4
-    /// processors × 30 sections) on two weak machines, under hb1 and a
-    /// weakened order.
+    /// The same execution unfolded to one event per operation is one
+    /// more input, under its hb1. Then the same on simulated lock-heavy
+    /// `generate::racy` traces (4 processors × 30 sections) on two weak
+    /// machines, under hb1 and a weakened order.
     #[test]
     fn window_sweep_matches_all_pairs_on_random_traces() {
         let mut rng = wmrd_trace::SplitMix64::new(17);
@@ -810,19 +810,9 @@ mod tests {
                 inverted += inverted_here;
             }
 
-            let analysis = crate::ops::OpAnalysis::analyze(&ops, PairingPolicy::ByRole).unwrap();
-            let mut expected = Vec::new();
-            for x in ops.iter() {
-                for y in ops.iter().filter(|y| x.id.proc < y.id.proc && x.loc == y.loc) {
-                    let conflict = x.kind == AccessKind::Write || y.kind == AccessKind::Write;
-                    let unordered = !analysis.ordered(x.id, y.id) && !analysis.ordered(y.id, x.id);
-                    if conflict && unordered && !(x.is_sync() && y.is_sync()) {
-                        expected.push((x.id, y.id, x.loc));
-                    }
-                }
-            }
-            let found: Vec<_> = analysis.races().iter().map(|r| (r.a, r.b, r.loc)).collect();
-            assert_eq!(found, expected, "round {round}: {ops:?}");
+            let unfolded = ops.to_event_trace();
+            let hb = HbGraph::build(&unfolded, PairingPolicy::ByRole).unwrap();
+            check_sweep(&unfolded, &hb, &format!("round {round}, unfolded: {ops:?}"));
         }
         assert!(cyclic > 50, "random sync edges must make hb1 cyclic often ({cyclic})");
         assert!(inverted > 50, "cycles must invert windows often ({inverted})");

@@ -361,15 +361,16 @@ mod tests {
 
     #[test]
     fn enumeration_of_locked_program_is_race_free_everywhere() {
-        use wmrd_core::{ops::OpAnalysis, PairingPolicy};
+        use wmrd_core::{detect_races, HbGraph, PairingPolicy};
         let entry = catalog::counter_locked(2, 1);
         let result = enumerate_sc(&entry.program, &EnumConfig::default()).unwrap();
         // Spin loops make the raw execution space infinite; the unroll
         // bound truncates it, so `complete` is false by design here.
         assert!(!result.executions.is_empty());
         for exec in &result.executions {
-            let analysis = OpAnalysis::analyze(&exec.ops, PairingPolicy::ByRole).unwrap();
-            assert_eq!(analysis.data_races().count(), 0);
+            let trace = exec.ops.to_event_trace();
+            let hb = HbGraph::build(&trace, PairingPolicy::ByRole).unwrap();
+            assert!(detect_races(&trace, &hb).is_empty());
             // Both increments land.
             assert_eq!(exec.final_memory[1], Value::new(2));
         }

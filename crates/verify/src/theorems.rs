@@ -15,10 +15,14 @@
 
 use std::collections::BTreeSet;
 
-use wmrd_core::ops::OpAnalysis;
-use wmrd_core::{event_race_keys, op_race_keys, PairingPolicy, PostMortem, RaceKey, RaceReport};
+use wmrd_core::{
+    detect_races, event_race_keys, AffectsOracle, AugmentedGraph, HbGraph, PairingPolicy,
+    PostMortem, RaceKey, RaceReport,
+};
 use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig};
-use wmrd_trace::{EventKind, MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet};
+use wmrd_trace::{
+    EventId, EventKind, MemOp, MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet,
+};
 
 use crate::{is_sequentially_consistent, ScExecution, VerifyError};
 
@@ -47,15 +51,17 @@ impl Theorem42Outcome {
     }
 }
 
-/// The union of data-race signatures over a set of SC executions.
+/// The union of data-race signatures over a set of SC executions, each
+/// analyzed at operation granularity (its unfolded event trace).
 pub fn sc_race_signatures(
     executions: &[ScExecution],
     pairing: PairingPolicy,
 ) -> Result<BTreeSet<RaceKey>, VerifyError> {
     let mut sigs = BTreeSet::new();
     for exec in executions {
-        let analysis = OpAnalysis::analyze(&exec.ops, pairing)?;
-        sigs.extend(op_race_keys(analysis.races(), &exec.ops));
+        let trace = exec.ops.to_event_trace();
+        let hb = HbGraph::build(&trace, pairing)?;
+        sigs.extend(event_race_keys(&detect_races(&trace, &hb), &trace));
     }
     Ok(sigs)
 }
@@ -115,6 +121,11 @@ pub fn truncate_ops_to_scp(ops: &OpTrace, trace: &TraceSet, report: &RaceReport)
 /// validated separately by [`check_theorem_4_2`]'s cross-execution
 /// signature check.
 ///
+/// On hardware obeying Condition 3.4, sequential consistency is
+/// preserved "at least until a data race actually occurs", so this
+/// prefix must always linearize. The races and *affects* are those of
+/// the unfolded event trace, whose event `(p, i)` is operation `(p, i)`.
+///
 /// # Errors
 ///
 /// Returns [`VerifyError::Analysis`] if the operation trace cannot be
@@ -124,16 +135,21 @@ pub fn check_scp_prefix(
     pairing: PairingPolicy,
     program: &Program,
 ) -> Result<bool, VerifyError> {
-    let analysis = OpAnalysis::analyze(ops, pairing)?;
-    let boundaries = analysis.race_free_boundaries();
+    let trace = ops.to_event_trace();
+    let hb = HbGraph::build(&trace, pairing)?;
+    let races = detect_races(&trace, &hb);
+    let aug = AugmentedGraph::build(&hb, &races);
+    let oracle = AffectsOracle::new(&aug, &races);
     let mut prefix = OpTrace::new(ops.num_procs());
-    for pi in 0..ops.num_procs() {
-        let proc = ProcId::new(pi as u16);
-        let boundary = boundaries.get(pi).copied().unwrap_or(0);
-        if let Some(proc_ops) = ops.proc_ops(proc) {
-            for op in proc_ops.iter().filter(|o| o.id.seq < boundary) {
-                prefix.push(proc, op.clone()).expect("same processor count");
-            }
+    for pt in trace.processors() {
+        // po carries *affects* forward, so the affected operations of a
+        // processor are a suffix.
+        let unaffected = |op: &&MemOp| {
+            let event = EventId::new(pt.proc, op.id.seq);
+            !(0..races.len()).any(|r| oracle.affects_event(r, event))
+        };
+        for op in ops.proc_ops(pt.proc).unwrap_or(&[]).iter().take_while(unaffected) {
+            prefix.push(pt.proc, op.clone()).expect("same processor count");
         }
     }
     Ok(is_sequentially_consistent(&prefix, &program.initial_memory()))

@@ -6,10 +6,11 @@
 //! *add* ordering between whole events when their constituent operations
 //! are already ordered, the two analyses must agree exactly on which
 //! (processor, location, access-kind) race signatures an execution
-//! exhibits. These tests enforce that equivalence on the catalog and on
-//! random programs.
+//! exhibits. The operation level is the same pipeline over the unfolded
+//! trace (one event per operation, `OpTrace::to_event_trace`). These
+//! tests enforce that equivalence on the catalog and on random programs.
 
-use wmrd_core::{event_race_keys, op_race_keys, ops::OpAnalysis, PairingPolicy, PostMortem};
+use wmrd_core::{detect_races, event_race_keys, HbGraph, PairingPolicy, PostMortem};
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RandomWeakSched, RunConfig};
 use wmrd_trace::{MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet};
@@ -37,11 +38,12 @@ fn traced_weak(program: &wmrd_sim::Program, model: MemoryModel, seed: u64) -> (T
 }
 
 fn signatures_agree(events: &TraceSet, ops: &OpTrace, context: &str) {
+    let unfolded = ops.to_event_trace();
     for policy in [PairingPolicy::ByRole, PairingPolicy::AllSync] {
         let report = PostMortem::new(events).pairing(policy).analyze().unwrap();
         let esigs = event_race_keys(&report.races, events);
-        let analysis = OpAnalysis::analyze(ops, policy).unwrap();
-        let osigs = op_race_keys(analysis.races(), ops);
+        let hb = HbGraph::build(&unfolded, policy).unwrap();
+        let osigs = event_race_keys(&detect_races(&unfolded, &hb), &unfolded);
         assert_eq!(
             esigs, osigs,
             "{context} ({policy}): event-level and operation-level race signatures differ"
@@ -100,19 +102,14 @@ fn event_analysis_never_invents_or_loses_racy_verdicts() {
         let program = generate::racy(&cfg);
         let (events, ops) = traced_sc(&program, 3);
         let report = PostMortem::new(&events).analyze().unwrap();
-        let analysis = OpAnalysis::analyze(&ops, PairingPolicy::ByRole).unwrap();
-        assert_eq!(
-            report.is_race_free(),
-            analysis.data_races().count() == 0,
-            "seed {seed}: verdicts diverge"
-        );
+        let per_op = PostMortem::new(&ops.to_event_trace()).analyze().unwrap();
+        assert_eq!(report.is_race_free(), per_op.is_race_free(), "seed {seed}: verdicts diverge");
     }
 }
 
 #[test]
 fn on_the_fly_matches_postmortem_verdict_with_unbounded_history() {
     use wmrd_core::{OnTheFly, OnTheFlyConfig};
-    use wmrd_trace::{OpClass, TraceSink};
     for seed in 0..10 {
         let cfg = generate::GenConfig {
             rogue_fraction: 0.5,
@@ -125,21 +122,7 @@ fn on_the_fly_matches_postmortem_verdict_with_unbounded_history() {
         let mut detector = OnTheFly::new(program.num_procs(), OnTheFlyConfig::default());
         // Replay in the recorded issue order — what the detector would
         // have observed live.
-        for op in ops.iter_issue_order() {
-            match op.class {
-                OpClass::Data => {
-                    detector.data_access(op.id.proc, op.loc, op.kind, op.value, op.observed_write)
-                }
-                OpClass::Sync(role) => detector.sync_access(
-                    op.id.proc,
-                    op.loc,
-                    op.kind,
-                    role,
-                    op.value,
-                    op.observed_write,
-                ),
-            };
-        }
+        ops.replay(&mut detector);
         let otf_races = detector.finish();
         // The on-the-fly detector's location-clock pairing is coarser
         // than exact so1 pairing, so it may *miss* races the post-mortem
@@ -153,119 +136,4 @@ fn on_the_fly_matches_postmortem_verdict_with_unbounded_history() {
             );
         }
     }
-}
-
-/// The unfolded event pipeline (`OpTrace::to_event_trace` through
-/// `HbGraph`, `detect_races`, `AugmentedGraph` and `AffectsOracle`)
-/// against `OpAnalysis`, under both pairing policies: the same race
-/// list in the same order, the same so1 count and the same race-free
-/// boundaries, on catalog SC samples, every catalog program on the
-/// three weak backends × WO/RCsc × conditioned/raw × 6 seeds, and 10
-/// generated racy programs.
-#[test]
-fn unfolded_pipeline_equals_op_analysis() {
-    use wmrd_core::{detect_races, AffectsOracle, AugmentedGraph, HbGraph, RaceKind};
-    use wmrd_sim::{run_weak_hw, HwImpl};
-    use wmrd_trace::{EventId, Location, OpId};
-
-    let mut traces: Vec<(String, OpTrace)> = Vec::new();
-    let mut failed_runs = 0;
-    for entry in catalog::all() {
-        let samples = wmrd_verify::sample_sc(&entry.program, 0..8, RunConfig::uniform()).unwrap();
-        for (i, exec) in samples.into_iter().enumerate() {
-            traces.push((format!("{} SC sample {i}", entry.name), exec.ops));
-        }
-        for hw in HwImpl::ALL {
-            for model in [MemoryModel::Wo, MemoryModel::RCsc] {
-                for fidelity in [Fidelity::Conditioned, Fidelity::Raw] {
-                    for seed in 0..6 {
-                        let mut rec = OpRecorder::new(entry.program.num_procs());
-                        let mut sched = RandomWeakSched::new(seed, 0.3);
-                        let config = RunConfig { max_steps: 50_000, ..RunConfig::uniform() };
-                        let run = run_weak_hw(
-                            hw,
-                            &entry.program,
-                            model,
-                            fidelity,
-                            &mut sched,
-                            &mut rec,
-                            config,
-                        );
-                        if run.is_err() {
-                            failed_runs += 1;
-                            continue;
-                        }
-                        let ctx = format!("{} {hw:?} {model} {fidelity:?} seed {seed}", entry.name);
-                        traces.push((ctx, rec.finish()));
-                    }
-                }
-            }
-        }
-    }
-    for seed in 0..10 {
-        let cfg = generate::GenConfig {
-            procs: 3,
-            shared_locations: 6,
-            sections_per_proc: 4,
-            ops_per_section: 5,
-            rogue_fraction: 0.5,
-            seed,
-        };
-        let (_, ops) = traced_sc(&generate::racy(&cfg), seed);
-        traces.push((format!("gen-racy seed {seed}"), ops));
-    }
-
-    let (mut executions, mut races, mut dangling) = (0, 0, 0);
-    for (ctx, ops) in &traces {
-        let unfolded = ops.to_event_trace();
-        for policy in [PairingPolicy::ByRole, PairingPolicy::AllSync] {
-            let (old, hb) =
-                match (OpAnalysis::analyze(ops, policy), HbGraph::build(&unfolded, policy)) {
-                    (Ok(old), Ok(hb)) => (old, hb),
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a.to_string(), b.to_string(), "{ctx} ({policy})");
-                        dangling += 1;
-                        continue;
-                    }
-                    (old, hb) => panic!("{ctx} ({policy}): {:?} vs {:?}", old.err(), hb.err()),
-                };
-            let new_races = detect_races(&unfolded, &hb);
-            let op = |e: EventId| OpId::new(e.proc, e.index);
-            let found: Vec<(OpId, OpId, Location, RaceKind)> = new_races
-                .iter()
-                .map(|r| {
-                    assert_eq!(r.locations.len(), 1, "{ctx}: one location per operation");
-                    (op(r.a), op(r.b), r.locations.iter().next().unwrap(), r.kind)
-                })
-                .collect();
-            let expected: Vec<_> = old.races().iter().map(|r| (r.a, r.b, r.loc, r.kind)).collect();
-            assert_eq!(found, expected, "{ctx} ({policy}): race lists");
-            assert_eq!(hb.so1().len(), old.so1_edge_count(), "{ctx} ({policy}): so1");
-
-            let aug = AugmentedGraph::build(&hb, &new_races);
-            let oracle = AffectsOracle::new(&aug, &new_races);
-            let boundaries: Vec<u32> = unfolded
-                .processors()
-                .iter()
-                .map(|pt| {
-                    let len = pt.len() as u32;
-                    (0..len)
-                        .find(|&i| {
-                            let event = EventId::new(pt.proc, i);
-                            (0..new_races.len()).any(|r| oracle.affects_event(r, event))
-                        })
-                        .unwrap_or(len)
-                })
-                .collect();
-            assert_eq!(boundaries, old.race_free_boundaries(), "{ctx} ({policy}): boundaries");
-            executions += 1;
-            races += expected.len();
-        }
-    }
-    eprintln!(
-        "unfolded == OpAnalysis: {} traces, {executions} (trace, policy) analyses, {races} races, \
-         {dangling} dangling, {failed_runs} weak runs hit the step limit",
-        traces.len()
-    );
-    assert!(executions > 1000 && races > 1000, "{executions} {races}");
 }
