@@ -627,11 +627,7 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
     let mut unique: BTreeSet<wmrd_core::RaceKey> = BTreeSet::new();
     metrics.time(metric_keys::CAPTURE_TOTAL, || -> Result<(), CliError> {
         let mut sink = match &opts.sink {
-            Some(to) => {
-                let endpoint = Endpoint::parse(to)?;
-                let client = Client::connect(&endpoint)?;
-                Some((endpoint, client))
-            }
+            Some(to) => Some(Client::connect(&Endpoint::parse(to)?)?),
             None => None,
         };
         for w in selected {
@@ -686,7 +682,7 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
                     std::fs::write(&path, &bytes).map_err(file_err(&path))?;
                     let _ = writeln!(out, "  wrote {path}");
                 }
-                if let Some((endpoint, client)) = sink.as_mut() {
+                if let Some(client) = sink.as_mut() {
                     // A WMRS run is one session: its opening and the
                     // FEEDs that completed races lead the summary.
                     let mut summary = String::new();
@@ -709,12 +705,6 @@ fn cmd_capture(opts: &CaptureOpts) -> Result<String, CliError> {
                     } else {
                         client.submit(&bytes)?
                     };
-                    if opts.wmrs && matches!(reply, Reply::Busy(_)) {
-                        // A CLOSE still BUSY after its retries leaves the
-                        // sealed session on this connection; the next run
-                        // opens its session on a fresh one.
-                        *client = Client::connect(endpoint)?;
-                    }
                     let delivery = match reply {
                         Reply::Ok(payload) => {
                             delivered += 1;

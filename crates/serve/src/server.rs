@@ -609,18 +609,24 @@ struct StreamSession {
 }
 
 /// Handles `STREAM`: acquires a session slot (or refuses with `BUSY`)
-/// and installs fresh decoder/detector state on this connection.
+/// and installs fresh decoder/detector state on this connection. A
+/// sealed session, whose `CLOSE` was refused `BUSY`, is dropped and its
+/// slot freed first: a new `STREAM` means the client gave up retrying.
 fn open_stream(
     shared: &Shared,
     session: &mut Option<StreamSession>,
     name: String,
     meta: StreamMeta,
 ) -> Reply {
-    if session.is_some() {
-        return Reply::Err {
-            code: ErrorCode::Proto,
-            message: "a stream session is already open on this connection".into(),
-        };
+    match session {
+        Some(s) if s.sealed.is_some() => discard_session(shared, session),
+        Some(_) => {
+            return Reply::Err {
+                code: ErrorCode::Proto,
+                message: "a stream session is already open on this connection".into(),
+            }
+        }
+        None => {}
     }
     let cap = shared.config.max_streams;
     let acquired = shared

@@ -688,3 +688,45 @@ fn stream_slots_are_bounded_and_reclaimed_on_disconnect() {
     assert_eq!(summary.stream_crosscheck_failures, 0, "{summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A session whose `CLOSE` was refused `BUSY` is sealed: it takes no
+/// more `FEED`s and waits for a retried `CLOSE`. A `STREAM` on the same
+/// connection drops it and opens the new session in its slot, so a
+/// client that stops retrying can carry on without reconnecting.
+#[test]
+fn stream_after_a_busy_close_replaces_the_sealed_session() {
+    let dir = scratch("sealed");
+    let config = ServeConfig { queue_cap: 0, max_streams: 1, ..ServeConfig::default() };
+    let (endpoint, join) = start(&dir, config);
+    let meta = StreamMeta::default();
+    let bytes = weak_stream_bytes(&catalog::fig1a().program, 3);
+
+    let mut client = Client::connect(&endpoint).unwrap();
+    assert!(matches!(client.stream_open("first", &meta).unwrap(), Reply::Ok(_)));
+    assert!(matches!(client.stream_feed(&bytes).unwrap(), Reply::Ok(_)));
+    match client.stream_close().unwrap() {
+        Reply::Busy(m) => assert!(m.contains("retry CLOSE"), "{m}"),
+        other => panic!("expected BUSY from a zero-capacity queue, got {other:?}"),
+    }
+    match client.stream_feed(&bytes).unwrap() {
+        Reply::Err { message, .. } => assert!(message.contains("sealed"), "{message}"),
+        other => panic!("a sealed session takes no FEED, got {other:?}"),
+    }
+
+    // The one slot passes from the sealed session to the new one.
+    match client.stream_open("second", &meta).unwrap() {
+        Reply::Ok(payload) => assert_eq!(payload, b"opened second\n"),
+        other => panic!("STREAM must replace a sealed session, got {other:?}"),
+    }
+    let mut other = Client::connect(&endpoint).unwrap();
+    assert!(matches!(other.stream_open("third", &meta).unwrap(), Reply::Busy(_)));
+    assert!(matches!(client.stream_feed(&bytes).unwrap(), Reply::Ok(_)));
+    assert_eq!(client.ping().unwrap().into_text().unwrap(), "pong\n");
+
+    drop(client);
+    drop(other);
+    let summary = drain(&endpoint, join);
+    assert_eq!(summary.stream_sessions, 2, "{summary}");
+    assert_eq!(summary.ingested, 0, "{summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
