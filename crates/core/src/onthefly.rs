@@ -29,8 +29,9 @@ use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value}
 
 use crate::{PairingPolicy, RaceKind, VectorClock};
 
-/// Configuration for the on-the-fly detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration for the on-the-fly detector. The default pairs by
+/// role and remembers every read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OnTheFlyConfig {
     /// Pairing policy (which sync operations transfer ordering).
     pub pairing: PairingPolicy,
@@ -38,15 +39,6 @@ pub struct OnTheFlyConfig {
     /// paper's accuracy-vs-space knob: with a bound, old reads are
     /// forgotten and write-read races against them go undetected.
     pub read_history_limit: Option<usize>,
-    /// Stop recording after this many races (`None` = unbounded); a
-    /// debugger typically only needs the first few.
-    pub max_races: Option<usize>,
-}
-
-impl Default for OnTheFlyConfig {
-    fn default() -> Self {
-        OnTheFlyConfig { pairing: PairingPolicy::ByRole, read_history_limit: None, max_races: None }
-    }
 }
 
 /// A race reported by the on-the-fly detector, at operation granularity.
@@ -198,11 +190,6 @@ impl OnTheFly {
     }
 
     fn report(&mut self, earlier: AccessRecord, later: OpId, loc: Location, later_sync: bool) {
-        if let Some(max) = self.config.max_races {
-            if self.races.len() >= max {
-                return;
-            }
-        }
         let kind = match (earlier.sync, later_sync) {
             (false, false) => RaceKind::DataData,
             // Two synchronization operations never form a *data* race
@@ -453,16 +440,6 @@ mod tests {
         d.data_access(p(3), l(0), AccessKind::Write, Value::new(1), None);
         assert_eq!(d.races().len(), 3);
         assert_eq!(d.dropped_reads(), 0);
-    }
-
-    #[test]
-    fn max_races_caps_reporting() {
-        let config = OnTheFlyConfig { max_races: Some(1), ..OnTheFlyConfig::default() };
-        let mut d = OnTheFly::new(3, config);
-        d.data_access(p(0), l(0), AccessKind::Write, Value::new(1), None);
-        d.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
-        d.data_access(p(2), l(0), AccessKind::Read, Value::ZERO, None);
-        assert_eq!(d.finish().len(), 1);
     }
 
     #[test]
