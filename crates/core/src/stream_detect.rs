@@ -346,9 +346,10 @@ impl TraceSink for StreamDetector {
         if kind == AccessKind::Read {
             // Exact so1: join only the snapshot of the release this read
             // *observed* — before the race check, so the pair itself is
-            // ordered, not racing. An unresolved reference (`None`, or a
-            // release the stream never delivered) transfers nothing,
-            // matching `so1_edges` post-mortem.
+            // ordered, not racing. An unresolved reference transfers
+            // nothing. For `None` that matches `so1_edges` post-mortem;
+            // a release the stream never delivered is one post-mortem
+            // rejects (`DanglingRelease`), where the stream carries on.
             if let Some(rel) = observed_release {
                 if let Some((rel_role, snapshot)) = self.release_clocks.get(&rel) {
                     let transfers = match self.pairing {
