@@ -34,8 +34,8 @@ impl OpTrace {
     }
 
     /// The global order in which operations were pushed (for a recorded
-    /// execution: the issue order). Useful for faithfully replaying an
-    /// execution into another consumer, e.g. the on-the-fly detector.
+    /// execution: the issue order), the order [`replay`](Self::replay)
+    /// feeds them in.
     pub fn issue_order(&self) -> &[OpId] {
         &self.issue_order
     }
@@ -86,11 +86,10 @@ impl OpTrace {
                         true => (LocSet::new(), access),
                         false => (access, LocSet::new()),
                     };
-                    let first_op = op.id;
                     proc.push(EventKind::Computation(ComputationEvent {
                         reads,
                         writes,
-                        first_op,
+                        first_op: op.id,
                         op_count: 1,
                     }));
                 }
