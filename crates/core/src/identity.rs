@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use wmrd_trace::{AccessKind, Location, ProcId, TraceSet};
+use wmrd_trace::{AccessKind, Event, Location, ProcId, TraceSet};
 
 use crate::DataRace;
 
@@ -63,43 +63,40 @@ impl RaceKey {
 pub fn event_race_keys(races: &[DataRace], trace: &TraceSet) -> BTreeSet<RaceKey> {
     let mut out = BTreeSet::new();
     for race in races {
-        let (Some(ea), Some(eb)) = (trace.event(race.a), trace.event(race.b)) else {
-            continue;
-        };
-        for loc in &race.locations {
-            // An event may both read and write the location; it then
-            // stands for one lower-level race per access-kind combination
-            // (Section 4.1: a higher-level race "may represent many
-            // lower-level data races").
-            let mut kinds_a = Vec::new();
-            if ea.read_set().contains(loc) {
-                kinds_a.push(AccessKind::Read);
-            }
-            if ea.write_set().contains(loc) {
-                kinds_a.push(AccessKind::Write);
-            }
-            let mut kinds_b = Vec::new();
-            if eb.read_set().contains(loc) {
-                kinds_b.push(AccessKind::Read);
-            }
-            if eb.write_set().contains(loc) {
-                kinds_b.push(AccessKind::Write);
-            }
-            for &ka in &kinds_a {
-                for &kb in &kinds_b {
-                    if ka == AccessKind::Read && kb == AccessKind::Read {
-                        continue; // read-read pairs do not conflict
-                    }
-                    out.insert(RaceKey::new(
-                        loc,
-                        SideKey { proc: race.a.proc, kind: ka, sync: ea.is_sync() },
-                        SideKey { proc: race.b.proc, kind: kb, sync: eb.is_sync() },
-                    ));
+        extend_event_race_keys(&mut out, race, trace);
+    }
+    out
+}
+
+/// Extends `out` with one event-level race's keys, one per conflict
+/// location and conflicting access-kind pair.
+pub fn extend_event_race_keys(out: &mut impl Extend<RaceKey>, race: &DataRace, trace: &TraceSet) {
+    let (Some(ea), Some(eb)) = (trace.event(race.a), trace.event(race.b)) else {
+        return;
+    };
+    let kinds = |event: &Event, loc: Location| {
+        [(AccessKind::Read, event.reads_loc(loc)), (AccessKind::Write, event.writes_loc(loc))]
+            .into_iter()
+            .filter_map(|(kind, present)| present.then_some(kind))
+    };
+    for loc in &race.locations {
+        // An event may both read and write the location; it then
+        // stands for one lower-level race per access-kind combination
+        // (Section 4.1: a higher-level race "may represent many
+        // lower-level data races").
+        for ka in kinds(ea, loc) {
+            for kb in kinds(eb, loc) {
+                if ka == AccessKind::Read && kb == AccessKind::Read {
+                    continue; // read-read pairs do not conflict
                 }
+                out.extend([RaceKey::new(
+                    loc,
+                    SideKey { proc: race.a.proc, kind: ka, sync: ea.is_sync() },
+                    SideKey { proc: race.b.proc, kind: kb, sync: eb.is_sync() },
+                )]);
             }
         }
     }
-    out
 }
 
 /// A single event-level race's keys (helper for per-partition checks).

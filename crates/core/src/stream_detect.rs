@@ -85,11 +85,12 @@ struct ClassRecord {
 type ClassSlots = [Option<ClassRecord>; CLASSES];
 
 /// Per-location state: exclusive (one processor so far, fixed size) or
-/// shared (promoted on the first cross-processor access).
+/// shared (promoted on the first cross-processor access; one entry per
+/// processor, sorted, so race witnesses are found in processor order).
 #[derive(Debug)]
 enum LocState {
     Exclusive { owner: ProcId, classes: ClassSlots },
-    Shared { procs: HashMap<ProcId, ClassSlots> },
+    Shared { procs: Vec<(ProcId, ClassSlots)> },
 }
 
 /// A resumable, epoch-compressed race detector for streaming sessions.
@@ -204,7 +205,7 @@ impl StreamDetector {
             .map(|s| match s {
                 LocState::Exclusive { .. } => 16 + std::mem::size_of::<ClassSlots>(),
                 LocState::Shared { procs } => {
-                    16 + procs.len() * (8 + std::mem::size_of::<ClassSlots>())
+                    16 + procs.len() * std::mem::size_of::<(ProcId, ClassSlots)>()
                 }
             })
             .sum();
@@ -263,8 +264,7 @@ impl StreamDetector {
                 return;
             }
             // First cross-processor access: promote to the shared table.
-            let mut procs = HashMap::new();
-            procs.insert(*owner, std::mem::take(classes));
+            let procs = vec![(*owner, std::mem::take(classes))];
             *state = LocState::Shared { procs };
             self.promotions += 1;
         }
@@ -276,7 +276,7 @@ impl StreamDetector {
         };
         let clock = &self.clocks[proc.index()];
         let mut hits: Vec<(ClassRecord, AccessKind, bool)> = Vec::new();
-        for (&other, slots) in procs.iter() {
+        for &(other, ref slots) in procs.iter() {
             if other == proc {
                 continue;
             }
@@ -311,7 +311,14 @@ impl StreamDetector {
                 });
             }
         }
-        procs.entry(proc).or_default()[cls] = Some(rec);
+        let at = match procs.binary_search_by_key(&proc, |&(p, _)| p) {
+            Ok(at) => at,
+            Err(at) => {
+                procs.insert(at, (proc, ClassSlots::default()));
+                at
+            }
+        };
+        procs[at].1[cls] = Some(rec);
     }
 }
 
@@ -357,8 +364,7 @@ impl TraceSink for StreamDetector {
                         PairingPolicy::AllSync => true,
                     };
                     if transfers {
-                        let snapshot = snapshot.clone();
-                        self.clocks[proc.index()].join(&snapshot);
+                        self.clocks[proc.index()].join(snapshot);
                     }
                 }
             }
@@ -409,6 +415,20 @@ mod tests {
         assert_eq!(races[0].kind, RaceKind::DataData);
         assert_eq!(races[0].earlier, OpId::new(p(0), 0));
         assert_eq!(races[0].later, OpId::new(p(1), 0));
+    }
+
+    /// One access racing with several processors reports its witnesses
+    /// in processor order, whatever order those processors arrived in.
+    #[test]
+    fn witnesses_come_in_processor_order() {
+        let mut d = StreamDetector::new(4, PairingPolicy::ByRole);
+        for proc in [3, 0, 2] {
+            d.data_access(p(proc), l(0), AccessKind::Write, Value::new(1), None);
+        }
+        d.take_races();
+        d.data_access(p(1), l(0), AccessKind::Read, Value::ZERO, None);
+        let earlier: Vec<usize> = d.take_races().iter().map(|r| r.earlier.proc.index()).collect();
+        assert_eq!(earlier, [0, 2, 3]);
     }
 
     #[test]

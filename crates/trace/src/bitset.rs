@@ -151,6 +151,18 @@ impl LocSet {
         Iter { set: self, word: 0, bits: self.words.first().copied().unwrap_or(0) }
     }
 
+    /// `(w1 ∩ (r2 ∪ w2)) ∪ (w2 ∩ r1)`: the locations on which two
+    /// READ/WRITE set pairs conflict, built in one allocation.
+    pub(crate) fn conflict(r1: &LocSet, w1: &LocSet, r2: &LocSet, w2: &LocSet) -> LocSet {
+        let word = |s: &LocSet, i: usize| s.words.get(i).copied().unwrap_or(0);
+        let words = (0..w1.words.len().max(w2.words.len()))
+            .map(|i| word(w1, i) & (word(r2, i) | word(w2, i)) | word(w2, i) & word(r1, i))
+            .collect();
+        let mut s = LocSet { words };
+        s.shrink();
+        s
+    }
+
     fn shrink(&mut self) {
         while self.words.last() == Some(&0) {
             self.words.pop();

@@ -162,24 +162,62 @@ impl Event {
         }
     }
 
+    /// `true` iff this event reads `loc` — [`read_set`](Self::read_set)
+    /// membership without building the set.
+    pub fn reads_loc(&self, loc: Location) -> bool {
+        match &self.kind {
+            EventKind::Sync(s) => s.kind.is_read() && s.loc == loc,
+            EventKind::Computation(c) => c.reads.contains(loc),
+        }
+    }
+
+    /// `true` iff this event writes `loc` — [`write_set`](Self::write_set)
+    /// membership without building the set.
+    pub fn writes_loc(&self, loc: Location) -> bool {
+        match &self.kind {
+            EventKind::Sync(s) => s.kind.is_write() && s.loc == loc,
+            EventKind::Computation(c) => c.writes.contains(loc),
+        }
+    }
+
     /// `true` iff the two events *conflict*: some location is written by
     /// one and accessed by the other (Section 4.1's lift of the
     /// operation-level conflict definition to events).
     pub fn conflicts_with(&self, other: &Event) -> bool {
-        let (r1, w1) = (self.read_set(), self.write_set());
-        let (r2, w2) = (other.read_set(), other.write_set());
-        w1.intersects(&r2) || w1.intersects(&w2) || w2.intersects(&r1)
+        match (&self.kind, &other.kind) {
+            (EventKind::Sync(s), _) => sync_conflicts(s, other),
+            (_, EventKind::Sync(s)) => sync_conflicts(s, self),
+            (EventKind::Computation(a), EventKind::Computation(b)) => {
+                a.writes.intersects(&b.reads)
+                    || a.writes.intersects(&b.writes)
+                    || b.writes.intersects(&a.reads)
+            }
+        }
     }
 
     /// The locations on which the two events conflict.
     pub fn conflict_locations(&self, other: &Event) -> LocSet {
-        let (r1, w1) = (self.read_set(), self.write_set());
-        let (r2, w2) = (other.read_set(), other.write_set());
-        let mut out = w1.intersection(&r2);
-        out.union_with(&w1.intersection(&w2));
-        out.union_with(&w2.intersection(&r1));
-        out
+        let single = |s: &SyncEvent, other: &Event| {
+            let mut out = LocSet::new();
+            if sync_conflicts(s, other) {
+                out.insert(s.loc);
+            }
+            out
+        };
+        match (&self.kind, &other.kind) {
+            (EventKind::Sync(s), _) => single(s, other),
+            (_, EventKind::Sync(s)) => single(s, self),
+            (EventKind::Computation(a), EventKind::Computation(b)) => {
+                LocSet::conflict(&a.reads, &a.writes, &b.reads, &b.writes)
+            }
+        }
     }
+}
+
+/// `true` iff the sync access `s` conflicts with `other`: a sync access
+/// touches one location, so the test is two membership checks.
+fn sync_conflicts(s: &SyncEvent, other: &Event) -> bool {
+    other.writes_loc(s.loc) || (s.kind.is_write() && other.reads_loc(s.loc))
 }
 
 impl fmt::Display for Event {
@@ -282,6 +320,38 @@ mod tests {
         let rel = sync(0, 0, 4, AccessKind::Write, SyncRole::Release);
         let data = comp(1, 0, &[4], &[]);
         assert!(rel.conflicts_with(&data));
+    }
+
+    /// The borrowing predicates agree with the cloned READ/WRITE sets,
+    /// and the conflict locations equal the set-algebra definition
+    /// word for word (no trailing zero words), across sync and
+    /// computation events whose sets span different word counts.
+    #[test]
+    fn borrowed_predicates_match_the_sets() {
+        let events = [
+            comp(0, 0, &[1, 70], &[2]),
+            comp(1, 0, &[2, 200], &[70, 1]),
+            comp(1, 1, &[], &[]),
+            sync(0, 1, 2, AccessKind::Write, SyncRole::Release),
+            sync(1, 2, 70, AccessKind::Read, SyncRole::Acquire),
+            sync(1, 3, 2, AccessKind::Read, SyncRole::None),
+        ];
+        for a in &events {
+            for addr in 0..256 {
+                let loc = Location::new(addr);
+                assert_eq!(a.reads_loc(loc), a.read_set().contains(loc), "{a} reads {addr}");
+                assert_eq!(a.writes_loc(loc), a.write_set().contains(loc), "{a} writes {addr}");
+            }
+            for b in &events {
+                let (r1, w1) = (a.read_set(), a.write_set());
+                let (r2, w2) = (b.read_set(), b.write_set());
+                let mut expected = w1.intersection(&r2);
+                expected.union_with(&w1.intersection(&w2));
+                expected.union_with(&w2.intersection(&r1));
+                assert_eq!(a.conflict_locations(b), expected, "{a} x {b}");
+                assert_eq!(a.conflicts_with(b), !expected.is_empty(), "{a} x {b}");
+            }
+        }
     }
 
     #[test]
