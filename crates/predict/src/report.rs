@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use wmrd_core::{detect_races_in, event_race_keys, PairingPolicy, RaceKey, SideKey};
+use wmrd_core::{detect_races_in, extend_event_race_keys, PairingPolicy, RaceKey, SideKey};
 use wmrd_trace::{metric_keys, Metrics, TraceSet};
 
 use crate::order::{PredictGraph, PredictOrder};
@@ -150,8 +150,7 @@ pub fn predict(
     order: PredictOrder,
 ) -> Result<PredictReport, wmrd_core::AnalysisError> {
     let graph = PredictGraph::build(trace, policy, order)?;
-    let (mut races, detect) = detect_races_in(trace, graph.predictive());
-    let keys = event_race_keys(&races, trace);
+    let (races, detect) = detect_races_in(trace, graph.predictive());
     let stats = PredictStats {
         events: graph.num_events(),
         sections: graph.sections().len(),
@@ -162,8 +161,17 @@ pub fn predict(
     };
     // Every predictive edge lies inside hb1, so the hb1 races are
     // exactly the predicted ones hb1 leaves unordered.
-    races.retain(|r| graph.hb1().concurrent(r.a, r.b));
-    let observed = event_race_keys(&races, trace);
+    let mut keys = BTreeSet::new();
+    let mut observed = BTreeSet::new();
+    let mut race_keys = Vec::new();
+    for race in &races {
+        race_keys.clear();
+        extend_event_race_keys(&mut race_keys, race, trace);
+        keys.extend(race_keys.iter().copied());
+        if graph.hb1().concurrent(race.a, race.b) {
+            observed.extend(race_keys.iter().copied());
+        }
+    }
     Ok(PredictReport {
         program: program.to_string(),
         order,

@@ -98,13 +98,11 @@ pub fn critical_sections(trace: &TraceSet) -> Vec<CriticalSection> {
             // accesses inside the span (a `Test&Set`'s write of the lock
             // word, a nested lock's acquire/release) can never be the
             // conflicting pair the WCP rule is probing for.
-            if !open.is_empty() && event.as_sync().is_none() {
-                let reads = event.read_set();
-                let writes = event.write_set();
+            if let Some(c) = event.as_computation() {
                 for &idx in &open {
                     let section: &mut CriticalSection = &mut out[idx];
-                    section.reads.union_with(&reads);
-                    section.writes.union_with(&writes);
+                    section.reads.union_with(&c.reads);
+                    section.writes.union_with(&c.writes);
                 }
             }
             if let Some(lock) = is_acquire_read(event) {

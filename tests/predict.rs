@@ -29,15 +29,17 @@
 //! hides the race from hb1, which is exactly the situation the WCP
 //! goldens pin.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
 use wmrd_cli::{run_cli, CliError};
-use wmrd_core::{event_race_keys, PairingPolicy, PostMortem, RaceKey};
+use wmrd_core::{event_race_keys, HbGraph, PairingPolicy, PostMortem, RaceKey, So1Edge};
 use wmrd_explore::{run_campaign, CampaignSpec};
-use wmrd_predict::{predict, PredictGraph, PredictOrder};
+use wmrd_predict::{critical_sections, predict, CriticalSection, PredictGraph, PredictOrder};
 use wmrd_progs::catalog;
-use wmrd_trace::{Metrics, ToJson, TraceSet};
+use wmrd_progs::generate::{racy, GenConfig};
+use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig};
+use wmrd_trace::{EventId, Metrics, ToJson, TraceBuilder, TraceSet};
 
 fn data_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/predict"))
@@ -172,6 +174,109 @@ fn predictive_order_lies_inside_hb1_on_committed_traces() {
     }
 }
 
+/// The all-pairs form of the chain-wide release rule, the oracle for
+/// the closure `PredictGraph::build` must reproduce: every so1 edge
+/// between conflicting sections is kept, as is every edge with a bare
+/// endpoint, and every release gets one edge to each hb1-later,
+/// conflicting section on its lock — S² `ordered` queries and up to S²
+/// edges. `None` when nothing was dropped (the order is hb1 itself).
+fn all_pairs_order(trace: &TraceSet) -> Option<HbGraph> {
+    let hb1 = HbGraph::build(trace, PairingPolicy::ByRole).unwrap();
+    let sections = critical_sections(trace);
+    let by_release: HashMap<EventId, &CriticalSection> =
+        sections.iter().filter_map(|s| Some((s.release?, s))).collect();
+    let by_acquire: HashMap<EventId, &CriticalSection> =
+        sections.iter().map(|s| (s.acquire, s)).collect();
+    let (mut edges, dropped): (Vec<So1Edge>, Vec<So1Edge>) = hb1.so1().iter().partition(|edge| {
+        match (by_release.get(&edge.release), by_acquire.get(&edge.acquire)) {
+            (Some(src), Some(dst)) => src.conflicts_with(dst),
+            _ => true,
+        }
+    });
+    if dropped.is_empty() {
+        return None;
+    }
+    for (i, s1) in sections.iter().enumerate() {
+        let Some(r1) = s1.release else { continue };
+        for (j, s2) in sections.iter().enumerate() {
+            if i != j && s1.lock == s2.lock && s1.conflicts_with(s2) && hb1.ordered(r1, s2.acquire)
+            {
+                edges.push(So1Edge { release: r1, acquire: s2.acquire, loc: s1.lock });
+            }
+        }
+    }
+    Some(hb1.with_edges(edges).unwrap())
+}
+
+/// Runs a generated racy lock program on the store-buffer machine (the
+/// generator and machine of the benchmark's `analyze-large`).
+fn racy_store_buffer_trace(config: &GenConfig) -> TraceSet {
+    let program = racy(config);
+    let mut builder = TraceBuilder::new(program.num_procs());
+    let mut sched = RandomWeakSched::new(config.seed, 0.3);
+    run_weak_hw(
+        HwImpl::StoreBuffer,
+        &program,
+        MemoryModel::Wo,
+        Fidelity::Conditioned,
+        &mut sched,
+        &mut builder,
+        RunConfig::default(),
+    )
+    .unwrap();
+    builder.finish()
+}
+
+/// The WCP order, built with at most one chain-wide edge per release
+/// and processor, orders exactly the event pairs the all-pairs rule
+/// orders: on every committed trace and on seeded generated racy
+/// traces whose lock chains pass through commuting sections.
+#[test]
+fn wcp_order_matches_the_all_pairs_release_rule() {
+    let mut traces: Vec<(String, TraceSet)> = catalog::all()
+        .iter()
+        .map(|entry| (entry.name.to_string(), committed_trace(entry.name)))
+        .collect();
+    // Dense footprints put the first conflict at the head of a suffix;
+    // sparse ones leave long runs of commuting sections before it.
+    for (shared_locations, ops_per_section) in [(6, 3), (16, 2)] {
+        for seed in 0..6 {
+            let config = GenConfig {
+                procs: 4,
+                shared_locations,
+                sections_per_proc: 12,
+                ops_per_section,
+                rogue_fraction: 0.3,
+                seed,
+            };
+            let name = format!("racy {shared_locations}/{ops_per_section} seed {seed}");
+            traces.push((name, racy_store_buffer_trace(&config)));
+        }
+    }
+    let mut weakened = 0;
+    for (name, trace) in &traces {
+        let graph = PredictGraph::build(trace, PairingPolicy::ByRole, PredictOrder::Wcp).unwrap();
+        let oracle = all_pairs_order(trace);
+        assert_eq!(oracle.is_some(), !graph.dropped_edges().is_empty(), "{name}");
+        let oracle = oracle.as_ref().unwrap_or(graph.hb1());
+        weakened += usize::from(!graph.dropped_edges().is_empty());
+        for a in trace.events() {
+            for b in trace.events() {
+                assert_eq!(
+                    graph.ordered(a.id, b.id),
+                    oracle.ordered(a.id, b.id),
+                    "{name}: {} before {}",
+                    a.id,
+                    b.id
+                );
+            }
+        }
+        let bound = graph.kept_edges().len() + graph.sections().len() * trace.num_procs();
+        assert!(graph.predictive().so1().len() <= bound, "{name}");
+    }
+    assert!(weakened >= 14, "only {weakened} traces dropped an edge");
+}
+
 /// The soundness gate, enforced against real executions: every identity
 /// the WCP order predicts from one committed trace must be observed by
 /// some seed of a real 64-seed explore campaign over the same program.
@@ -261,9 +366,6 @@ fn cli_predicts_from_committed_trace_files() {
 #[test]
 fn postmortem_and_prediction_scale_past_1e5_events() {
     use std::time::{Duration, Instant};
-    use wmrd_progs::generate::{racy, GenConfig};
-    use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig};
-    use wmrd_trace::TraceBuilder;
 
     let config = GenConfig {
         procs: 4,
@@ -273,21 +375,7 @@ fn postmortem_and_prediction_scale_past_1e5_events() {
         rogue_fraction: 0.3,
         seed: 1,
     };
-    let program = racy(&config);
-    let mut builder = TraceBuilder::new(program.num_procs());
-    let mut sched = RandomWeakSched::new(1, 0.3);
-    let (model, fidelity) = (MemoryModel::Wo, Fidelity::Conditioned);
-    run_weak_hw(
-        HwImpl::StoreBuffer,
-        &program,
-        model,
-        fidelity,
-        &mut sched,
-        &mut builder,
-        RunConfig::default(),
-    )
-    .unwrap();
-    let trace = builder.finish();
+    let trace = racy_store_buffer_trace(&config);
     assert!(trace.num_events() >= 90_000, "{} events", trace.num_events());
 
     let start = Instant::now();
@@ -299,4 +387,10 @@ fn postmortem_and_prediction_scale_past_1e5_events() {
     assert!(!report.is_race_free(), "rogue sections race");
     assert!(event_race_keys(&report.races, &trace).is_subset(&predicted.keys));
     assert!(took < Duration::from_secs(120), "analyze + predict took {took:?}");
+
+    // The chain-wide release rule adds at most one edge per release and
+    // processor on top of the kept so1 edges.
+    let graph = PredictGraph::build(&trace, PairingPolicy::ByRole, PredictOrder::Wcp).unwrap();
+    let bound = graph.kept_edges().len() + graph.sections().len() * trace.num_procs();
+    assert!(graph.predictive().so1().len() <= bound, "{} edges", graph.predictive().so1().len());
 }
