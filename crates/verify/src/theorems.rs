@@ -20,9 +20,7 @@ use wmrd_core::{
     PostMortem, RaceKey, RaceReport,
 };
 use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig};
-use wmrd_trace::{
-    EventId, EventKind, MemOp, MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet,
-};
+use wmrd_trace::{EventId, MemOp, MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet};
 
 use crate::{is_sequentially_consistent, ScExecution, VerifyError};
 
@@ -84,33 +82,6 @@ pub fn check_theorem_4_2(
         }
     }
     Theorem42Outcome { partitions_checked: checked, partitions_confirmed: confirmed }
-}
-
-/// Truncates an operation trace to the SCP estimate of its event-level
-/// report: for each processor, operations strictly before the first
-/// event outside the SCP are kept.
-pub fn truncate_ops_to_scp(ops: &OpTrace, trace: &TraceSet, report: &RaceReport) -> OpTrace {
-    let mut out = OpTrace::new(ops.num_procs());
-    for pi in 0..ops.num_procs() {
-        let proc = ProcId::new(pi as u16);
-        let boundary_event = report.scp.boundary(proc).unwrap_or(0);
-        let events = trace.processor(proc).map(|p| p.events()).unwrap_or(&[]);
-        // The op index where the first out-of-SCP event begins.
-        let op_boundary = if (boundary_event as usize) < events.len() {
-            match &events[boundary_event as usize].kind {
-                EventKind::Sync(s) => s.op.seq,
-                EventKind::Computation(c) => c.first_op.seq,
-            }
-        } else {
-            u32::MAX
-        };
-        if let Some(proc_ops) = ops.proc_ops(proc) {
-            for op in proc_ops.iter().filter(|o| o.id.seq < op_boundary) {
-                out.push(proc, op.clone()).expect("same processor count");
-            }
-        }
-    }
-    out
 }
 
 /// Checks the linearizable core of Definition 3.2 / Condition 3.4 on a
@@ -349,36 +320,5 @@ mod tests {
             saw_violation,
             "raw hardware should produce a race-free-but-non-SC execution for some seed"
         );
-    }
-
-    #[test]
-    fn truncation_respects_boundaries() {
-        use wmrd_trace::{AccessKind, Location, SyncRole, TraceSink, Value};
-        // Build matching event/op traces with a race then more work.
-        let mut events = TraceBuilder::new(2);
-        let mut ops = OpRecorder::new(2);
-        let feed = |s: &mut dyn TraceSink| {
-            s.data_access(ProcId::new(0), Location::new(0), AccessKind::Write, Value::new(1), None);
-            s.data_access(ProcId::new(1), Location::new(0), AccessKind::Read, Value::ZERO, None);
-            s.sync_access(
-                ProcId::new(0),
-                Location::new(8),
-                AccessKind::Write,
-                SyncRole::Release,
-                Value::ZERO,
-                None,
-            );
-            s.data_access(ProcId::new(0), Location::new(1), AccessKind::Write, Value::new(2), None);
-        };
-        feed(&mut events);
-        feed(&mut ops);
-        let trace = events.finish();
-        let optrace = ops.finish();
-        let report = PostMortem::new(&trace).analyze().unwrap();
-        assert!(!report.scp.covers_everything());
-        let prefix = truncate_ops_to_scp(&optrace, &trace, &report);
-        // P0 keeps only its first op (the racy write); P1 keeps its read.
-        assert_eq!(prefix.proc_ops(ProcId::new(0)).unwrap().len(), 1);
-        assert_eq!(prefix.proc_ops(ProcId::new(1)).unwrap().len(), 1);
     }
 }
