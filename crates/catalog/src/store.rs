@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use wmrd_core::{event_race_keys, one_event_race_keys, RaceKey, RaceReport, SideKey};
+use wmrd_core::{event_race_keys, extend_event_race_keys, RaceKey, RaceReport, SideKey};
 use wmrd_trace::{
     metric_keys, AccessKind, Json, Location, Metrics, ProcId, ToJson, TraceDigest, TraceSet,
 };
@@ -307,7 +307,7 @@ impl Catalog {
         let mut first = BTreeSet::new();
         for part in report.partitions.first_partitions() {
             for &ri in &part.races {
-                first.extend(one_event_race_keys(&report.races[ri], trace));
+                extend_event_race_keys(&mut first, &report.races[ri], trace);
             }
         }
         JournalRecord {

@@ -99,11 +99,6 @@ pub fn extend_event_race_keys(out: &mut impl Extend<RaceKey>, race: &DataRace, t
     }
 }
 
-/// A single event-level race's keys (helper for per-partition checks).
-pub fn one_event_race_keys(race: &DataRace, trace: &TraceSet) -> BTreeSet<RaceKey> {
-    event_race_keys(std::slice::from_ref(race), trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +246,9 @@ mod tests {
         let t = b.finish();
         let hb = HbGraph::build(&t, PairingPolicy::ByRole).unwrap();
         let races = detect_races(&t, &hb);
-        assert_eq!(one_event_race_keys(&races[0], &t).len(), 1);
+        let mut keys = BTreeSet::new();
+        extend_event_race_keys(&mut keys, &races[0], &t);
+        assert_eq!(keys.len(), 1);
     }
 
     #[test]

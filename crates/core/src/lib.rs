@@ -89,9 +89,7 @@ pub use affects::AffectsOracle;
 pub use augmented::AugmentedGraph;
 pub use error::AnalysisError;
 pub use hb::HbGraph;
-pub use identity::{
-    event_race_keys, extend_event_race_keys, one_event_race_keys, RaceKey, SideKey,
-};
+pub use identity::{event_race_keys, extend_event_race_keys, RaceKey, SideKey};
 pub use onthefly::{OnTheFly, OnTheFlyConfig, OnTheFlyRace};
 pub use pairing::{so1_edges, PairingPolicy, So1Edge};
 pub use partition::{partition_races, PartitionSet, RacePartition};

@@ -7,6 +7,7 @@
 //! each synchronization read observed, so pairing is a lookup, not a
 //! heuristic.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use wmrd_trace::{AccessKind, EventId, Location, OpId, SyncRole, TraceSet};
@@ -58,29 +59,15 @@ pub struct So1Edge {
 /// claims to have observed a write that is not a recorded synchronization
 /// write — a corrupt trace.
 pub fn so1_edges(trace: &TraceSet, policy: PairingPolicy) -> Result<Vec<So1Edge>, AnalysisError> {
-    // Index sync writes by operation id: per issuing processor, sorted
-    // by sequence number and then event, so a duplicated id finds the
-    // last write recorded under it.
-    let mut sync_writes: Vec<Vec<(u32, EventId, SyncRole, Location)>> = Vec::new();
+    // Index sync writes by operation id.
+    let mut sync_writes: HashMap<OpId, (EventId, SyncRole, Location)> = HashMap::new();
     for event in trace.events() {
         if let Some(s) = event.as_sync() {
             if s.kind == AccessKind::Write {
-                let p = s.op.proc.index();
-                if p >= sync_writes.len() {
-                    sync_writes.resize_with(p + 1, Vec::new);
-                }
-                sync_writes[p].push((s.op.seq, event.id, s.role, s.loc));
+                sync_writes.insert(s.op, (event.id, s.role, s.loc));
             }
         }
     }
-    for writes in &mut sync_writes {
-        writes.sort_unstable_by_key(|&(seq, event, ..)| (seq, event));
-    }
-    let sync_write = |op: OpId| {
-        let writes = sync_writes.get(op.proc.index())?;
-        let (seq, event, role, loc) = writes[..writes.partition_point(|w| w.0 <= op.seq)].last()?;
-        (*seq == op.seq).then_some((*event, *role, *loc))
-    };
     let mut edges = Vec::new();
     for event in trace.events() {
         let Some(s) = event.as_sync() else { continue };
@@ -88,7 +75,8 @@ pub fn so1_edges(trace: &TraceSet, policy: PairingPolicy) -> Result<Vec<So1Edge>
             continue;
         }
         let Some(rel_op) = s.observed_release else { continue };
-        let (rel_event, rel_role, rel_loc) = sync_write(rel_op)
+        let &(rel_event, rel_role, rel_loc) = sync_writes
+            .get(&rel_op)
             .ok_or(AnalysisError::DanglingRelease { reader: event.id, release: rel_op })?;
         if rel_loc != s.loc {
             return Err(AnalysisError::Internal(format!(

@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use wmrd_core::{event_race_keys, one_event_race_keys, PostMortem, RaceKey, StreamDetector};
+use wmrd_core::{event_race_keys, extend_event_race_keys, PostMortem, RaceKey, StreamDetector};
 use wmrd_sim::{
     run_weak_hw, CampaignRunner, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig, SimError,
 };
@@ -260,7 +260,7 @@ fn run_point(
         let mut profile = BTreeSet::new();
         for part in report.partitions.first_partitions() {
             for &ri in &part.races {
-                profile.extend(one_event_race_keys(&report.races[ri], &trace));
+                extend_event_race_keys(&mut profile, &report.races[ri], &trace);
             }
         }
         (!report.is_race_free(), keys, profile.into_iter().collect(), true)

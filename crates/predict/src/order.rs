@@ -254,7 +254,9 @@ struct GroupIndex {
 }
 
 /// Members a query tests one by one before it consults the group's
-/// index. The first candidate section usually conflicts already.
+/// index. On `analyze-large`-sized spin-lock traces these tests settle
+/// all but about 0.3% of queries, so most groups never build an index;
+/// an eager, index-only query made `predict` about 12% slower there.
 const SCAN: u32 = 4;
 
 impl LockGroups {
