@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use wmrd_progs::catalog;
 use wmrd_sim::{
-    run_sc, run_weak, Fidelity, MemoryModel, Program, RandomSched, RandomWeakSched, RunConfig,
+    run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig,
     RunOutcome, WeakRoundRobin, WeakScript,
 };
 use wmrd_trace::{Metrics, MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet};
@@ -283,8 +283,9 @@ fn finish(
 /// the uniform one.
 fn sc_run(program: &Program, seed: u64) -> TracedRun {
     let mut sink = dual_sink(program.num_procs());
-    let outcome = run_sc(program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
-        .expect("experiment programs run to completion");
+    let outcome =
+        run_sc(program, &mut RandomWeakSched::new(seed, 0.0), &mut sink, RunConfig::uniform())
+            .expect("experiment programs run to completion");
     finish(sink, outcome, program, "SC", Some(seed))
 }
 
@@ -294,9 +295,16 @@ fn weak_run(program: &Program, model: MemoryModel, seed: u64) -> TracedRun {
     let mut sink = dual_sink(program.num_procs());
     let mut sched = RandomWeakSched::new(seed, 0.3);
     let conditioned = Fidelity::Conditioned;
-    let outcome =
-        run_weak(program, model, conditioned, &mut sched, &mut sink, RunConfig::uniform())
-            .expect("experiment programs run to completion");
+    let outcome = run_weak_hw(
+        HwImpl::StoreBuffer,
+        program,
+        model,
+        conditioned,
+        &mut sched,
+        &mut sink,
+        RunConfig::uniform(),
+    )
+    .expect("experiment programs run to completion");
     finish(sink, outcome, program, &model.to_string(), Some(seed))
 }
 
@@ -306,7 +314,8 @@ fn fig2_weak_run() -> TracedRun {
     let entry = catalog::work_queue_buggy();
     let mut sink = dual_sink(entry.program.num_procs());
     let mut sched = WeakScript::new(catalog::work_queue_weak_script());
-    let outcome = run_weak(
+    let outcome = run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         MemoryModel::Wo,
         Fidelity::Conditioned,
@@ -322,7 +331,8 @@ fn fig2_weak_run() -> TracedRun {
 /// round-robin schedule, default timing).
 fn model_cycles(program: &Program, model: MemoryModel) -> u64 {
     let mut sink = wmrd_trace::NullSink::new();
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         program,
         model,
         Fidelity::Conditioned,

@@ -11,8 +11,8 @@ use wmrd_faults::FaultPlan;
 use wmrd_progs::catalog;
 use wmrd_serve::{Client, Endpoint, Reply, ServeConfig, Server, StreamMeta};
 use wmrd_sim::{
-    run_sc, run_weak, run_weak_hw, write_asm, Fidelity, HwImpl, MemoryModel, Program, RandomSched,
-    RandomWeakSched, RunConfig, RunOutcome, WeakScript,
+    run_sc, run_weak_hw, write_asm, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched,
+    RunConfig, RunOutcome, WeakScript,
 };
 use wmrd_trace::{
     Json, Metrics, MultiSink, OpRecorder, StreamWriter, ToJson, TraceBuilder, TraceMeta, TraceSet,
@@ -72,7 +72,7 @@ fn execute<S: TraceSink>(
 ) -> Result<(RunOutcome, TraceMeta), CliError> {
     let config = RunConfig::default();
     let outcome = if exec.model == MemoryModel::Sc {
-        run_sc(program, &mut RandomSched::new(exec.seed), sink, config)?
+        run_sc(program, &mut RandomWeakSched::new(exec.seed, 0.0), sink, config)?
     } else {
         let mut sched = RandomWeakSched::new(exec.seed, 0.3);
         run_weak_hw(exec.hw, program, exec.model, exec.fidelity, &mut sched, sink, config)?
@@ -1317,7 +1317,8 @@ fn cmd_demo() -> Result<String, CliError> {
     let entry = catalog::work_queue_buggy();
     let mut sink = TraceBuilder::new(entry.program.num_procs());
     let mut sched = WeakScript::new(catalog::work_queue_weak_script());
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         MemoryModel::Wo,
         wmrd_sim::Fidelity::Conditioned,

@@ -721,7 +721,8 @@ pub fn ping_pong() -> CatalogEntry {
 /// P3's region.
 ///
 /// Feed this to [`wmrd_sim::WeakScript`] and run with
-/// [`wmrd_sim::run_weak`] on [`wmrd_sim::MemoryModel::Wo`]; the script's
+/// [`wmrd_sim::run_weak_hw`] on [`wmrd_sim::HwImpl::StoreBuffer`] under
+/// [`wmrd_sim::MemoryModel::Wo`]; the script's
 /// fallback completes the run after the interesting prefix.
 pub fn work_queue_weak_script() -> Vec<wmrd_sim::WeakAction> {
     use wmrd_sim::WeakAction::{Drain, Step};
@@ -896,9 +897,7 @@ pub fn all() -> Vec<CatalogEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmrd_sim::{
-        run_sc, run_weak, Fidelity, MemoryModel, RoundRobin, RunConfig, WeakRoundRobin,
-    };
+    use wmrd_sim::{run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, RunConfig, WeakRoundRobin};
     use wmrd_trace::{NullSink, TraceBuilder};
 
     #[test]
@@ -915,7 +914,7 @@ mod tests {
         for entry in all() {
             let mut sink = TraceBuilder::new(entry.program.num_procs());
             let out =
-                run_sc(&entry.program, &mut RoundRobin::new(), &mut sink, RunConfig::uniform())
+                run_sc(&entry.program, &mut WeakRoundRobin::new(), &mut sink, RunConfig::uniform())
                     .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
             assert!(out.halted, "{} did not halt", entry.name);
             assert!(sink.finish().validate().is_ok());
@@ -927,7 +926,8 @@ mod tests {
         for entry in all() {
             for model in MemoryModel::WEAK {
                 let mut sink = NullSink::new();
-                let out = run_weak(
+                let out = run_weak_hw(
+                    HwImpl::StoreBuffer,
                     &entry.program,
                     model,
                     Fidelity::Conditioned,
@@ -942,12 +942,37 @@ mod tests {
     }
 
     #[test]
+    fn capacity_zero_round_robin_runs_to_completion() {
+        // Capacity 0 drains whatever the picked processor has pending
+        // before it steps, and steps it when nothing is pending: on the
+        // store-buffer machine and on the SC machine alike.
+        let entry = producer_consumer();
+        for model in [MemoryModel::Wo, MemoryModel::RCsc] {
+            let out = run_weak_hw(
+                HwImpl::StoreBuffer,
+                &entry.program,
+                model,
+                Fidelity::Conditioned,
+                &mut WeakRoundRobin::with_capacity(0),
+                &mut NullSink::new(),
+                RunConfig::uniform(),
+            )
+            .unwrap();
+            assert!(out.halted, "{model}");
+        }
+        let mut sched = WeakRoundRobin::with_capacity(0);
+        let out = run_sc(&entry.program, &mut sched, &mut NullSink::new(), RunConfig::uniform());
+        assert!(out.unwrap().halted);
+    }
+
+    #[test]
     fn counter_locked_counts_correctly_everywhere() {
         let entry = counter_locked(3, 2);
         let lay = counter_layout();
         for model in MemoryModel::ALL {
             let mut sink = NullSink::new();
-            let out = run_weak(
+            let out = run_weak_hw(
+                HwImpl::StoreBuffer,
                 &entry.program,
                 model,
                 Fidelity::Conditioned,
@@ -970,7 +995,8 @@ mod tests {
         let lay = producer_consumer_layout();
         for model in MemoryModel::WEAK {
             let mut sink = NullSink::new();
-            let out = run_weak(
+            let out = run_weak_hw(
+                HwImpl::StoreBuffer,
                 &entry.program,
                 model,
                 Fidelity::Conditioned,
@@ -988,8 +1014,9 @@ mod tests {
         let entry = barrier(3);
         let lay = barrier_layout();
         let mut sink = NullSink::new();
-        let out = run_sc(&entry.program, &mut RoundRobin::new(), &mut sink, RunConfig::uniform())
-            .unwrap();
+        let out =
+            run_sc(&entry.program, &mut WeakRoundRobin::new(), &mut sink, RunConfig::uniform())
+                .unwrap();
         for i in 0..3 {
             assert_eq!(
                 out.final_memory[(lay.slots_base + i) as usize],
@@ -1022,7 +1049,8 @@ mod tests {
         let lay = work_queue_layout();
         let mut sink = OpRecorder::new(3);
         let mut sched = WeakScript::new(work_queue_weak_script());
-        let out = run_weak(
+        let out = run_weak_hw(
+            HwImpl::StoreBuffer,
             &entry.program,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -1092,7 +1120,7 @@ mod tests {
                 wmrd_trace::TraceBuilder::new(2),
                 wmrd_trace::NullSink::new(),
             );
-            let mut sched = wmrd_sim::RandomSched::new(seed);
+            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.0);
             let out = run_sc(&entry.program, &mut sched, &mut sink, RunConfig::uniform()).unwrap();
             assert_eq!(
                 out.final_memory[lay.counter.index()],
@@ -1112,7 +1140,7 @@ mod tests {
         let lay = ticket_layout();
         for seed in 0..8 {
             let mut sink = wmrd_trace::TraceBuilder::new(3);
-            let mut sched = wmrd_sim::RandomSched::new(seed);
+            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.0);
             let out = run_sc(&entry.program, &mut sched, &mut sink, RunConfig::uniform()).unwrap();
             assert_eq!(out.final_memory[lay.counter.index()], wmrd_trace::Value::new(6));
             assert_eq!(out.final_memory[lay.next_ticket.index()], wmrd_trace::Value::new(6));
@@ -1129,7 +1157,7 @@ mod tests {
         let lay = dcl_layout();
         for seed in 0..10 {
             let mut sink = wmrd_trace::TraceBuilder::new(2);
-            let mut sched = wmrd_sim::RandomSched::new(seed);
+            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.0);
             let out = run_sc(&entry.program, &mut sched, &mut sink, RunConfig::uniform()).unwrap();
             assert_eq!(out.final_memory[lay.payload.index()], wmrd_trace::Value::new(42));
             assert_eq!(out.final_memory[lay.init_flag.index()], wmrd_trace::Value::new(1));
@@ -1145,7 +1173,7 @@ mod tests {
         let mut any_race = false;
         for seed in 0..20 {
             let mut sink = wmrd_trace::TraceBuilder::new(2);
-            let mut sched = wmrd_sim::RandomSched::new(seed);
+            let mut sched = wmrd_sim::RandomWeakSched::new(seed, 0.0);
             run_sc(&entry.program, &mut sched, &mut sink, RunConfig::uniform()).unwrap();
             let report = PostMortem::new(&sink.finish()).analyze().unwrap();
             if !report.is_race_free() {

@@ -226,12 +226,12 @@ pub fn overlap(cfg: &GenConfig) -> Program {
 mod tests {
     use super::*;
     use wmrd_core::PostMortem;
-    use wmrd_sim::{run_sc, RandomSched, RunConfig};
+    use wmrd_sim::{run_sc, RandomWeakSched, RunConfig};
     use wmrd_trace::TraceBuilder;
 
     fn trace_of(program: &Program, seed: u64) -> wmrd_trace::TraceSet {
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform())
+        run_sc(program, &mut RandomWeakSched::new(seed, 0.0), &mut sink, RunConfig::uniform())
             .expect("generated programs halt");
         sink.finish()
     }

@@ -17,14 +17,14 @@
 //!
 //! ```
 //! use wmrd_progs::catalog;
-//! use wmrd_sim::{run_sc, RoundRobin, RunConfig};
+//! use wmrd_sim::{run_sc, RunConfig, WeakRoundRobin};
 //! use wmrd_trace::TraceBuilder;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let fig1a = catalog::fig1a();
 //! assert!(fig1a.racy);
 //! let mut sink = TraceBuilder::new(fig1a.program.num_procs());
-//! run_sc(&fig1a.program, &mut RoundRobin::new(), &mut sink, RunConfig::default())?;
+//! run_sc(&fig1a.program, &mut WeakRoundRobin::new(), &mut sink, RunConfig::default())?;
 //! # Ok(())
 //! # }
 //! ```

@@ -14,8 +14,9 @@
 //!
 //! * [`ScMemory`] completes every access against shared memory:
 //!   [`ScMachine`] executes programs as an interleaving of memory
-//!   operations — the classic SC reference machine. Its scheduler is
-//!   pluggable ([`Scheduler`]), and the model-checking oracle in
+//!   operations — the classic SC reference machine. Nothing is ever
+//!   pending on it, so the same [`WeakScheduler`]s that drive the weak
+//!   machines only pick its steps, and the model-checking oracle in
 //!   `wmrd-verify` drives it directly to enumerate *all* SC executions of
 //!   small programs.
 //! * [`StoreBuffers`] ([`WeakMachine`]) keep a per-processor **store
@@ -37,7 +38,8 @@
 //! A fourth backend, [`OooMachine`], keeps its own speculative
 //! out-of-order pipeline but shares the machines' state
 //! ([`MachineState`]), ALU and store buffers. [`run_sc`] and
-//! [`run_weak_hw`] drive any of them through one scheduling loop.
+//! [`run_weak_hw`] drive any of them through one scheduling loop, under
+//! one scheduler family ([`WeakScheduler`]).
 //!
 //! With [`Fidelity::Raw`] the weak machines *also delay synchronization
 //! and never flush*: a deliberately broken "arbitrary weak hardware" that
@@ -59,7 +61,7 @@
 //! machine and collect an event-level trace:
 //!
 //! ```
-//! use wmrd_sim::{run_sc, Addr, Instr, Program, Reg, RoundRobin, RunConfig};
+//! use wmrd_sim::{run_sc, Addr, Instr, Program, Reg, RunConfig, WeakRoundRobin};
 //! use wmrd_trace::{Location, TraceBuilder, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -78,7 +80,7 @@
 //! ]);
 //!
 //! let mut sink = TraceBuilder::new(2);
-//! let outcome = run_sc(&prog, &mut RoundRobin::new(), &mut sink, RunConfig::default())?;
+//! let outcome = run_sc(&prog, &mut WeakRoundRobin::new(), &mut sink, RunConfig::default())?;
 //! assert!(outcome.halted);
 //! let trace = sink.finish();
 //! assert_eq!(trace.num_procs(), 2);
@@ -116,10 +118,9 @@ pub use machine::{Machine, MachineState, MemCell, MemorySystem, ScMachine, ScMem
 pub use model::{Fidelity, MemoryModel};
 pub use ooo::OooMachine;
 pub use program::Program;
-pub use run::{run_sc, run_sc_on, run_weak, run_weak_hw, HwImpl, RunConfig, RunOutcome};
+pub use run::{run_sc, run_sc_on, run_weak_hw, HwImpl, RunConfig, RunOutcome};
 pub use sched::{
-    DrainView, FixedScript, RandomSched, RandomWeakSched, RoundRobin, Scheduler, WeakAction,
-    WeakRoundRobin, WeakScheduler, WeakScript,
+    DrainView, RandomWeakSched, WeakAction, WeakRoundRobin, WeakScheduler, WeakScript,
 };
 pub use stats::SimStats;
 pub use timing::Timing;

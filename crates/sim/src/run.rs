@@ -8,7 +8,7 @@ use wmrd_trace::{ProcId, TraceSink, Value};
 
 use crate::{
     DrainView, Fidelity, InvalMachine, Machine, MachineState, MemoryModel, MemorySystem,
-    OooMachine, Program, ScMachine, Scheduler, SimError, SimStats, Timing, WeakAction, WeakMachine,
+    OooMachine, Program, ScMachine, SimError, SimStats, Timing, WeakAction, WeakMachine,
     WeakScheduler,
 };
 
@@ -128,6 +128,9 @@ impl RunOutcome {
 
 /// Runs `program` to completion on the sequentially consistent machine.
 ///
+/// Any [`WeakScheduler`] drives it: nothing is ever pending on
+/// [`ScMachine`], so the scheduler only picks which processor steps.
+///
 /// # Errors
 ///
 /// Propagates machine errors ([`SimError::BadAddress`] etc.) and returns
@@ -139,7 +142,7 @@ impl RunOutcome {
 /// See the crate-level documentation.
 pub fn run_sc<S: TraceSink>(
     program: &Program,
-    scheduler: &mut dyn Scheduler,
+    scheduler: &mut dyn WeakScheduler,
     sink: &mut S,
     config: RunConfig,
 ) -> Result<RunOutcome, SimError> {
@@ -155,21 +158,11 @@ pub fn run_sc<S: TraceSink>(
 /// Same as [`run_sc`].
 pub fn run_sc_on<S: TraceSink>(
     machine: &mut ScMachine,
-    scheduler: &mut dyn Scheduler,
+    scheduler: &mut dyn WeakScheduler,
     sink: &mut S,
     config: RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    drive(machine, &mut StepsOnly(scheduler), sink, &config)
-}
-
-/// A processor scheduler seen as a weak scheduler that never drains —
-/// all SC memory needs.
-struct StepsOnly<'a>(&'a mut dyn Scheduler);
-
-impl WeakScheduler for StepsOnly<'_> {
-    fn next(&mut self, machine: &dyn DrainView) -> Option<WeakAction> {
-        self.0.next(&machine.runnable_procs()).map(WeakAction::Step)
-    }
+    drive(machine, scheduler, sink, &config)
 }
 
 /// What the one driver loop needs of a machine: the in-order
@@ -336,27 +329,6 @@ impl WeakBackend {
     }
 }
 
-/// Runs `program` to quiescence (all halted, all buffers drained) on the
-/// store-buffer machine.
-///
-/// If the scheduler stops early with writes still buffered, the runner
-/// force-flushes every processor so the final memory is settled.
-///
-/// # Errors
-///
-/// Propagates machine errors and returns [`SimError::StepLimit`] if the
-/// program does not quiesce within `config.max_steps` actions.
-pub fn run_weak<S: TraceSink>(
-    program: &Program,
-    model: MemoryModel,
-    fidelity: Fidelity,
-    scheduler: &mut dyn WeakScheduler,
-    sink: &mut S,
-    config: RunConfig,
-) -> Result<RunOutcome, SimError> {
-    run_weak_hw(HwImpl::StoreBuffer, program, model, fidelity, scheduler, sink, config)
-}
-
 /// Runs `program` to quiescence on the weak hardware style `hw`: the
 /// scheduler's drain actions drain buffered writes, apply queued
 /// invalidations, or complete pending load fills and store-buffer
@@ -385,7 +357,7 @@ pub fn run_weak_hw<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, Instr, RandomWeakSched, Reg, RoundRobin, WeakRoundRobin};
+    use crate::{Addr, Instr, RandomWeakSched, Reg, WeakRoundRobin};
     use wmrd_trace::{Location, NullSink, ProcId, TraceBuilder};
 
     fn l(a: u32) -> Location {
@@ -417,7 +389,8 @@ mod tests {
     fn sc_run_handoff_reads_released_value() {
         let prog = handoff_program();
         let mut sink = TraceBuilder::new(2);
-        let out = run_sc(&prog, &mut RoundRobin::new(), &mut sink, RunConfig::uniform()).unwrap();
+        let out =
+            run_sc(&prog, &mut WeakRoundRobin::new(), &mut sink, RunConfig::uniform()).unwrap();
         assert!(out.halted);
         assert!(out.steps > 0);
         let trace = sink.finish();
@@ -425,13 +398,8 @@ mod tests {
         // The handoff is race-free and must deliver 7.
         // Find P1's final register via re-running on a machine:
         let mut m = ScMachine::new(Arc::new(prog), Timing::uniform()).unwrap();
-        let mut rr = RoundRobin::new();
         let mut null = NullSink::new();
-        while !m.all_halted() {
-            let r = m.runnable();
-            let pick = rr.next(&r).unwrap();
-            m.step(pick, &mut null).unwrap();
-        }
+        run_sc_on(&mut m, &mut WeakRoundRobin::new(), &mut null, RunConfig::uniform()).unwrap();
         assert_eq!(m.reg(ProcId::new(1), Reg::new(1)), 7);
     }
 
@@ -476,7 +444,8 @@ mod tests {
             Instr::Halt,
         ]);
         let mut sink = NullSink::new();
-        let out = run_weak(
+        let out = run_weak_hw(
+            HwImpl::StoreBuffer,
             &prog,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -500,7 +469,7 @@ mod tests {
         let mut sink = NullSink::new();
         let err = run_sc(
             &prog,
-            &mut RoundRobin::new(),
+            &mut WeakRoundRobin::new(),
             &mut sink,
             RunConfig::uniform().with_max_steps(100),
         );
@@ -522,7 +491,7 @@ mod tests {
         ]);
         let config = RunConfig::uniform().with_max_cycles(3);
         let mut sink = NullSink::new();
-        let err = run_sc(&prog, &mut RoundRobin::new(), &mut sink, config);
+        let err = run_sc(&prog, &mut WeakRoundRobin::new(), &mut sink, config);
         assert!(matches!(err, Err(SimError::CycleLimit(3))));
         // The same budget trips the weak runners too.
         for hw in HwImpl::ALL {
@@ -554,7 +523,7 @@ mod tests {
         ]);
         let run = |config: RunConfig| {
             let mut sink = NullSink::new();
-            run_sc(&prog, &mut RoundRobin::new(), &mut sink, config)
+            run_sc(&prog, &mut WeakRoundRobin::new(), &mut sink, config)
         };
         assert!(run(RunConfig::uniform().with_max_steps(3)).unwrap().halted);
         assert!(matches!(run(RunConfig::uniform().with_max_steps(2)), Err(SimError::StepLimit(2))));
@@ -576,10 +545,11 @@ mod tests {
             Instr::Halt,
         ]);
         let mut s1 = NullSink::new();
-        let sc = run_sc(&prog, &mut RoundRobin::new(), &mut s1, RunConfig::uniform()).unwrap();
+        let sc = run_sc(&prog, &mut WeakRoundRobin::new(), &mut s1, RunConfig::uniform()).unwrap();
         for model in MemoryModel::ALL {
             let mut s2 = NullSink::new();
-            let weak = run_weak(
+            let weak = run_weak_hw(
+                HwImpl::StoreBuffer,
                 &prog,
                 model,
                 Fidelity::Conditioned,
@@ -609,7 +579,8 @@ mod tests {
 
         let cycles_for = |model: MemoryModel| {
             let mut sink = NullSink::new();
-            run_weak(
+            run_weak_hw(
+                HwImpl::StoreBuffer,
                 &prog,
                 model,
                 Fidelity::Conditioned,
@@ -631,7 +602,8 @@ mod tests {
     fn weak_run_stats_count_memory_system_work() {
         let prog = handoff_program();
         let mut sink = NullSink::new();
-        let out = run_weak(
+        let out = run_weak_hw(
+            HwImpl::StoreBuffer,
             &prog,
             MemoryModel::Wo,
             Fidelity::Conditioned,

@@ -1,19 +1,22 @@
-//! Schedulers: who steps next, and when store buffers drain.
+//! Schedulers: who steps next, and when pending entries drain.
 //!
 //! Simulated executions are driven step by step; the scheduler owns all
-//! nondeterminism. Deterministic schedulers ([`RoundRobin`],
-//! [`FixedScript`], [`WeakScript`]) make figures and tests reproducible;
-//! seeded random schedulers explore the execution space; the exhaustive
-//! enumerator in `wmrd-verify` bypasses schedulers entirely and drives
-//! machines directly.
+//! nondeterminism. One [`WeakScheduler`] family drives every machine: an
+//! SC machine is a weak machine that never has anything pending, so on
+//! [`ScMachine`](crate::ScMachine) the schedulers only pick steps. The
+//! deterministic schedulers ([`WeakRoundRobin`], [`WeakScript`]) make
+//! figures and tests reproducible; the seeded [`RandomWeakSched`]
+//! explores the execution space; the exhaustive enumerator in
+//! `wmrd-verify` bypasses schedulers entirely and drives machines
+//! directly.
 
 use wmrd_trace::{ProcId, SplitMix64};
 
-/// The scheduler-facing view of a weak machine: which processors can
-/// step, and which pending entries (buffered writes for the store-buffer
+/// The scheduler-facing view of a machine: which processors can step,
+/// and which pending entries (buffered writes for the store-buffer
 /// machine, queued invalidations for the invalidation-queue machine) can
-/// be drained. Both weak hardware implementations expose this view, so
-/// one scheduler drives either.
+/// be drained. Every machine exposes this view, so one scheduler drives
+/// any of them; the SC machine never has a pending entry.
 pub trait DrainView {
     /// Processors that can still execute an instruction.
     fn runnable_procs(&self) -> Vec<ProcId>;
@@ -25,97 +28,7 @@ pub trait DrainView {
     fn num_procs(&self) -> usize;
 }
 
-/// Chooses which processor steps next on an [`ScMachine`](crate::ScMachine).
-pub trait Scheduler {
-    /// Picks one of `runnable` (never empty). Returning `None` stops the
-    /// run early.
-    fn next(&mut self, runnable: &[ProcId]) -> Option<ProcId>;
-}
-
-/// Fair round-robin over runnable processors.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    last: Option<ProcId>,
-}
-
-impl RoundRobin {
-    /// Creates a round-robin scheduler starting at processor 0.
-    pub fn new() -> Self {
-        RoundRobin::default()
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn next(&mut self, runnable: &[ProcId]) -> Option<ProcId> {
-        let pick = match self.last {
-            None => *runnable.first()?,
-            Some(last) => *runnable.iter().find(|p| **p > last).or_else(|| runnable.first())?,
-        };
-        self.last = Some(pick);
-        Some(pick)
-    }
-}
-
-/// Uniformly random scheduling from a seed.
-#[derive(Debug, Clone)]
-pub struct RandomSched {
-    rng: SplitMix64,
-}
-
-impl RandomSched {
-    /// Creates a seeded random scheduler.
-    pub fn new(seed: u64) -> Self {
-        RandomSched { rng: SplitMix64::new(seed) }
-    }
-}
-
-impl Scheduler for RandomSched {
-    fn next(&mut self, runnable: &[ProcId]) -> Option<ProcId> {
-        if runnable.is_empty() {
-            return None;
-        }
-        Some(runnable[self.rng.range(0..runnable.len())])
-    }
-}
-
-/// Replays a fixed processor script, then falls back to round-robin.
-///
-/// Script entries naming processors that are no longer runnable are
-/// skipped. This is how the paper's figure executions are pinned down
-/// exactly.
-#[derive(Debug, Clone)]
-pub struct FixedScript {
-    script: Vec<ProcId>,
-    pos: usize,
-    fallback: RoundRobin,
-}
-
-impl FixedScript {
-    /// Creates a scripted scheduler.
-    pub fn new(script: Vec<ProcId>) -> Self {
-        FixedScript { script, pos: 0, fallback: RoundRobin::new() }
-    }
-
-    /// Convenience constructor from raw processor indices.
-    pub fn from_indices(indices: &[u16]) -> Self {
-        FixedScript::new(indices.iter().map(|&i| ProcId::new(i)).collect())
-    }
-}
-
-impl Scheduler for FixedScript {
-    fn next(&mut self, runnable: &[ProcId]) -> Option<ProcId> {
-        while self.pos < self.script.len() {
-            let pick = self.script[self.pos];
-            self.pos += 1;
-            if runnable.contains(&pick) {
-                return Some(pick);
-            }
-        }
-        self.fallback.next(runnable)
-    }
-}
-
-/// One scheduling decision on a weak machine (any [`DrainView`]).
+/// One scheduling decision on any machine (any [`DrainView`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeakAction {
     /// Execute the next instruction of a processor.
@@ -127,7 +40,9 @@ pub enum WeakAction {
     Drain(ProcId, usize),
 }
 
-/// Chooses the next action on a weak machine (any [`DrainView`]).
+/// Chooses the next action on any machine (any [`DrainView`]): the SC
+/// machine as well as the weak ones. On [`ScMachine`](crate::ScMachine)
+/// nothing is ever drainable, so a scheduler only picks steps there.
 pub trait WeakScheduler {
     /// Picks an action, or `None` when the machine is fully quiescent
     /// (all processors halted *and* all pending entries drained — the
@@ -139,11 +54,13 @@ pub trait WeakScheduler {
 /// buffered write every `drain_interval` decisions (the memory system
 /// makes progress even while cores spin — without this, a core spinning
 /// on a data flag would never observe another core's buffered write).
-/// A processor whose buffer exceeds `capacity` drains before stepping
-/// again; leftovers drain after all processors halt.
+/// A processor whose buffer holds `capacity` entries drains before
+/// stepping again (capacity 0 drains whatever is pending); leftovers
+/// drain after all processors halt. Steps cycle fairly over the runnable
+/// processors, from P0.
 #[derive(Debug, Clone)]
 pub struct WeakRoundRobin {
-    rr: RoundRobin,
+    last: Option<ProcId>,
     capacity: usize,
     drain_interval: u32,
     decisions: u32,
@@ -153,7 +70,7 @@ impl WeakRoundRobin {
     /// Creates the scheduler with the given buffer capacity (entries
     /// beyond it drain before the owner may step again).
     pub fn with_capacity(capacity: usize) -> Self {
-        WeakRoundRobin { rr: RoundRobin::new(), capacity, drain_interval: 4, decisions: 0 }
+        WeakRoundRobin { last: None, capacity, drain_interval: 4, decisions: 0 }
     }
 
     /// Default capacity of 8 entries.
@@ -189,8 +106,11 @@ impl WeakScheduler for WeakRoundRobin {
             }
         }
         let runnable = machine.runnable_procs();
-        if let Some(pick) = self.rr.next(&runnable) {
-            if machine.pending_len(pick) >= self.capacity {
+        let next = self.last.and_then(|last| runnable.iter().find(|p| **p > last));
+        if let Some(&pick) = next.or_else(|| runnable.first()) {
+            self.last = Some(pick);
+            let pending = machine.pending_len(pick);
+            if pending > 0 && pending >= self.capacity {
                 let idx = *machine
                     .drainable(pick)
                     .first()
@@ -209,7 +129,9 @@ impl WeakScheduler for WeakRoundRobin {
 /// Each decision: with probability `drain_prob` (and a non-empty buffer
 /// somewhere) drain a random drainable entry — possibly out of program
 /// order, which is what produces weak-ordering reorderings like Figure
-/// 2b's stale read; otherwise step a random runnable processor.
+/// 2b's stale read; otherwise step a random runnable processor. On
+/// [`ScMachine`](crate::ScMachine) nothing is drainable, so `drain_prob`
+/// is never read and every decision is one uniform step draw.
 #[derive(Debug, Clone)]
 pub struct RandomWeakSched {
     rng: SplitMix64,
@@ -295,53 +217,75 @@ mod tests {
         ProcId::new(i)
     }
 
+    /// A machine view with nothing pending, as an `ScMachine` shows it:
+    /// only `runnable` can step.
+    struct Idle<'a>(&'a [ProcId]);
+
+    impl DrainView for Idle<'_> {
+        fn runnable_procs(&self) -> Vec<ProcId> {
+            self.0.to_vec()
+        }
+        fn drainable(&self, _: ProcId) -> Vec<usize> {
+            Vec::new()
+        }
+        fn pending_len(&self, _: ProcId) -> usize {
+            0
+        }
+        fn num_procs(&self) -> usize {
+            4
+        }
+    }
+
+    fn step(i: u16) -> WeakAction {
+        WeakAction::Step(p(i))
+    }
+
     #[test]
     fn round_robin_cycles_fairly() {
-        let mut rr = RoundRobin::new();
-        let procs = vec![p(0), p(1), p(2)];
-        let picks: Vec<_> = (0..6).map(|_| rr.next(&procs).unwrap()).collect();
-        assert_eq!(picks, vec![p(0), p(1), p(2), p(0), p(1), p(2)]);
+        let mut rr = WeakRoundRobin::new();
+        let procs = [p(0), p(1), p(2)];
+        let picks: Vec<_> = (0..6).map(|_| rr.next(&Idle(&procs)).unwrap()).collect();
+        assert_eq!(picks, vec![step(0), step(1), step(2), step(0), step(1), step(2)]);
     }
 
     #[test]
     fn round_robin_skips_halted() {
-        let mut rr = RoundRobin::new();
-        assert_eq!(rr.next(&[p(0), p(1)]).unwrap(), p(0));
+        let mut rr = WeakRoundRobin::new();
+        assert_eq!(rr.next(&Idle(&[p(0), p(1)])).unwrap(), step(0));
         // p0 halts; only p1 remains.
-        assert_eq!(rr.next(&[p(1)]).unwrap(), p(1));
-        assert_eq!(rr.next(&[p(1)]).unwrap(), p(1));
-        assert!(rr.next(&[]).is_none());
+        assert_eq!(rr.next(&Idle(&[p(1)])).unwrap(), step(1));
+        assert_eq!(rr.next(&Idle(&[p(1)])).unwrap(), step(1));
+        assert!(rr.next(&Idle(&[])).is_none());
     }
 
     #[test]
     fn random_sched_is_deterministic_per_seed() {
-        let procs = vec![p(0), p(1), p(2)];
+        let procs = [p(0), p(1), p(2)];
         let run = |seed| {
-            let mut s = RandomSched::new(seed);
-            (0..20).map(|_| s.next(&procs).unwrap()).collect::<Vec<_>>()
+            let mut s = RandomWeakSched::new(seed, 0.0);
+            (0..20).map(|_| s.next(&Idle(&procs)).unwrap()).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds should differ (overwhelmingly likely)");
-        assert!(RandomSched::new(1).next(&[]).is_none());
+        assert!(RandomWeakSched::new(1, 0.0).next(&Idle(&[])).is_none());
     }
 
     #[test]
     fn fixed_script_replays_then_falls_back() {
-        let mut s = FixedScript::from_indices(&[1, 1, 0]);
-        let procs = vec![p(0), p(1)];
-        assert_eq!(s.next(&procs).unwrap(), p(1));
-        assert_eq!(s.next(&procs).unwrap(), p(1));
-        assert_eq!(s.next(&procs).unwrap(), p(0));
+        let mut s = WeakScript::new(vec![step(1), step(1), step(0)]);
+        let procs = [p(0), p(1)];
+        assert_eq!(s.next(&Idle(&procs)).unwrap(), step(1));
+        assert_eq!(s.next(&Idle(&procs)).unwrap(), step(1));
+        assert_eq!(s.next(&Idle(&procs)).unwrap(), step(0));
         // Script exhausted: round-robin takes over (fresh, from P0).
-        assert_eq!(s.next(&procs).unwrap(), p(0));
-        assert_eq!(s.next(&procs).unwrap(), p(1));
+        assert_eq!(s.next(&Idle(&procs)).unwrap(), step(0));
+        assert_eq!(s.next(&Idle(&procs)).unwrap(), step(1));
     }
 
     #[test]
     fn fixed_script_skips_unrunnable_entries() {
-        let mut s = FixedScript::from_indices(&[3, 0]);
-        let procs = vec![p(0)];
-        assert_eq!(s.next(&procs).unwrap(), p(0), "entry for halted P3 skipped");
+        let mut s = WeakScript::new(vec![step(3), step(0)]);
+        assert_eq!(s.next(&Idle(&[p(0)])).unwrap(), step(0), "entry for halted P3 skipped");
     }
 
     fn weak_machine_with_buffered_writes() -> WeakMachine {

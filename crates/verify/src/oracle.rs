@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use wmrd_sim::{
-    run_sc_on, Machine, MemorySystem, Program, RandomSched, RunConfig, ScMachine, Timing,
+    run_sc_on, Machine, MemorySystem, Program, RandomWeakSched, RunConfig, ScMachine, Timing,
 };
 use wmrd_trace::{MultiSink, OpRecorder, OpTrace, ProcId, TraceBuilder, TraceSet, Value};
 
@@ -225,7 +225,7 @@ pub fn sample_sc(
     for seed in seeds {
         machine.reset();
         let mut sink = recorders(program);
-        run_sc_on(&mut machine, &mut RandomSched::new(seed), &mut sink, run_config)?;
+        run_sc_on(&mut machine, &mut RandomWeakSched::new(seed, 0.0), &mut sink, run_config)?;
         collect(sink, machine.memory_values(), &mut seen, &mut out);
     }
     Ok(out)
@@ -254,8 +254,12 @@ mod tests {
         for entry in catalog::all() {
             let err = sample_sc(&entry.program, 0..1, config).unwrap_err();
             assert!(matches!(err, VerifyError::Sim(SimError::CycleLimit(5))), "{}", entry.name);
-            let run =
-                run_sc(&entry.program, &mut RandomSched::new(0), &mut NullSink::new(), config);
+            let run = run_sc(
+                &entry.program,
+                &mut RandomWeakSched::new(0, 0.0),
+                &mut NullSink::new(),
+                config,
+            );
             assert!(matches!(run, Err(SimError::CycleLimit(5))), "{}", entry.name);
         }
     }

@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // Theorem 4.1 on a fresh weak execution.
             let mut sink = TraceBuilder::new(program.num_procs());
             let mut sched = RandomWeakSched::new(seed, 0.3);
-            wmrd_sim::run_weak(
+            wmrd_sim::run_weak_hw(
+                wmrd_sim::HwImpl::StoreBuffer,
                 &program,
                 model,
                 Fidelity::Conditioned,

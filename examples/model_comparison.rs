@@ -9,13 +9,14 @@
 use wmrd_core::PostMortem;
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{
-    run_weak, Fidelity, MemoryModel, Program, RandomWeakSched, RunConfig, WeakRoundRobin,
+    run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig, WeakRoundRobin,
 };
 use wmrd_trace::{NullSink, TraceBuilder};
 
 fn cycles(program: &Program, model: MemoryModel) -> u64 {
     let mut sink = NullSink::new();
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         program,
         model,
         Fidelity::Conditioned,
@@ -30,8 +31,16 @@ fn cycles(program: &Program, model: MemoryModel) -> u64 {
 fn race_verdict(program: &Program, model: MemoryModel, seed: u64) -> String {
     let mut sink = TraceBuilder::new(program.num_procs());
     let mut sched = RandomWeakSched::new(seed, 0.3);
-    run_weak(program, model, Fidelity::Conditioned, &mut sched, &mut sink, RunConfig::default())
-        .expect("programs complete");
+    run_weak_hw(
+        HwImpl::StoreBuffer,
+        program,
+        model,
+        Fidelity::Conditioned,
+        &mut sched,
+        &mut sink,
+        RunConfig::default(),
+    )
+    .expect("programs complete");
     let report = PostMortem::new(&sink.finish()).analyze().expect("analyzable");
     if report.is_race_free() {
         "race-free (certified SC)".into()

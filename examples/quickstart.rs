@@ -7,7 +7,7 @@
 
 use wmrd_core::PostMortem;
 use wmrd_progs::ProcBuilder;
-use wmrd_sim::{run_sc, Program, RandomSched, Reg, RunConfig};
+use wmrd_sim::{run_sc, Program, RandomWeakSched, Reg, RunConfig};
 use wmrd_trace::{Location, TraceBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run on the sequentially consistent reference machine, recording an
     // event-level trace through the instrumentation hook.
     let mut sink = TraceBuilder::new(program.num_procs());
-    let outcome = run_sc(&program, &mut RandomSched::new(7), &mut sink, RunConfig::default())?;
+    let outcome =
+        run_sc(&program, &mut RandomWeakSched::new(7, 0.0), &mut sink, RunConfig::default())?;
     println!("run complete: {} steps, {} cycles", outcome.steps, outcome.total_cycles());
 
     // Post-mortem analysis: happens-before-1 graph, races, partitions.

@@ -9,7 +9,7 @@
 
 use wmrd_core::PostMortem;
 use wmrd_progs::catalog;
-use wmrd_sim::{run_weak, Fidelity, MemoryModel, RunConfig, WeakScript};
+use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, RunConfig, WeakScript};
 use wmrd_trace::{MultiSink, OpRecorder, ProcId, TraceBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         OpRecorder::new(entry.program.num_procs()),
     );
     let mut sched = WeakScript::new(catalog::work_queue_weak_script());
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         MemoryModel::Wo,
         Fidelity::Conditioned,

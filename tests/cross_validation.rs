@@ -12,7 +12,7 @@
 
 use wmrd_core::{detect_races, event_race_keys, HbGraph, PairingPolicy, PostMortem};
 use wmrd_progs::{catalog, generate};
-use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RandomWeakSched, RunConfig};
+use wmrd_sim::{run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig};
 use wmrd_trace::{MultiSink, OpRecorder, OpTrace, TraceBuilder, TraceSet};
 
 fn traced_sc(program: &wmrd_sim::Program, seed: u64) -> (TraceSet, OpTrace) {
@@ -20,7 +20,7 @@ fn traced_sc(program: &wmrd_sim::Program, seed: u64) -> (TraceSet, OpTrace) {
         TraceBuilder::new(program.num_procs()),
         OpRecorder::new(program.num_procs()),
     );
-    run_sc(program, &mut RandomSched::new(seed), &mut sink, RunConfig::uniform()).unwrap();
+    run_sc(program, &mut RandomWeakSched::new(seed, 0.0), &mut sink, RunConfig::uniform()).unwrap();
     let (b, r) = sink.into_inner();
     (b.finish(), r.finish())
 }
@@ -31,8 +31,16 @@ fn traced_weak(program: &wmrd_sim::Program, model: MemoryModel, seed: u64) -> (T
         OpRecorder::new(program.num_procs()),
     );
     let mut sched = RandomWeakSched::new(seed, 0.3);
-    run_weak(program, model, Fidelity::Conditioned, &mut sched, &mut sink, RunConfig::uniform())
-        .unwrap();
+    run_weak_hw(
+        HwImpl::StoreBuffer,
+        program,
+        model,
+        Fidelity::Conditioned,
+        &mut sched,
+        &mut sink,
+        RunConfig::uniform(),
+    )
+    .unwrap();
     let (b, r) = sink.into_inner();
     (b.finish(), r.finish())
 }

@@ -10,14 +10,13 @@ use wmrd_explore::{replay, run_campaign, CampaignSpec, ExecSpec};
 use wmrd_predict::PredictOrder;
 use wmrd_progs::catalog;
 use wmrd_sim::{
-    run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomSched, RandomWeakSched,
-    RunConfig,
+    run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, Program, RandomWeakSched, RunConfig,
 };
 use wmrd_trace::{Metrics, TraceBuilder, TraceSet};
 
 fn sc_trace(program: &Program, seed: u64) -> TraceSet {
     let mut sink = TraceBuilder::new(program.num_procs());
-    run_sc(program, &mut RandomSched::new(seed), &mut sink, RunConfig::default()).unwrap();
+    run_sc(program, &mut RandomWeakSched::new(seed, 0.0), &mut sink, RunConfig::default()).unwrap();
     sink.finish()
 }
 
@@ -54,8 +53,8 @@ fn seeded_schedulers_replay_byte_identically() {
     for seed in [0u64, 1, 17, 4096] {
         let a = sc_trace(&program, seed);
         let b = sc_trace(&program, seed);
-        assert_eq!(a, b, "RandomSched seed {seed}");
-        assert_eq!(a.to_binary(), b.to_binary(), "RandomSched seed {seed}: bytes");
+        assert_eq!(a, b, "SC seed {seed}");
+        assert_eq!(a.to_binary(), b.to_binary(), "SC seed {seed}: bytes");
         for hw in HwImpl::ALL {
             let a = weak_trace(&program, hw, seed);
             let b = weak_trace(&program, hw, seed);

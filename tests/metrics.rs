@@ -7,7 +7,7 @@
 
 use wmrd_core::PostMortem;
 use wmrd_progs::catalog;
-use wmrd_sim::{run_weak, Fidelity, MemoryModel, RandomWeakSched, RunConfig, SimStats};
+use wmrd_sim::{run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig, SimStats};
 use wmrd_trace::{Metrics, RunMetrics, TraceBuilder, TraceSet};
 
 /// One fully-metered run: simulate `program` on `model` with `seed`,
@@ -20,7 +20,8 @@ fn metered_run(name: &str, model: MemoryModel, seed: u64) -> RunMetrics {
     metrics.context("seed", seed);
     let mut sink = TraceBuilder::new(entry.program.num_procs());
     let mut sched = RandomWeakSched::new(seed, 0.3);
-    let outcome = run_weak(
+    let outcome = run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         model,
         Fidelity::Conditioned,
@@ -41,7 +42,8 @@ fn weak_trace(name: &str, model: MemoryModel, seed: u64) -> TraceSet {
     let entry = catalog::all().into_iter().find(|e| e.name == name).expect("catalog entry");
     let mut sink = TraceBuilder::new(entry.program.num_procs());
     let mut sched = RandomWeakSched::new(seed, 0.3);
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         model,
         Fidelity::Conditioned,

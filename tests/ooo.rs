@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 use wmrd_core::{event_race_keys, PostMortem, RaceKey};
 use wmrd_progs::catalog;
 use wmrd_sim::{
-    run_sc, run_weak_hw, Addr, Fidelity, HwImpl, Instr, MemoryModel, Program, RandomSched,
-    RandomWeakSched, Reg, RunConfig,
+    run_sc, run_weak_hw, Addr, Fidelity, HwImpl, Instr, MemoryModel, Program, RandomWeakSched, Reg,
+    RunConfig,
 };
 use wmrd_trace::{Location, NullSink, TraceBuilder, TraceSet, Value};
 use wmrd_verify::{enumerate_weak, EnumConfig};
@@ -178,10 +178,14 @@ fn fully_fenced_programs_agree_on_final_memory() {
         ),
     ];
     for program in programs {
-        let reference =
-            run_sc(&program, &mut RandomSched::new(0), &mut NullSink::new(), RunConfig::uniform())
-                .unwrap()
-                .final_memory;
+        let reference = run_sc(
+            &program,
+            &mut RandomWeakSched::new(0, 0.0),
+            &mut NullSink::new(),
+            RunConfig::uniform(),
+        )
+        .unwrap()
+        .final_memory;
         for hw in HwImpl::ALL {
             for seed in 0..6 {
                 let mut sched = RandomWeakSched::new(seed, 0.3);

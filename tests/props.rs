@@ -8,7 +8,7 @@ use wmrd_core::{
     event_race_keys, PairingPolicy, PostMortem, RaceKey, SideKey, StreamDetector, VectorClock,
 };
 use wmrd_progs::generate;
-use wmrd_sim::{run_sc, Fidelity, MemoryModel, RandomSched, RunConfig};
+use wmrd_sim::{run_sc, Fidelity, MemoryModel, RandomWeakSched, RunConfig};
 use wmrd_trace::AccessKind;
 use wmrd_trace::{LocSet, Location, ProcId, StreamDecoder, StreamWriter, TraceBuilder, TraceSet};
 use wmrd_verify::is_sequentially_consistent;
@@ -164,8 +164,13 @@ fn sc_executions_always_linearize() {
         };
         let program = generate::racy(&cfg);
         let mut sink = wmrd_trace::OpRecorder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(sched_seed), &mut sink, RunConfig::uniform())
-            .unwrap();
+        run_sc(
+            &program,
+            &mut RandomWeakSched::new(sched_seed, 0.0),
+            &mut sink,
+            RunConfig::uniform(),
+        )
+        .unwrap();
         assert!(is_sequentially_consistent(&sink.finish(), &program.initial_memory()));
     });
 }
@@ -184,8 +189,13 @@ fn race_reports_are_well_formed() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(sched_seed), &mut sink, RunConfig::uniform())
-            .unwrap();
+        run_sc(
+            &program,
+            &mut RandomWeakSched::new(sched_seed, 0.0),
+            &mut sink,
+            RunConfig::uniform(),
+        )
+        .unwrap();
         let trace = sink.finish();
         let report = PostMortem::new(&trace).analyze().unwrap();
         for race in &report.races {
@@ -223,8 +233,13 @@ fn locked_generator_is_race_free() {
         let cfg = generate::GenConfig::default().with_seed(prog_seed);
         let program = generate::locked(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(sched_seed), &mut sink, RunConfig::uniform())
-            .unwrap();
+        run_sc(
+            &program,
+            &mut RandomWeakSched::new(sched_seed, 0.0),
+            &mut sink,
+            RunConfig::uniform(),
+        )
+        .unwrap();
         let report = PostMortem::new(&sink.finish()).analyze().unwrap();
         assert!(report.is_race_free());
     });
@@ -243,8 +258,13 @@ fn trace_binary_roundtrip() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(sched_seed), &mut sink, RunConfig::uniform())
-            .unwrap();
+        run_sc(
+            &program,
+            &mut RandomWeakSched::new(sched_seed, 0.0),
+            &mut sink,
+            RunConfig::uniform(),
+        )
+        .unwrap();
         let mut trace = sink.finish();
         trace.meta.program = Some(program.name().to_string());
         trace.meta.seed = Some(sched_seed);
@@ -265,7 +285,8 @@ fn analysis_is_deterministic() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(1), &mut sink, RunConfig::uniform()).unwrap();
+        run_sc(&program, &mut RandomWeakSched::new(1, 0.0), &mut sink, RunConfig::uniform())
+            .unwrap();
         let trace = sink.finish();
         let r1 = PostMortem::new(&trace).analyze().unwrap();
         let r2 = PostMortem::new(&trace).analyze().unwrap();
@@ -290,7 +311,8 @@ fn weak_locked_runs_match_sc_outcomes() {
         let program = generate::locked(&cfg);
         let mut sink = wmrd_trace::OpRecorder::new(program.num_procs());
         let mut sched = wmrd_sim::RandomWeakSched::new(sched_seed, 0.4);
-        wmrd_sim::run_weak(
+        wmrd_sim::run_weak_hw(
+            wmrd_sim::HwImpl::StoreBuffer,
             &program,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -322,8 +344,13 @@ fn every_v2_prefix_decodes_or_errors_sanely() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(sched_seed), &mut sink, RunConfig::uniform())
-            .unwrap();
+        run_sc(
+            &program,
+            &mut RandomWeakSched::new(sched_seed, 0.0),
+            &mut sink,
+            RunConfig::uniform(),
+        )
+        .unwrap();
         let trace = sink.finish();
         let bin = trace.to_binary();
 
@@ -375,7 +402,8 @@ fn v2_bit_flips_are_detected_not_misread() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(0), &mut sink, RunConfig::uniform()).unwrap();
+        run_sc(&program, &mut RandomWeakSched::new(0, 0.0), &mut sink, RunConfig::uniform())
+            .unwrap();
         let trace = sink.finish();
         let mut bin = trace.to_binary();
         let offset = byte_pick % bin.len();
@@ -418,7 +446,8 @@ fn stream_chunking_never_changes_the_race_set() {
         let program = generate::racy(&cfg);
         let mut writer = StreamWriter::new(Vec::new(), program.num_procs());
         let mut sched = wmrd_sim::RandomWeakSched::new(sched_seed, 0.4);
-        wmrd_sim::run_weak(
+        wmrd_sim::run_weak_hw(
+            wmrd_sim::HwImpl::StoreBuffer,
             &program,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -486,7 +515,8 @@ fn pairing_monotonicity() {
         };
         let program = generate::racy(&cfg);
         let mut sink = TraceBuilder::new(program.num_procs());
-        run_sc(&program, &mut RandomSched::new(2), &mut sink, RunConfig::uniform()).unwrap();
+        run_sc(&program, &mut RandomWeakSched::new(2, 0.0), &mut sink, RunConfig::uniform())
+            .unwrap();
         let trace = sink.finish();
         let by_role = PostMortem::new(&trace).pairing(PairingPolicy::ByRole).analyze().unwrap();
         let all_sync = PostMortem::new(&trace).pairing(PairingPolicy::AllSync).analyze().unwrap();
@@ -777,7 +807,8 @@ fn dropped_stream_writer_salvages_committed_prefix() {
         // Reference: full run through a finished writer.
         let mut writer = StreamWriter::new(Vec::new(), program.num_procs());
         let mut sched = wmrd_sim::RandomWeakSched::new(sched_seed, 0.4);
-        wmrd_sim::run_weak(
+        wmrd_sim::run_weak_hw(
+            wmrd_sim::HwImpl::StoreBuffer,
             &program,
             MemoryModel::Wo,
             Fidelity::Conditioned,
@@ -796,7 +827,8 @@ fn dropped_stream_writer_salvages_committed_prefix() {
         {
             let mut writer = StreamWriter::new(ArcSink(committed.clone()), program.num_procs());
             let mut sched = wmrd_sim::RandomWeakSched::new(sched_seed, 0.4);
-            wmrd_sim::run_weak(
+            wmrd_sim::run_weak_hw(
+                wmrd_sim::HwImpl::StoreBuffer,
                 &program,
                 MemoryModel::Wo,
                 Fidelity::Conditioned,
@@ -836,7 +868,8 @@ fn torn_stream_tail_salvages_whole_records() {
         let program = generate::racy(&cfg);
         let mut writer = StreamWriter::new(Vec::new(), program.num_procs());
         let mut sched = wmrd_sim::RandomWeakSched::new(sched_seed, 0.4);
-        wmrd_sim::run_weak(
+        wmrd_sim::run_weak_hw(
+            wmrd_sim::HwImpl::StoreBuffer,
             &program,
             MemoryModel::Wo,
             Fidelity::Conditioned,

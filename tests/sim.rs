@@ -12,8 +12,8 @@
 
 use wmrd_progs::{catalog, generate};
 use wmrd_sim::{
-    run_sc, run_weak_hw, Addr, Fidelity, HwImpl, Instr, MemoryModel, Program, RandomSched,
-    RandomWeakSched, Reg, RunConfig, RunOutcome, SimError, SimStats,
+    run_sc, run_weak_hw, Addr, Fidelity, HwImpl, Instr, MemoryModel, Program, RandomWeakSched, Reg,
+    RunConfig, RunOutcome, SimError, SimStats,
 };
 use wmrd_trace::{crc32, Location, MultiSink, OpRecorder, ToJson, TraceBuilder};
 
@@ -83,7 +83,7 @@ fn matrix() -> String {
         let name = format!("{i:02}-{}", program.name());
         for seed in 0..2u64 {
             let mut s = sink(program);
-            let out = run_sc(program, &mut RandomSched::new(seed), &mut s, config);
+            let out = run_sc(program, &mut RandomWeakSched::new(seed, 0.0), &mut s, config);
             lines.push(format!("{name} seed={seed} sc: {}", render(out, s)));
             for hw in HwImpl::ALL {
                 for model in MemoryModel::ALL {

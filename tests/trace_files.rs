@@ -4,7 +4,7 @@
 
 use wmrd_core::PostMortem;
 use wmrd_progs::{catalog, generate};
-use wmrd_sim::{run_sc, run_weak, Fidelity, MemoryModel, RandomSched, RandomWeakSched, RunConfig};
+use wmrd_sim::{run_sc, run_weak_hw, Fidelity, HwImpl, MemoryModel, RandomWeakSched, RunConfig};
 use wmrd_trace::{StreamDecoder, StreamWriter, TraceBuilder, TraceError, TraceSet};
 
 fn tmp_dir() -> std::path::PathBuf {
@@ -17,7 +17,8 @@ fn tmp_dir() -> std::path::PathBuf {
 fn record_write_read_analyze_json() {
     let entry = catalog::work_queue_buggy();
     let mut sink = TraceBuilder::new(entry.program.num_procs());
-    run_sc(&entry.program, &mut RandomSched::new(3), &mut sink, RunConfig::uniform()).unwrap();
+    run_sc(&entry.program, &mut RandomWeakSched::new(3, 0.0), &mut sink, RunConfig::uniform())
+        .unwrap();
     let mut trace = sink.finish();
     trace.meta.program = Some(entry.name.into());
     trace.meta.model = Some("SC".into());
@@ -41,7 +42,8 @@ fn binary_files_roundtrip_weak_traces() {
     let program = generate::racy(&cfg);
     let mut sink = TraceBuilder::new(program.num_procs());
     let mut sched = RandomWeakSched::new(5, 0.3);
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         &program,
         MemoryModel::RCsc,
         Fidelity::Conditioned,
@@ -68,7 +70,8 @@ fn binary_files_roundtrip_weak_traces() {
 fn corrupted_files_are_rejected_not_misread() {
     let entry = catalog::fig1a();
     let mut sink = TraceBuilder::new(entry.program.num_procs());
-    run_sc(&entry.program, &mut RandomSched::new(0), &mut sink, RunConfig::uniform()).unwrap();
+    run_sc(&entry.program, &mut RandomWeakSched::new(0, 0.0), &mut sink, RunConfig::uniform())
+        .unwrap();
     let trace = sink.finish();
 
     // Bit-flip every byte position of a small binary trace; decoding must
@@ -112,7 +115,8 @@ fn corpus_dir() -> std::path::PathBuf {
 fn corpus_base() -> TraceSet {
     let entry = catalog::fig1a();
     let mut sink = TraceBuilder::new(entry.program.num_procs());
-    run_sc(&entry.program, &mut RandomSched::new(0), &mut sink, RunConfig::uniform()).unwrap();
+    run_sc(&entry.program, &mut RandomWeakSched::new(0, 0.0), &mut sink, RunConfig::uniform())
+        .unwrap();
     let mut trace = sink.finish();
     trace.meta.program = Some(entry.name.into());
     trace.meta.model = Some("SC".into());
@@ -296,7 +300,8 @@ fn retired_format_versions_are_refused_typed() {
     let entry = catalog::fig1a();
     let mut writer = StreamWriter::new(Vec::new(), entry.program.num_procs());
     let mut sched = RandomWeakSched::new(2, 0.3);
-    run_weak(
+    run_weak_hw(
+        HwImpl::StoreBuffer,
         &entry.program,
         MemoryModel::Wo,
         Fidelity::Conditioned,
