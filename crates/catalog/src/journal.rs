@@ -46,12 +46,21 @@
 //! payload before anything is allocated from it, and a payload with
 //! bytes left over after its last race is damage. Version-1 journals
 //! (JSON payloads) are refused as an unsupported version.
+//!
+//! Frames and fields are written and read by the trace crate's codec
+//! (`wmrd_trace::put_frame`, `ByteReader::frame` and the paired field
+//! helpers), the same layer behind the v2 trace and `WMRS` formats.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
 use wmrd_core::{RaceKey, SideKey};
-use wmrd_trace::{crc32, put_opt_str, AccessKind, ByteReader, DecodeError, Location, ProcId};
+use wmrd_trace::{
+    put_access_kind, put_crc, put_flag, put_frame, put_opt_str, put_opt_u64, ByteReader,
+    DecodeError, Location, ProcId,
+};
 
 use crate::CatalogError;
 
@@ -189,8 +198,7 @@ pub fn encode_header() -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES);
     out.extend_from_slice(&JOURNAL_MAGIC);
     out.extend_from_slice(&JOURNAL_VERSION.to_be_bytes());
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_be_bytes());
+    put_crc(&mut out, 0);
     out
 }
 
@@ -199,21 +207,17 @@ pub fn encode_header() -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CatalogError::Record`] if the record exceeds
-/// [`MAX_RECORD_BYTES`].
+/// [`MAX_RECORD_BYTES`]; `out` is then left as it was.
 pub fn encode_record(out: &mut Vec<u8>, record: &JournalRecord) -> Result<(), CatalogError> {
-    let payload = encode_payload(record);
-    if payload.len() > MAX_RECORD_BYTES {
-        return Err(CatalogError::Record(format!(
-            "record payload of {} bytes exceeds the {MAX_RECORD_BYTES}-byte bound",
-            payload.len()
-        )));
-    }
     let start = out.len();
     out.push(RECORD_MARKER);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
+    let len = put_frame(out, start, |payload| put_payload(payload, record));
+    if len > MAX_RECORD_BYTES {
+        out.truncate(start);
+        return Err(CatalogError::Record(format!(
+            "record payload of {len} bytes exceeds the {MAX_RECORD_BYTES}-byte bound"
+        )));
+    }
     Ok(())
 }
 
@@ -248,45 +252,42 @@ pub fn decode(data: &[u8]) -> Result<(Vec<JournalRecord>, JournalSalvage), Catal
             reason: format!("journal header truncated at {} of {HEADER_BYTES} bytes", data.len()),
         });
     }
-    if data[..4] != JOURNAL_MAGIC {
+    let mut r = ByteReader::new(data);
+    let magic = r.take(JOURNAL_MAGIC.len(), "journal magic")?;
+    if magic != JOURNAL_MAGIC {
         return Err(CatalogError::Corrupt {
             offset: 0,
-            reason: format!("bad journal magic {:02x?}", &data[..4]),
+            reason: format!("bad journal magic {magic:02x?}"),
         });
     }
-    let version = u16::from_be_bytes([data[4], data[5]]);
+    let version = r.u16("journal version")?;
     if version != JOURNAL_VERSION {
         return Err(CatalogError::Corrupt {
             offset: 4,
             reason: format!("unsupported journal version {version}"),
         });
     }
-    let stored = u32::from_be_bytes([data[6], data[7], data[8], data[9]]);
-    if stored != crc32(&data[..6]) {
-        return Err(CatalogError::Corrupt {
-            offset: 6,
-            reason: "journal header CRC mismatch".into(),
-        });
-    }
+    r.check_crc(0, "journal header")?;
 
     let mut records = Vec::new();
-    let mut pos = HEADER_BYTES;
     let mut failure = None;
-    while pos < data.len() {
-        match decode_record(data, pos) {
-            Ok((record, next)) => {
+    while !r.is_empty() {
+        // Read from a copy, so a failed record leaves `r` at its start.
+        let mut rec = r.clone();
+        match decode_record(&mut rec) {
+            Ok(record) => {
                 records.push(record);
-                pos = next;
+                r = rec;
             }
-            Err(reason) => {
-                failure = Some(reason);
+            Err(e) => {
+                failure = Some(format!("offset {}: {}", e.offset, e.reason));
                 break;
             }
         }
     }
     let salvage = JournalSalvage {
         records: records.len(),
-        bytes_used: pos,
+        bytes_used: r.offset(),
         bytes_total: data.len(),
         complete: failure.is_none(),
         failure,
@@ -294,86 +295,44 @@ pub fn decode(data: &[u8]) -> Result<(Vec<JournalRecord>, JournalSalvage), Catal
     Ok((records, salvage))
 }
 
-/// Decodes one record starting at `pos`; on success returns the record
-/// and the offset just past its frame. Any failure is a salvage stop,
-/// described by the returned reason string.
-fn decode_record(data: &[u8], pos: usize) -> Result<(JournalRecord, usize), String> {
-    let fail = |off: usize, what: &str| format!("offset {off}: {what}");
-    if data[pos] != RECORD_MARKER {
-        return Err(fail(pos, &format!("bad record marker 0x{:02x}", data[pos])));
-    }
-    let len_end = pos + 5;
-    if len_end > data.len() {
-        return Err(fail(pos, "record length truncated"));
-    }
-    let len =
-        u32::from_be_bytes([data[pos + 1], data[pos + 2], data[pos + 3], data[pos + 4]]) as usize;
-    if len > MAX_RECORD_BYTES {
-        return Err(fail(pos + 1, &format!("record length {len} exceeds the bound")));
-    }
-    let crc_end = len_end + len + 4;
-    if crc_end > data.len() {
-        return Err(fail(pos, "record payload truncated"));
-    }
-    let stored = u32::from_be_bytes([
-        data[crc_end - 4],
-        data[crc_end - 3],
-        data[crc_end - 2],
-        data[crc_end - 1],
-    ]);
-    if stored != crc32(&data[pos..crc_end - 4]) {
-        return Err(fail(pos, "record CRC mismatch"));
-    }
-    let payload = ByteReader::with_base(&data[len_end..len_end + len], len_end);
-    let record = decode_payload(payload).map_err(|e| fail(e.offset, &e.reason))?;
-    Ok((record, crc_end))
+/// Decodes one framed record from the front of `r`. Any failure is a
+/// salvage stop.
+fn decode_record(r: &mut ByteReader<'_>) -> Result<JournalRecord, DecodeError> {
+    let start = r.offset();
+    r.marker(RECORD_MARKER, "record marker")?;
+    let payload = r.frame(start, MAX_RECORD_BYTES as u32, "record")?;
+    decode_payload(payload)
 }
 
 fn put_side(out: &mut Vec<u8>, side: &SideKey) {
     out.extend_from_slice(&side.proc.raw().to_be_bytes());
-    out.push(side.kind.is_write() as u8);
-    out.push(side.sync as u8);
+    put_access_kind(out, side.kind);
+    put_flag(out, side.sync);
 }
 
-/// The binary record payload (layout in the module docs).
-fn encode_payload(record: &JournalRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + record.races.len() * RACE_BYTES);
-    put_opt_str(&mut out, Some(&record.digest));
-    put_opt_str(&mut out, record.program.as_deref());
-    put_opt_str(&mut out, record.model.as_deref());
-    match record.seed {
-        Some(seed) => {
-            out.push(1);
-            out.extend_from_slice(&seed.to_be_bytes());
-        }
-        None => out.push(0),
-    }
+/// Appends the binary record payload (layout in the module docs).
+fn put_payload(out: &mut Vec<u8>, record: &JournalRecord) {
+    out.reserve(64 + record.races.len() * RACE_BYTES);
+    put_opt_str(out, Some(&record.digest));
+    put_opt_str(out, record.program.as_deref());
+    put_opt_str(out, record.model.as_deref());
+    put_opt_u64(out, record.seed);
     out.extend_from_slice(&record.events.to_be_bytes());
-    out.push(record.amend as u8);
+    put_flag(out, record.amend);
     out.extend_from_slice(&(record.races.len() as u32).to_be_bytes());
     for obs in &record.races {
         out.extend_from_slice(&obs.key.loc.addr().to_be_bytes());
-        put_side(&mut out, &obs.key.a);
-        put_side(&mut out, &obs.key.b);
-        out.push(obs.first_partition as u8);
+        put_side(out, &obs.key.a);
+        put_side(out, &obs.key.b);
+        put_flag(out, obs.first_partition);
         out.push(obs.provenance.0);
-    }
-    out
-}
-
-fn get_flag(r: &mut ByteReader<'_>, what: &str) -> Result<bool, DecodeError> {
-    let at = r.offset();
-    match r.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(DecodeError::new(at, format!("bad {what} {b}"))),
     }
 }
 
 fn get_side(r: &mut ByteReader<'_>) -> Result<SideKey, DecodeError> {
     let proc = ProcId::new(r.u16("race side processor")?);
-    let kind = if get_flag(r, "race side kind")? { AccessKind::Write } else { AccessKind::Read };
-    Ok(SideKey { proc, kind, sync: get_flag(r, "race side sync flag")? })
+    let kind = r.access_kind("race side kind")?;
+    Ok(SideKey { proc, kind, sync: r.flag("race side sync flag")? })
 }
 
 /// Decodes a binary record payload, refusing anything that is not
@@ -382,9 +341,9 @@ fn decode_payload(mut r: ByteReader<'_>) -> Result<JournalRecord, DecodeError> {
     let digest = r.opt_str("digest")?.ok_or_else(|| r.err("record has no digest"))?;
     let program = r.opt_str("program")?;
     let model = r.opt_str("model")?;
-    let seed = if get_flag(&mut r, "seed flag")? { Some(r.u64("seed")?) } else { None };
+    let seed = r.opt_u64("seed")?;
     let events = r.u64("event count")?;
-    let amend = get_flag(&mut r, "amend flag")?;
+    let amend = r.flag("amend flag")?;
     let count = r.u32("race count")? as usize;
     if count > r.remaining() / RACE_BYTES {
         return Err(r.err(format!("race count {count} exceeds the payload")));
@@ -394,7 +353,7 @@ fn decode_payload(mut r: ByteReader<'_>) -> Result<JournalRecord, DecodeError> {
         let loc = Location::new(r.u32("race location")?);
         let a = get_side(&mut r)?;
         let b = get_side(&mut r)?;
-        let first_partition = get_flag(&mut r, "first-partition flag")?;
+        let first_partition = r.flag("first-partition flag")?;
         let at = r.offset();
         let bits = r.u8("provenance")?;
         if bits & !(Provenance::OBSERVED.0 | Provenance::PREDICTED.0) != 0 {
@@ -455,10 +414,13 @@ mod tests {
     fn journal_with_payload(payload: &[u8]) -> Vec<u8> {
         let mut out = encode_header();
         out.push(RECORD_MARKER);
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(payload);
-        let crc = crc32(&out[HEADER_BYTES..]);
-        out.extend_from_slice(&crc.to_be_bytes());
+        put_frame(&mut out, HEADER_BYTES, |p| p.extend_from_slice(payload));
+        out
+    }
+
+    fn encode_payload(record: &JournalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_payload(&mut out, record);
         out
     }
 
@@ -491,6 +453,22 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_byte_other_than_zero_or_one_is_a_salvage_stop_at_its_offset() {
+        let mut r = record(3);
+        r.seed = None;
+        let mut payload = encode_payload(&r);
+        // The digest (16 hex digits), "fig1a" and "wo" as length-prefixed
+        // strings, then the seed flag.
+        let at = (4 + 16) + (4 + 5) + (4 + 2);
+        assert_eq!(payload[at], 0);
+        payload[at] = 2;
+        let (back, salvage) = decode(&journal_with_payload(&payload)).unwrap();
+        assert!(back.is_empty());
+        let flag_offset = HEADER_BYTES + 5 + at;
+        assert_eq!(salvage.failure.unwrap(), format!("offset {flag_offset}: bad seed flag 2"));
+    }
+
+    #[test]
     fn trailing_payload_bytes_are_a_salvage_stop() {
         let mut payload = encode_payload(&record(2));
         payload.push(0);
@@ -504,8 +482,7 @@ mod tests {
     fn version_one_journals_are_refused() {
         let mut bytes = JOURNAL_MAGIC.to_vec();
         bytes.extend_from_slice(&1u16.to_be_bytes());
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_be_bytes());
+        put_crc(&mut bytes, 0);
         match decode(&bytes) {
             Err(CatalogError::Corrupt { offset: 4, reason }) => {
                 assert!(reason.contains("unsupported journal version 1"), "{reason}");
@@ -542,7 +519,7 @@ mod tests {
         let (back, salvage) = decode(&bytes[..cut]).unwrap();
         assert_eq!(back, records[..3]);
         assert!(!salvage.complete);
-        assert!(salvage.failure.unwrap().contains("truncated"));
+        assert!(salvage.failure.unwrap().contains("input ends inside record payload"));
     }
 
     #[test]
@@ -569,8 +546,7 @@ mod tests {
         let mut bytes = encode_header();
         bytes[5] = 9; // version 9 — a future format, refuse to guess
         bytes.truncate(6);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_be_bytes());
+        put_crc(&mut bytes, 0);
         assert!(matches!(decode(&bytes), Err(CatalogError::Corrupt { .. })));
     }
 
@@ -584,6 +560,7 @@ mod tests {
         let (back, salvage) = decode(&bytes).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(salvage.bytes_used, good.len());
-        assert!(salvage.failure.unwrap().contains("exceeds the bound"));
+        let failure = salvage.failure.unwrap();
+        assert_eq!(failure, format!("offset {}: oversized record length 4294967295", good.len()));
     }
 }

@@ -86,6 +86,12 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
+impl From<wmrd_trace::DecodeError> for CatalogError {
+    fn from(e: wmrd_trace::DecodeError) -> Self {
+        CatalogError::Corrupt { offset: e.offset, reason: e.reason }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,15 +24,15 @@ pub struct HbGraph {
 }
 
 impl HbGraph {
-    /// Builds the hb1 graph of `trace` under a pairing policy: `trace`
-    /// validated, then `(po ∪ so1)+` over its [`so1_edges`].
+    /// Builds the hb1 graph of `trace` under a pairing policy:
+    /// `(po ∪ so1)+` over its [`so1_edges`]. Every [`TraceSet`] is valid
+    /// by construction, so it is not validated again here.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::Trace`] for invalid traces and
-    /// [`AnalysisError::DanglingRelease`] for unresolvable pairings.
+    /// Returns [`AnalysisError::DanglingRelease`] for unresolvable
+    /// pairings.
     pub fn build(trace: &TraceSet, policy: PairingPolicy) -> Result<Self, AnalysisError> {
-        trace.validate()?;
         let so1 = so1_edges(trace, policy)?;
         Self::over_chains(trace.processors().iter().map(|proc_trace| proc_trace.len()), so1)
     }
@@ -40,8 +40,7 @@ impl HbGraph {
     /// Builds `(po ∪ sync)+` over the events of `self` from an explicit
     /// list of synchronization edges — any subset of `so1`, or edges
     /// inside its closure, gives an order no stronger than hb1, such as
-    /// WCP's weakened order. The trace `self` was built from was
-    /// validated when `self` was built, so it is not validated again.
+    /// WCP's weakened order.
     ///
     /// # Errors
     ///

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use wmrd_trace::{AccessKind, Location, OpId, ProcId, SyncRole, TraceSink, Value};
+use wmrd_trace::{AccessKind, Location, OpCounters, OpId, ProcId, SyncRole, TraceSink, Value};
 
 use crate::{PairingPolicy, RaceKind, VectorClock};
 
@@ -81,7 +81,7 @@ struct LocationState {
 pub struct OnTheFly {
     config: OnTheFlyConfig,
     clocks: Vec<VectorClock>,
-    op_counters: Vec<u32>,
+    op_counters: OpCounters,
     locations: HashMap<Location, LocationState>,
     sync_clocks: HashMap<Location, VectorClock>,
     races: Vec<OnTheFlyRace>,
@@ -94,7 +94,7 @@ impl OnTheFly {
         OnTheFly {
             config,
             clocks: vec![VectorClock::new(); num_procs],
-            op_counters: vec![0; num_procs],
+            op_counters: OpCounters::with_procs(num_procs),
             locations: HashMap::new(),
             sync_clocks: HashMap::new(),
             races: Vec::new(),
@@ -168,8 +168,7 @@ impl OnTheFly {
         let procs = self.clocks.len();
         self.clocks.clear();
         self.clocks.resize_with(procs, VectorClock::new);
-        self.op_counters.clear();
-        self.op_counters.resize(procs, 0);
+        self.op_counters = OpCounters::with_procs(procs);
         self.locations.clear();
         self.sync_clocks.clear();
         self.races.clear();
@@ -179,14 +178,7 @@ impl OnTheFly {
     fn ensure_proc(&mut self, proc: ProcId) {
         if proc.index() >= self.clocks.len() {
             self.clocks.resize_with(proc.index() + 1, VectorClock::new);
-            self.op_counters.resize(proc.index() + 1, 0);
         }
-    }
-
-    fn assign(&mut self, proc: ProcId) -> OpId {
-        let seq = self.op_counters[proc.index()];
-        self.op_counters[proc.index()] += 1;
-        OpId::new(proc, seq)
     }
 
     fn report(&mut self, earlier: AccessRecord, later: OpId, loc: Location, later_sync: bool) {
@@ -269,7 +261,7 @@ impl TraceSink for OnTheFly {
         _observed: Option<OpId>,
     ) -> OpId {
         self.ensure_proc(proc);
-        let op = self.assign(proc);
+        let op = self.op_counters.assign(proc);
         self.clocks[proc.index()].tick(proc);
         match kind {
             AccessKind::Read => {
@@ -294,7 +286,7 @@ impl TraceSink for OnTheFly {
         _observed_release: Option<OpId>,
     ) -> OpId {
         self.ensure_proc(proc);
-        let op = self.assign(proc);
+        let op = self.op_counters.assign(proc);
         self.clocks[proc.index()].tick(proc);
         let transfers = match self.config.pairing {
             PairingPolicy::ByRole => match kind {

@@ -54,7 +54,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use wmrd_trace::{AccessKind, Location, OpId, ProcId, StreamRecord, SyncRole, TraceSink, Value};
+use wmrd_trace::{
+    AccessKind, Location, OpCounters, OpId, ProcId, StreamRecord, SyncRole, TraceSink, Value,
+};
 
 use crate::{OnTheFlyRace, PairingPolicy, RaceKey, RaceKind, SideKey, VectorClock};
 
@@ -122,8 +124,8 @@ pub struct StreamDetector {
     pairing: PairingPolicy,
     /// One clock per processor: what that processor knows happened.
     clocks: Vec<VectorClock>,
-    /// Positional operation-id assignment, mirroring every other sink.
-    op_counters: Vec<u32>,
+    /// Positional operation-id assignment, shared with every other sink.
+    op_counters: OpCounters,
     locations: HashMap<Location, LocState>,
     /// Clock snapshot (and role) of every sync write, keyed by its
     /// operation id — the lookup table for exact `so1` pairing.
@@ -143,7 +145,7 @@ impl StreamDetector {
         StreamDetector {
             pairing,
             clocks: vec![VectorClock::new(); num_procs],
-            op_counters: vec![0; num_procs],
+            op_counters: OpCounters::with_procs(num_procs),
             locations: HashMap::new(),
             release_clocks: HashMap::new(),
             keys: BTreeSet::new(),
@@ -220,8 +222,7 @@ impl StreamDetector {
         let procs = self.clocks.len();
         self.clocks.clear();
         self.clocks.resize_with(procs, VectorClock::new);
-        self.op_counters.clear();
-        self.op_counters.resize(procs, 0);
+        self.op_counters = OpCounters::with_procs(procs);
         self.locations.clear();
         self.release_clocks.clear();
         self.keys.clear();
@@ -233,14 +234,7 @@ impl StreamDetector {
     fn ensure_proc(&mut self, proc: ProcId) {
         if proc.index() >= self.clocks.len() {
             self.clocks.resize_with(proc.index() + 1, VectorClock::new);
-            self.op_counters.resize(proc.index() + 1, 0);
         }
-    }
-
-    fn assign(&mut self, proc: ProcId) -> OpId {
-        let seq = self.op_counters[proc.index()];
-        self.op_counters[proc.index()] += 1;
-        OpId::new(proc, seq)
     }
 
     /// Checks the access against the location's class records, reports
@@ -332,7 +326,7 @@ impl TraceSink for StreamDetector {
         _observed: Option<OpId>,
     ) -> OpId {
         self.ensure_proc(proc);
-        let op = self.assign(proc);
+        let op = self.op_counters.assign(proc);
         self.clocks[proc.index()].tick(proc);
         self.touch(proc, loc, kind, false, op);
         op
@@ -348,7 +342,7 @@ impl TraceSink for StreamDetector {
         observed_release: Option<OpId>,
     ) -> OpId {
         self.ensure_proc(proc);
-        let op = self.assign(proc);
+        let op = self.op_counters.assign(proc);
         self.clocks[proc.index()].tick(proc);
         if kind == AccessKind::Read {
             // Exact so1: join only the snapshot of the release this read

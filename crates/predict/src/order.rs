@@ -103,9 +103,8 @@ impl PredictGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::Trace`] for invalid traces and
-    /// [`AnalysisError::DanglingRelease`] for unresolvable pairings —
-    /// the same failure modes as [`HbGraph::build`].
+    /// Returns [`AnalysisError::DanglingRelease`] for unresolvable
+    /// pairings — the same failure mode as [`HbGraph::build`].
     pub fn build(
         trace: &TraceSet,
         policy: PairingPolicy,

@@ -141,8 +141,7 @@ fn side_str(side: &SideKey) -> String {
 ///
 /// # Errors
 ///
-/// Propagates trace-validation and pairing failures from
-/// [`PredictGraph::build`].
+/// Propagates pairing failures from [`PredictGraph::build`].
 pub fn predict(
     trace: &TraceSet,
     program: &str,

@@ -46,8 +46,6 @@ pub enum TraceError {
     UnknownOp(OpId),
     /// The trace violated a structural invariant (message explains which).
     Malformed(String),
-    /// Binary decoding failed (message explains where).
-    Binary(String),
     /// Binary decoding failed at a known byte offset.
     Decode(DecodeError),
     /// An I/O error while reading or writing a trace file.
@@ -61,7 +59,6 @@ impl fmt::Display for TraceError {
             TraceError::UnknownEvent(e) => write!(f, "unknown event {e}"),
             TraceError::UnknownOp(o) => write!(f, "unknown operation {o}"),
             TraceError::Malformed(m) => write!(f, "malformed trace: {m}"),
-            TraceError::Binary(m) => write!(f, "trace binary decode error: {m}"),
             TraceError::Decode(e) => write!(f, "trace binary decode error {e}"),
             TraceError::Io(e) => write!(f, "trace io error: {e}"),
         }
@@ -98,7 +95,6 @@ mod tests {
     fn display_variants() {
         assert!(TraceError::UnknownProcessor(ProcId::new(7)).to_string().contains("P7"));
         assert!(TraceError::Malformed("oops".into()).to_string().contains("oops"));
-        assert!(TraceError::Binary("short read".into()).to_string().contains("short read"));
     }
 
     #[test]

@@ -77,7 +77,9 @@ mod traceset;
 
 pub use bitset::LocSet;
 pub use crc32::crc32;
-pub use cursor::{put_opt_str, ByteReader};
+pub use cursor::{
+    put_access_kind, put_crc, put_flag, put_frame, put_opt_str, put_opt_u64, ByteReader,
+};
 pub use digest::{ParseDigestError, TraceDigest};
 pub use error::{DecodeError, TraceError};
 pub use event::{ComputationEvent, Event, EventId, EventKind, SyncEvent};
@@ -87,7 +89,7 @@ pub use metrics::{keys as metric_keys, Metrics, RunMetrics};
 pub use op::{AccessKind, MemOp, OpClass, SyncRole};
 pub use oplog::OpTrace;
 pub use rng::{splitmix64, RangeInt, SplitMix64};
-pub use sink::{MultiSink, NullSink, OpRecorder, TraceBuilder, TraceSink};
+pub use sink::{MultiSink, NullSink, OpCounters, OpRecorder, TraceBuilder, TraceSink};
 pub use stream::{
     read_stream, salvage_stream, StreamDecoder, StreamRecord, StreamSalvage, StreamWriter,
 };

@@ -94,18 +94,23 @@ impl<T: TraceSink + ?Sized> TraceSink for &mut T {
     }
 }
 
-/// Shared per-processor operation counter used by every sink.
+/// The per-processor operation counter every sink assigns ids with:
+/// the `n`-th operation processor `p` issues is `Pp#n` (the sink
+/// contract), whatever the sink records.
 #[derive(Debug, Clone, Default)]
-struct OpCounters {
+pub struct OpCounters {
     next: Vec<u32>,
 }
 
 impl OpCounters {
-    fn with_procs(n: usize) -> Self {
+    /// Counters for `n` processors, all at zero (more are added on
+    /// demand).
+    pub fn with_procs(n: usize) -> Self {
         OpCounters { next: vec![0; n] }
     }
 
-    fn assign(&mut self, proc: ProcId) -> OpId {
+    /// The next id of `proc`, growing the counters to cover it.
+    pub fn assign(&mut self, proc: ProcId) -> OpId {
         if proc.index() >= self.next.len() {
             self.next.resize(proc.index() + 1, 0);
         }

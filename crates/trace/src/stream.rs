@@ -22,18 +22,25 @@
 //! magic) is refused at offset 0. [`StreamDecoder`] is the one parser;
 //! [`read_stream`] and [`salvage_stream`] feed it from a reader.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 
 use std::fmt;
 use std::io::{Read, Write};
 
-use crate::crc32::crc32;
+use crate::cursor::{
+    put_access_kind, put_crc, put_opt_op_id, put_sync_role, ByteReader, OP_ID_BYTES,
+};
 use crate::error::DecodeError;
 use crate::{
-    AccessKind, OpId, ProcId, SyncRole, TraceBuilder, TraceError, TraceSet, TraceSink, Value,
+    AccessKind, Location, OpCounters, OpId, ProcId, SyncRole, TraceBuilder, TraceError, TraceSet,
+    TraceSink, Value,
 };
 
 const RECORD_MAGIC: u8 = 0xA5;
+/// Bytes of a record up to and including its observed-write flag:
+/// magic, tag, `u16` processor, `u32` location, access kind, sync
+/// role, `i64` value, flag.
+const RECORD_HEAD_BYTES: usize = 19;
 
 const TAG_DATA: u8 = 0;
 const TAG_SYNC: u8 = 1;
@@ -83,7 +90,7 @@ pub struct StreamWriter<W: Write> {
     /// `None` only after [`finish`](StreamWriter::finish) has taken the
     /// writer out (the `Drop` impl then has nothing left to flush).
     writer: Option<W>,
-    counters: Vec<u32>,
+    counters: OpCounters,
     records: u64,
     deferred_error: Option<std::io::Error>,
 }
@@ -95,7 +102,7 @@ impl<W: Write> StreamWriter<W> {
     pub fn new(writer: W, num_procs: usize) -> Self {
         let mut w = StreamWriter {
             writer: Some(writer),
-            counters: vec![0; num_procs],
+            counters: OpCounters::with_procs(num_procs),
             records: 0,
             deferred_error: None,
         };
@@ -139,34 +146,13 @@ impl<W: Write> StreamWriter<W> {
         Ok(writer)
     }
 
-    fn assign(&mut self, proc: ProcId) -> OpId {
-        if proc.index() >= self.counters.len() {
-            self.counters.resize(proc.index() + 1, 0);
+    /// Emits `rec` unless an earlier write failed; counts it either way.
+    fn record(&mut self, rec: StreamRecord) {
+        if self.deferred_error.is_none() {
+            let mut buf = Vec::with_capacity(RECORD_HEAD_BYTES + OP_ID_BYTES + 4);
+            rec.put(&mut buf);
+            self.write_bytes(&buf);
         }
-        let seq = self.counters[proc.index()];
-        self.counters[proc.index()] += 1;
-        OpId::new(proc, seq)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        tag: u8,
-        proc: ProcId,
-        loc: crate::Location,
-        kind: AccessKind,
-        role: SyncRole,
-        value: Value,
-        observed: Option<OpId>,
-    ) {
-        if self.deferred_error.is_some() {
-            self.records += 1;
-            return;
-        }
-        let mut rec = encode_record_body(tag, proc, loc, kind, role, value, observed);
-        let crc = crc32(&rec);
-        rec.extend_from_slice(&crc.to_be_bytes());
-        self.write_bytes(&rec);
         self.records += 1;
     }
 }
@@ -184,66 +170,31 @@ impl<W: Write> Drop for StreamWriter<W> {
     }
 }
 
-/// Encodes a record body (everything the record's CRC-32 covers).
-#[allow(clippy::too_many_arguments)]
-fn encode_record_body(
-    tag: u8,
-    proc: ProcId,
-    loc: crate::Location,
-    kind: AccessKind,
-    role: SyncRole,
-    value: Value,
-    observed: Option<OpId>,
-) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(32);
-    rec.push(RECORD_MAGIC);
-    rec.push(tag);
-    rec.extend_from_slice(&proc.raw().to_be_bytes());
-    rec.extend_from_slice(&loc.addr().to_be_bytes());
-    rec.push(matches!(kind, AccessKind::Write) as u8);
-    rec.push(match role {
-        SyncRole::Release => 0,
-        SyncRole::Acquire => 1,
-        SyncRole::None => 2,
-    });
-    rec.extend_from_slice(&value.get().to_be_bytes());
-    match observed {
-        Some(op) => {
-            rec.push(1);
-            rec.extend_from_slice(&op.proc.raw().to_be_bytes());
-            rec.extend_from_slice(&op.seq.to_be_bytes());
-        }
-        None => rec.push(0),
-    }
-    rec
-}
-
 impl<W: Write> TraceSink for StreamWriter<W> {
     fn data_access(
         &mut self,
         proc: ProcId,
-        loc: crate::Location,
+        loc: Location,
         kind: AccessKind,
         value: Value,
         observed: Option<OpId>,
     ) -> OpId {
-        let id = self.assign(proc);
-        self.record(TAG_DATA, proc, loc, kind, SyncRole::None, value, observed);
-        id
+        let role = SyncRole::None;
+        self.record(StreamRecord { sync: false, proc, loc, kind, role, value, observed });
+        self.counters.assign(proc)
     }
 
     fn sync_access(
         &mut self,
         proc: ProcId,
-        loc: crate::Location,
+        loc: Location,
         kind: AccessKind,
         role: SyncRole,
         value: Value,
-        observed_release: Option<OpId>,
+        observed: Option<OpId>,
     ) -> OpId {
-        let id = self.assign(proc);
-        self.record(TAG_SYNC, proc, loc, kind, role, value, observed_release);
-        id
+        self.record(StreamRecord { sync: true, proc, loc, kind, role, value, observed });
+        self.counters.assign(proc)
     }
 }
 
@@ -264,7 +215,7 @@ pub struct StreamRecord {
     /// Issuing processor.
     pub proc: ProcId,
     /// Location accessed.
-    pub loc: crate::Location,
+    pub loc: Location,
     /// Read or write.
     pub kind: AccessKind,
     /// Acquire/release/plain role (always [`SyncRole::None`] for data
@@ -288,6 +239,54 @@ impl StreamRecord {
         } else {
             sink.data_access(self.proc, self.loc, self.kind, self.value, self.observed)
         }
+    }
+
+    /// Appends this record in the stream layout, CRC-32 included.
+    fn put(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.push(RECORD_MAGIC);
+        buf.push(if self.sync { TAG_SYNC } else { TAG_DATA });
+        buf.extend_from_slice(&self.proc.raw().to_be_bytes());
+        buf.extend_from_slice(&self.loc.addr().to_be_bytes());
+        put_access_kind(buf, self.kind);
+        put_sync_role(buf, self.role);
+        buf.extend_from_slice(&self.value.get().to_be_bytes());
+        put_opt_op_id(buf, self.observed);
+        put_crc(buf, start);
+    }
+
+    /// Reads one record from the front of `r`, advancing `r` past it
+    /// only when the whole record is there: `Ok(None)` means it is not
+    /// complete yet. The fields up to the observed-write flag are
+    /// checked as soon as they have arrived, the checksum once the
+    /// record is whole.
+    fn get(r: &mut ByteReader<'_>) -> Result<Option<StreamRecord>, DecodeError> {
+        if r.remaining() < RECORD_HEAD_BYTES {
+            return Ok(None);
+        }
+        let mut p = r.clone();
+        let start = p.offset();
+        // A reader over exactly the head lets the compiler drop the
+        // length checks of the fixed-offset reads below.
+        let mut h = ByteReader::with_base(p.take(RECORD_HEAD_BYTES, "record")?, start);
+        h.marker(RECORD_MAGIC, "record magic")?;
+        let tag = h.u8("record tag")?;
+        if tag != TAG_DATA && tag != TAG_SYNC {
+            return Err(DecodeError::new(start, format!("bad record tag {tag}")));
+        }
+        let proc = ProcId::new(h.u16("record processor")?);
+        let loc = Location::new(h.u32("record location")?);
+        let kind = h.access_kind("record kind")?;
+        let role = h.sync_role("sync role")?;
+        let value = Value::new(h.i64("record value")?);
+        let has_observed = h.flag("observed flag")?;
+        if p.remaining() < usize::from(has_observed) * OP_ID_BYTES + 4 {
+            return Ok(None);
+        }
+        let observed = if has_observed { Some(p.op_id()?) } else { None };
+        p.check_crc(start, "record")?;
+        *r = p;
+        Ok(Some(StreamRecord { sync: tag == TAG_SYNC, proc, loc, kind, role, value, observed }))
     }
 }
 
@@ -363,7 +362,7 @@ pub fn salvage_stream<R: Read>(mut reader: R) -> Result<StreamSalvage, TraceErro
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         };
-        let pushed = decoder.push_inner(&chunk[..n], &mut records);
+        let pushed = decoder.push_inner(chunk.get(..n).unwrap_or_default(), &mut records);
         for rec in records.drain(..) {
             rec.apply(&mut builder);
         }
@@ -483,13 +482,16 @@ impl StreamDecoder {
     /// Decodes the header (if still due) and every complete record in
     /// `buf`, advancing `used` past each one.
     fn decode(&mut self, used: &mut usize, out: &mut Vec<StreamRecord>) -> Result<(), DecodeError> {
+        let mut r = ByteReader::with_base(&self.buf, self.offset);
         if !self.header_seen {
-            let Some(n) = parse_header(&self.buf)? else { return Ok(()) };
-            *used = n;
+            if !parse_header(&mut r)? {
+                return Ok(());
+            }
+            *used = r.offset() - self.offset;
             self.header_seen = true;
         }
-        while let Some((rec, n)) = parse_record(&self.buf[*used..], self.offset + *used)? {
-            *used += n;
+        while let Some(rec) = StreamRecord::get(&mut r)? {
+            *used = r.offset() - self.offset;
             self.records += 1;
             out.push(rec);
         }
@@ -528,81 +530,25 @@ impl StreamDecoder {
     }
 }
 
-/// Checks the stream header at the front of `buf` (always stream offset
-/// 0). `Ok(None)` means the header is not complete yet; a prefix that
-/// already differs from `"WMRS"` — a headerless stream, or not a stream
-/// at all — is refused at once.
-fn parse_header(buf: &[u8]) -> Result<Option<usize>, DecodeError> {
-    let n = buf.len().min(STREAM_MAGIC.len());
-    if buf[..n] != STREAM_MAGIC[..n] {
+/// Reads the stream header from the front of `r` (always stream
+/// offset 0), advancing `r` past it. `Ok(false)` means the header is not
+/// complete yet; a prefix that already differs from `"WMRS"` — a
+/// headerless stream, or not a stream at all — is refused at once.
+fn parse_header(r: &mut ByteReader<'_>) -> Result<bool, DecodeError> {
+    let mut h = r.clone();
+    let seen = h.take(h.remaining().min(STREAM_MAGIC.len()), "stream magic")?;
+    if !STREAM_MAGIC.starts_with(seen) {
         return Err(DecodeError::new(0, "bad stream magic (not a WMRS stream)"));
     }
-    if buf.len() < 6 {
-        return Ok(None);
+    if h.remaining() < 2 {
+        return Ok(false);
     }
-    let version = u16::from_be_bytes([buf[4], buf[5]]);
+    let version = h.u16("stream version")?;
     if version != STREAM_FORMAT_VERSION {
         return Err(DecodeError::new(4, format!("unsupported stream version {version}")));
     }
-    Ok(Some(6))
-}
-
-/// Parses one checksummed record from the front of `buf`. `Ok(None)`
-/// means the record is not complete yet; `Ok(Some((rec, used)))`
-/// consumed `used` bytes. `base` is the absolute stream offset of
-/// `buf[0]`, used for error positions.
-fn parse_record(buf: &[u8], base: usize) -> Result<Option<(StreamRecord, usize)>, DecodeError> {
-    const HEAD: usize = 18;
-    if buf.len() < HEAD + 1 {
-        return Ok(None);
-    }
-    if buf[0] != RECORD_MAGIC {
-        return Err(DecodeError::new(base, format!("bad record magic {:#x}", buf[0])));
-    }
-    let tag = buf[1];
-    if tag != TAG_DATA && tag != TAG_SYNC {
-        return Err(DecodeError::new(base, format!("bad record tag {tag}")));
-    }
-    let proc = ProcId::new(u16::from_be_bytes([buf[2], buf[3]]));
-    let loc = crate::Location::new(u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]));
-    let kind = if buf[8] == 1 { AccessKind::Write } else { AccessKind::Read };
-    let role = match buf[9] {
-        0 => SyncRole::Release,
-        1 => SyncRole::Acquire,
-        2 => SyncRole::None,
-        r => return Err(DecodeError::new(base, format!("bad sync role {r}"))),
-    };
-    let value = Value::new(i64::from_be_bytes([
-        buf[10], buf[11], buf[12], buf[13], buf[14], buf[15], buf[16], buf[17],
-    ]));
-    let flag = buf[HEAD];
-    let observed_len = match flag {
-        0 => 0,
-        1 => 6,
-        f => return Err(DecodeError::new(base, format!("bad observed flag {f}"))),
-    };
-    let body_len = HEAD + 1 + observed_len;
-    let total = body_len + 4;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let observed = (flag == 1).then(|| {
-        OpId::new(
-            ProcId::new(u16::from_be_bytes([buf[19], buf[20]])),
-            u32::from_be_bytes([buf[21], buf[22], buf[23], buf[24]]),
-        )
-    });
-    let stored = u32::from_be_bytes([
-        buf[body_len],
-        buf[body_len + 1],
-        buf[body_len + 2],
-        buf[body_len + 3],
-    ]);
-    if crc32(&buf[..body_len]) != stored {
-        return Err(DecodeError::new(base, "record checksum mismatch"));
-    }
-    let rec = StreamRecord { sync: tag == TAG_SYNC, proc, loc, kind, role, value, observed };
-    Ok(Some((rec, total)))
+    *r = h;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -709,6 +655,31 @@ mod tests {
                     read_stream(&hurt[..]).is_err(),
                     "flip at {byte}.{bit} slipped past the checksum"
                 );
+            }
+        }
+    }
+
+    /// A record's access-kind and observed-write flag bytes holding
+    /// anything but 0 or 1 are refused at their own offsets, under a
+    /// valid checksum.
+    #[test]
+    fn flag_bytes_other_than_zero_or_one_are_refused_at_their_offset() {
+        let mut buf = Vec::new();
+        let mut w = StreamWriter::new(&mut buf, 1);
+        w.data_access(p(0), l(0), AccessKind::Read, Value::ZERO, None);
+        w.finish().unwrap();
+        let crc_at = buf.len() - 4;
+        for (at, what) in [(6 + 8, "record kind"), (6 + 18, "observed flag")] {
+            let mut hurt = buf.clone();
+            assert_eq!(hurt[at], 0, "{what} must start as 0");
+            hurt[at] = 2;
+            let crc = crate::crc32::crc32(&hurt[6..crc_at]);
+            hurt[crc_at..].copy_from_slice(&crc.to_be_bytes());
+            match read_stream(&hurt[..]) {
+                Err(TraceError::Decode(e)) => {
+                    assert_eq!((e.offset, e.reason), (at, format!("bad {what} 2")));
+                }
+                other => panic!("{what} 2 was not refused: {other:?}"),
             }
         }
     }

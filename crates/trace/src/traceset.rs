@@ -24,12 +24,14 @@
 
 use std::fmt;
 
-use crate::crc32::crc32;
-use crate::cursor::{put_opt_str, ByteReader};
+use crate::cursor::{
+    put_access_kind, put_frame, put_op_id, put_opt_op_id, put_opt_str, put_opt_u64, put_sync_role,
+    ByteReader,
+};
 use crate::error::DecodeError;
 use crate::{
-    AccessKind, ComputationEvent, Event, EventId, EventKind, LocSet, Location, OpId, ProcId,
-    SyncEvent, SyncRole, TraceError, Value,
+    AccessKind, ComputationEvent, Event, EventId, EventKind, LocSet, Location, ProcId, SyncEvent,
+    TraceError, Value,
 };
 
 /// Metadata describing how a trace was produced.
@@ -101,6 +103,13 @@ pub struct SyncOrderEntry {
 }
 
 /// A complete post-mortem trace of one execution.
+///
+/// Every `TraceSet` is valid by construction, so consumers such as the
+/// hb1 graph do not validate it again: [`from_parts`](Self::from_parts)
+/// checks [`validate`](Self::validate)'s invariants (the v2 decoder
+/// goes through it), [`TraceBuilder::finish`](crate::TraceBuilder::finish)
+/// builds a valid trace (the stream reader goes through it), and
+/// [`new`](Self::new) and `Default` are empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSet {
     /// Provenance metadata.
@@ -123,6 +132,9 @@ const SYNC_MARKER: u8 = 0x5C;
 const MAX_EVENT_BYTES: u32 = 1 << 20;
 /// Cap on the v2 header and sync-order section payloads.
 const MAX_SECTION_BYTES: u32 = 1 << 26;
+/// Bytes one sync-order entry occupies: `u64` seq, `u16` processor,
+/// `u32` event index, `u32` location, access kind.
+const SYNC_ENTRY_BYTES: usize = 19;
 
 /// What the salvage decoder recovered from a (possibly damaged) v2
 /// binary trace.
@@ -382,56 +394,38 @@ impl TraceSet {
         buf.extend_from_slice(b"WMRD");
         buf.extend_from_slice(&BINARY_FORMAT_VERSION.to_be_bytes());
 
-        let mut hdr = Vec::new();
-        put_opt_str(&mut hdr, self.meta.program.as_deref());
-        put_opt_str(&mut hdr, self.meta.model.as_deref());
-        match self.meta.seed {
-            Some(s) => {
-                hdr.push(1);
-                hdr.extend_from_slice(&s.to_be_bytes());
-            }
-            None => hdr.push(0),
-        }
-        hdr.extend_from_slice(&(self.procs.len() as u16).to_be_bytes());
-        for p in &self.procs {
-            hdr.extend_from_slice(&(p.events.len() as u32).to_be_bytes());
-        }
-        hdr.extend_from_slice(&(self.sync_order.len() as u32).to_be_bytes());
         let start = buf.len();
-        buf.extend_from_slice(&(hdr.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&hdr);
-        let crc = crc32(&buf[start..]);
-        buf.extend_from_slice(&crc.to_be_bytes());
+        put_frame(&mut buf, start, |hdr| {
+            put_opt_str(hdr, self.meta.program.as_deref());
+            put_opt_str(hdr, self.meta.model.as_deref());
+            put_opt_u64(hdr, self.meta.seed);
+            hdr.extend_from_slice(&(self.procs.len() as u16).to_be_bytes());
+            for p in &self.procs {
+                hdr.extend_from_slice(&(p.events.len() as u32).to_be_bytes());
+            }
+            hdr.extend_from_slice(&(self.sync_order.len() as u32).to_be_bytes());
+        });
 
         let deepest = self.procs.iter().map(|p| p.events.len()).max().unwrap_or(0);
         for depth in 0..deepest {
             for p in &self.procs {
                 if let Some(e) = p.events.get(depth) {
-                    let mut payload = Vec::new();
-                    put_event_kind(&mut payload, &e.kind);
                     let start = buf.len();
                     buf.push(EVENT_MARKER);
                     buf.extend_from_slice(&p.proc.raw().to_be_bytes());
-                    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-                    buf.extend_from_slice(&payload);
-                    let crc = crc32(&buf[start..]);
-                    buf.extend_from_slice(&crc.to_be_bytes());
+                    put_frame(&mut buf, start, |payload| put_event_kind(payload, &e.kind));
                 }
             }
         }
 
-        let mut sync = Vec::new();
-        sync.extend_from_slice(&(self.sync_order.len() as u32).to_be_bytes());
-        for s in &self.sync_order {
-            put_sync_entry(&mut sync, s);
-        }
         let start = buf.len();
         buf.push(SYNC_MARKER);
-        buf.extend_from_slice(&(sync.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&sync);
-        let crc = crc32(&buf[start..]);
-        buf.extend_from_slice(&crc.to_be_bytes());
-
+        put_frame(&mut buf, start, |sync| {
+            sync.extend_from_slice(&(self.sync_order.len() as u32).to_be_bytes());
+            for s in &self.sync_order {
+                put_sync_entry(sync, s);
+            }
+        });
         buf
     }
 
@@ -465,18 +459,16 @@ impl TraceSet {
     }
 }
 
-/// Checks the magic and that the format version is the one this
+/// Reads the magic and checks that the format version is the one this
 /// decoder reads: version 1 files (no checksums) are refused like any
 /// other unknown version.
-fn check_magic_and_version(data: &[u8]) -> Result<(), TraceError> {
-    let mut r = ByteReader::new(data);
-    let magic = r.take(4, "magic")?;
-    if magic != b"WMRD" {
-        return Err(DecodeError::new(0, "bad magic (not a wmrd trace)").into());
+fn check_magic_and_version(r: &mut ByteReader<'_>) -> Result<(), DecodeError> {
+    if r.take(4, "magic")? != b"WMRD" {
+        return Err(DecodeError::new(0, "bad magic (not a wmrd trace)"));
     }
     let version = r.u16("format version")?;
     if version != BINARY_FORMAT_VERSION {
-        return Err(DecodeError::new(4, format!("unsupported version {version}")).into());
+        return Err(DecodeError::new(4, format!("unsupported version {version}")));
     }
     Ok(())
 }
@@ -491,9 +483,9 @@ enum DecodeMode {
 
 /// Decodes the checksummed version-2 layout, strictly or best-effort.
 fn decode_v2(data: &[u8], mode: DecodeMode) -> Result<Salvage, TraceError> {
-    check_magic_and_version(data)?;
+    let mut r = ByteReader::new(data);
+    check_magic_and_version(&mut r)?;
     let bytes_total = data.len();
-    let mut r = ByteReader::with_base(&data[6..], 6);
 
     let header = match read_header_section(&mut r) {
         Ok(h) => h,
@@ -586,22 +578,10 @@ fn decode_v2(data: &[u8], mode: DecodeMode) -> Result<Salvage, TraceError> {
 
 /// Reads and checksum-verifies the v2 header section.
 fn read_header_section(r: &mut ByteReader<'_>) -> Result<HeaderV2, DecodeError> {
-    let start = r.offset();
-    let hlen = r.u32("header length")?;
-    if hlen > MAX_SECTION_BYTES {
-        return Err(DecodeError::new(start, format!("oversized header length {hlen}")));
-    }
-    let payload_base = r.offset();
-    let payload = r.take(hlen as usize, "header payload")?;
-    let covered = r.slice_from(start);
-    let stored = r.u32("header checksum")?;
-    if crc32(covered) != stored {
-        return Err(DecodeError::new(start, "header checksum mismatch"));
-    }
-    let mut h = ByteReader::with_base(payload, payload_base);
+    let mut h = r.frame(r.offset(), MAX_SECTION_BYTES, "header")?;
     let program = h.opt_str("program")?;
     let model = h.opt_str("model")?;
-    let seed = if h.u8("seed flag")? == 1 { Some(h.u64("seed")?) } else { None };
+    let seed = h.opt_u64("seed")?;
     let num_procs = h.u16("processor count")? as usize;
     let mut counts = Vec::with_capacity(num_procs);
     for _ in 0..num_procs {
@@ -621,29 +601,15 @@ fn read_event_record(
     num_procs: usize,
 ) -> Result<(usize, ProcId, EventKind), DecodeError> {
     let start = r.offset();
-    let marker = r.u8("event record marker")?;
-    if marker != EVENT_MARKER {
-        return Err(DecodeError::new(start, format!("bad event record marker {marker:#04x}")));
-    }
+    r.marker(EVENT_MARKER, "event record marker")?;
     let proc_raw = r.u16("event record processor")?;
-    let len = r.u32("event record length")?;
-    if len > MAX_EVENT_BYTES {
-        return Err(DecodeError::new(start, format!("oversized event record length {len}")));
-    }
-    let payload_base = r.offset();
-    let payload = r.take(len as usize, "event record payload")?;
-    let covered = r.slice_from(start);
-    let stored = r.u32("event record checksum")?;
-    if crc32(covered) != stored {
-        return Err(DecodeError::new(start, "event record checksum mismatch"));
-    }
+    let mut p = r.frame(start, MAX_EVENT_BYTES, "event record")?;
     if proc_raw as usize >= num_procs {
         return Err(DecodeError::new(
             start,
             format!("event record for processor {proc_raw} outside the header's {num_procs}"),
         ));
     }
-    let mut p = ByteReader::with_base(payload, payload_base);
     let kind = get_event_kind(&mut p)?;
     if !p.is_empty() {
         return Err(p.err(format!("{} trailing bytes in event record", p.remaining())));
@@ -657,27 +623,13 @@ fn read_sync_section(
     declared: u32,
 ) -> Result<Vec<SyncOrderEntry>, DecodeError> {
     let start = r.offset();
-    let marker = r.u8("sync section marker")?;
-    if marker != SYNC_MARKER {
-        return Err(DecodeError::new(start, format!("bad sync section marker {marker:#04x}")));
-    }
-    let len = r.u32("sync section length")?;
-    if len > MAX_SECTION_BYTES {
-        return Err(DecodeError::new(start, format!("oversized sync section length {len}")));
-    }
-    let payload_base = r.offset();
-    let payload = r.take(len as usize, "sync section payload")?;
-    let covered = r.slice_from(start);
-    let stored = r.u32("sync section checksum")?;
-    if crc32(covered) != stored {
-        return Err(DecodeError::new(start, "sync section checksum mismatch"));
-    }
-    let mut s = ByteReader::with_base(payload, payload_base);
+    r.marker(SYNC_MARKER, "sync section marker")?;
+    let mut s = r.frame(start, MAX_SECTION_BYTES, "sync section")?;
     let n = s.u32("sync-order count")?;
     if n != declared {
         return Err(s.err(format!("sync-order count {n} disagrees with header ({declared})")));
     }
-    if n as usize > s.remaining() / 19 {
+    if n as usize > s.remaining() / SYNC_ENTRY_BYTES {
         return Err(s.err(format!("sync order count {n} exceeds section payload")));
     }
     let mut out = Vec::with_capacity(n as usize);
@@ -715,21 +667,11 @@ fn put_event_kind(buf: &mut Vec<u8>, kind: &EventKind) {
             buf.push(0);
             put_op_id(buf, s.op);
             buf.extend_from_slice(&s.loc.addr().to_be_bytes());
-            buf.push(matches!(s.kind, AccessKind::Write) as u8);
-            buf.push(match s.role {
-                SyncRole::Release => 0,
-                SyncRole::Acquire => 1,
-                SyncRole::None => 2,
-            });
+            put_access_kind(buf, s.kind);
+            put_sync_role(buf, s.role);
             buf.extend_from_slice(&s.value.get().to_be_bytes());
             buf.extend_from_slice(&s.global_seq.to_be_bytes());
-            match s.observed_release {
-                Some(op) => {
-                    buf.push(1);
-                    put_op_id(buf, op);
-                }
-                None => buf.push(0),
-            }
+            put_opt_op_id(buf, s.observed_release);
         }
         EventKind::Computation(c) => {
             buf.push(1);
@@ -746,12 +688,7 @@ fn put_sync_entry(buf: &mut Vec<u8>, s: &SyncOrderEntry) {
     buf.extend_from_slice(&s.event.proc.raw().to_be_bytes());
     buf.extend_from_slice(&s.event.index.to_be_bytes());
     buf.extend_from_slice(&s.loc.addr().to_be_bytes());
-    buf.push(matches!(s.kind, AccessKind::Write) as u8);
-}
-
-fn put_op_id(buf: &mut Vec<u8>, op: OpId) {
-    buf.extend_from_slice(&op.proc.raw().to_be_bytes());
-    buf.extend_from_slice(&op.seq.to_be_bytes());
+    put_access_kind(buf, s.kind);
 }
 
 fn put_locset(buf: &mut Vec<u8>, set: &LocSet) {
@@ -765,19 +702,13 @@ fn get_event_kind(r: &mut ByteReader<'_>) -> Result<EventKind, DecodeError> {
     let tag = r.u8("event tag")?;
     match tag {
         0 => {
-            let op = get_op_id(r)?;
+            let op = r.op_id()?;
             let loc = Location::new(r.u32("sync location")?);
-            let kind = if r.u8("sync kind")? == 1 { AccessKind::Write } else { AccessKind::Read };
-            let role = match r.u8("sync role")? {
-                0 => SyncRole::Release,
-                1 => SyncRole::Acquire,
-                2 => SyncRole::None,
-                role => return Err(r.err(format!("bad sync role {role}"))),
-            };
+            let kind = r.access_kind("sync kind")?;
+            let role = r.sync_role("sync role")?;
             let value = Value::new(r.i64("sync value")?);
             let global_seq = r.u64("sync global seq")?;
-            let observed_release =
-                if r.u8("observed-release flag")? == 1 { Some(get_op_id(r)?) } else { None };
+            let observed_release = r.opt_op_id("observed-release")?;
             Ok(EventKind::Sync(SyncEvent {
                 op,
                 loc,
@@ -791,7 +722,7 @@ fn get_event_kind(r: &mut ByteReader<'_>) -> Result<EventKind, DecodeError> {
         1 => {
             let reads = get_locset(r)?;
             let writes = get_locset(r)?;
-            let first_op = get_op_id(r)?;
+            let first_op = r.op_id()?;
             let op_count = r.u32("op count")?;
             Ok(EventKind::Computation(ComputationEvent { reads, writes, first_op, op_count }))
         }
@@ -804,14 +735,8 @@ fn get_sync_entry(r: &mut ByteReader<'_>) -> Result<SyncOrderEntry, DecodeError>
     let proc = ProcId::new(r.u16("sync-order processor")?);
     let index = r.u32("sync-order event index")?;
     let loc = Location::new(r.u32("sync-order location")?);
-    let kind = if r.u8("sync-order kind")? == 1 { AccessKind::Write } else { AccessKind::Read };
+    let kind = r.access_kind("sync-order kind")?;
     Ok(SyncOrderEntry { global_seq, event: EventId::new(proc, index), loc, kind })
-}
-
-fn get_op_id(r: &mut ByteReader<'_>) -> Result<OpId, DecodeError> {
-    let proc = ProcId::new(r.u16("op processor")?);
-    let seq = r.u32("op seq")?;
-    Ok(OpId::new(proc, seq))
 }
 
 /// Largest location address accepted by the binary decoder. The bitset
@@ -839,7 +764,7 @@ fn get_locset(r: &mut ByteReader<'_>) -> Result<LocSet, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceBuilder, TraceSink};
+    use crate::{SyncRole, TraceBuilder, TraceSink};
 
     fn sample() -> TraceSet {
         let mut b = TraceBuilder::new(2);
@@ -910,7 +835,7 @@ mod tests {
     fn binary_roundtrip() {
         let t = sample();
         let b = t.to_binary();
-        assert_eq!(u16::from_be_bytes([b[4], b[5]]), BINARY_FORMAT_VERSION);
+        assert_eq!(ByteReader::new(&b[4..]).u16("version").unwrap(), BINARY_FORMAT_VERSION);
         assert_eq!(TraceSet::from_binary(&b).unwrap(), t);
     }
 
@@ -1002,8 +927,7 @@ mod tests {
         let b = t.to_binary();
         // Find the first event record (marker byte after the header
         // section) and flip a byte inside it.
-        let hlen = u32::from_be_bytes([b[6], b[7], b[8], b[9]]) as usize;
-        let first_record = 6 + 4 + hlen + 4;
+        let first_record = frames(&b)[1].0;
         assert_eq!(b[first_record], EVENT_MARKER);
         let mut hurt = b.clone();
         hurt[first_record + 8] ^= 0x01;
@@ -1040,6 +964,101 @@ mod tests {
         assert_eq!(s.events_recovered(), 0);
         assert_eq!(s.expected, None, "header gone: no expectation to report");
         assert!(s.trace.validate().is_ok());
+    }
+
+    /// The `(start, crc_at)` span of every frame of a v2 file, in file
+    /// order: the header, each event record, the sync section. The
+    /// CRC-32 at `crc_at` covers `start..crc_at`.
+    fn frames(b: &[u8]) -> Vec<(usize, usize)> {
+        let mut r = ByteReader::new(b);
+        r.take(6, "magic and version").unwrap();
+        let mut spans = Vec::new();
+        while !r.is_empty() {
+            let start = r.offset();
+            let fixed = match b[start] {
+                _ if start == 6 => 0,
+                EVENT_MARKER => 3,
+                _ => 1,
+            };
+            r.take(fixed, "marker and fixed fields").unwrap();
+            r.frame(start, u32::MAX, "frame").unwrap();
+            spans.push((start, r.offset() - 4));
+        }
+        spans
+    }
+
+    /// Writes `bytes` at `at` and re-seals the frame holding `at` with a
+    /// valid CRC-32, so only the decoder's field checks can object.
+    fn patch(b: &mut [u8], at: usize, bytes: &[u8]) {
+        let (start, crc_at) = frames(b).into_iter().find(|&(s, c)| s <= at && at < c).unwrap();
+        b[at..at + bytes.len()].copy_from_slice(bytes);
+        let crc = crate::crc32::crc32(&b[start..crc_at]);
+        b[crc_at..crc_at + 4].copy_from_slice(&crc.to_be_bytes());
+    }
+
+    /// Each 0/1 byte of a v2 trace that holds anything else is refused
+    /// at its own offset, under valid checksums.
+    #[test]
+    fn flag_bytes_other_than_zero_or_one_are_refused_at_their_offset() {
+        let mut t = sample();
+        t.meta.seed = None;
+        let b = t.to_binary();
+        let spans = frames(&b);
+        // Header payload: the optional strings "sample" and "SC", then
+        // the seed flag.
+        let seed_flag = 6 + 4 + (4 + 6) + (4 + 2);
+        // Records run round-robin by depth: P0.e0, P1.e0 (the acquire),
+        // P0.e1 (the release), P1.e1. A sync payload starts after the
+        // 7-byte record head: tag, op id, location, kind, role, value,
+        // global seq, observed-release flag.
+        let sync_kind = spans[2].0 + 7 + 1 + 6 + 4;
+        let observed_flag = spans[3].0 + 7 + 1 + 6 + 4 + 1 + 1 + 8 + 8;
+        // Sync section payload: a count, then entries ending in their
+        // kind; the second entry is the acquire's.
+        let order_kind = spans[5].0 + 5 + 4 + 2 * SYNC_ENTRY_BYTES - 1;
+        for (at, what, v) in [
+            (seed_flag, "seed flag", 2),
+            (sync_kind, "sync kind", 2),
+            (observed_flag, "observed-release flag", 7),
+            (order_kind, "sync-order kind", 7),
+        ] {
+            assert_eq!(b[at], 0, "{what} must start as 0");
+            let mut hurt = b.clone();
+            patch(&mut hurt, at, &[v]);
+            match TraceSet::from_binary(&hurt) {
+                Err(TraceError::Decode(e)) => {
+                    assert_eq!((e.offset, e.reason), (at, format!("bad {what} {v}")));
+                }
+                other => panic!("{what} {v} was not refused: {other:?}"),
+            }
+        }
+    }
+
+    /// A header or sync-section length of `u32::MAX` under a valid
+    /// checksum is refused at the section's first byte, before the
+    /// payload is taken.
+    #[test]
+    fn oversized_section_lengths_are_refused_at_the_frame_start() {
+        let t = sample();
+        let b = t.to_binary();
+        let spans = frames(&b);
+        let (header, sync) = (spans[0].0, spans[spans.len() - 1].0);
+        for (start, len_at, what, recovered) in
+            [(header, header, "header", 0), (sync, sync + 1, "sync section", t.num_events())]
+        {
+            let mut hurt = b.clone();
+            patch(&mut hurt, len_at, &u32::MAX.to_be_bytes());
+            match TraceSet::from_binary(&hurt) {
+                Err(TraceError::Decode(e)) => assert_eq!(
+                    (e.offset, e.reason),
+                    (start, format!("oversized {what} length {}", u32::MAX))
+                ),
+                other => panic!("{what} length was not refused: {other:?}"),
+            }
+            let s = TraceSet::salvage_binary(&hurt).unwrap();
+            assert_eq!(s.failure.as_ref().map(|e| e.offset), Some(start), "{what}");
+            assert_eq!(s.events_recovered(), recovered, "{what}");
+        }
     }
 
     #[test]

@@ -86,10 +86,7 @@ fn corrupted_files_are_rejected_not_misread() {
             Err(e) => {
                 assert!(matches!(
                     e,
-                    TraceError::Binary(_)
-                        | TraceError::Malformed(_)
-                        | TraceError::UnknownEvent(_)
-                        | TraceError::Decode(_)
+                    TraceError::Malformed(_) | TraceError::UnknownEvent(_) | TraceError::Decode(_)
                 ));
             }
         }
